@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, UndefinedConditionalError
+from .errors import DomainError, UndefinedConditionalError
 from .spin import (
     NORM_TOL,
     PAULI,
@@ -41,19 +41,8 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 MAX_ENSEMBLE_DENOMINATOR = 10**6
 RATIONAL_TOL = 1e-12
 
-_PROJ_CACHE: dict[tuple[float, float, float, int], np.ndarray] = {}
-
-
-def _projector(direction: UnitVector3, sign: int) -> np.ndarray:
-    key = (direction.x, direction.y, direction.z, sign)
-    p = _PROJ_CACHE.get(key)
-    if p is None:
-        n_sigma = direction.x * PAULI[0] + direction.y * PAULI[1] + direction.z * PAULI[2]
-        p = (np.eye(2, dtype=complex) + sign * n_sigma) / 2.0
-        if len(_PROJ_CACHE) > 4096:
-            _PROJ_CACHE.clear()
-        _PROJ_CACHE[key] = p
-    return p
+# Largest number of points one chsh_scan call may produce.
+MAX_SCAN_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -105,6 +94,7 @@ class BellState:
     label: str
     amplitudes: np.ndarray
     plane: SymmetryPlane
+    _tensor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.array(self.amplitudes, dtype=complex)
@@ -112,15 +102,20 @@ class BellState:
             raise DomainError("Bell state needs four amplitudes")
         if abs(float(np.vdot(a, a).real) - 1.0) > NORM_TOL:
             raise DomainError("Bell state must be normalized")
-        # maximal entanglement: both reduced density matrices are I/2
-        rho = np.outer(a, a.conj()).reshape(2, 2, 2, 2)
-        rho_a = np.trace(rho, axis1=1, axis2=3)
-        rho_b = np.trace(rho, axis1=0, axis2=2)
+        # psi[i, j] is the amplitude of Alice i, Bob j; maximal entanglement
+        # means both reduced density matrices are I/2
+        psi = a.reshape(2, 2)
         half = np.eye(2) / 2.0
-        if np.abs(rho_a - half).max() > NORM_TOL or np.abs(rho_b - half).max() > NORM_TOL:
-            raise DomainError("Bell state must be maximally entangled")
+        for rho in (psi @ psi.conj().T, psi.T @ psi.conj()):
+            if np.abs(rho - half).max() > NORM_TOL:
+                raise DomainError("Bell state must be maximally entangled")
+        # T[i, j] = <psi| sigma_i x sigma_j |psi> = tr(psi^dag sigma_i psi sigma_j^T)
+        pauli = np.stack(PAULI)
+        t = np.einsum("ab,iac,jbd,cd->ij", psi.conj(), pauli, pauli, psi).real
         a.setflags(write=False)
+        t.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
+        object.__setattr__(self, "_tensor", t)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BellState):
@@ -133,14 +128,9 @@ class BellState:
 
     @property
     def correlation_tensor(self) -> np.ndarray:
-        """T[i, j] = <sigma_i x sigma_j>, computed from the amplitudes."""
-        a = self.amplitudes
-        t = np.empty((3, 3))
-        for i in range(3):
-            for j in range(3):
-                op = np.kron(PAULI[i], PAULI[j])
-                t[i, j] = float(np.real(np.vdot(a, op @ a)))
-        return t
+        """T[i, j] = <sigma_i x sigma_j>, computed once from the amplitudes
+        (read-only); E(a, b) = a^T T b."""
+        return self._tensor
 
     @classmethod
     def from_label(cls, label: str) -> "BellState":
@@ -278,22 +268,22 @@ class CHSHSetting:
         )
 
 
-def joint_distribution(state: BellState, setting: JointSetting) -> JointDistribution:
-    """Born-rule probabilities of the four outcome pairs."""
-    psi = state.amplitudes
-    ps = {}
-    for i in (1, -1):
-        pa = _projector(setting.alice, i)
-        for j in (1, -1):
-            op = np.kron(pa, _projector(setting.bob, j))
-            ps[(i, j)] = float(np.real(np.vdot(psi, op @ psi)))
-    return JointDistribution(ps[(1, 1)], ps[(1, -1)], ps[(-1, 1)], ps[(-1, -1)])
-
-
 def correlation(state: BellState, setting: JointSetting) -> float:
-    """E(a, b); equals cos(theta) for a triplet in its symmetry plane,
-    -cos(theta) for the singlet."""
-    return joint_distribution(state, setting).correlation
+    """E(a, b) = a^T T b; equals cos(theta) for a triplet in its symmetry
+    plane, -cos(theta) for the singlet."""
+    return float(setting.alice.as_array() @ state.correlation_tensor @ setting.bob.as_array())
+
+
+def joint_distribution(state: BellState, setting: JointSetting) -> JointDistribution:
+    """Born-rule probabilities of the four outcome pairs.
+
+    p(i, j) = (1 + i j E(a, b)) / 4 is exact for every BellState: maximal
+    entanglement makes both marginals I/2, so only the correlation term
+    of the Born rule survives.
+    """
+    e = correlation(state, setting)
+    same, differ = (1.0 + e) / 4.0, (1.0 - e) / 4.0
+    return JointDistribution(same, differ, differ, same)
 
 
 def conditional_average(state: BellState, setting: JointSetting, given: Outcome) -> float:
@@ -415,134 +405,42 @@ def chsh_classical_max() -> float:
     return float(max(s for _, s in enumerate_classical_strategies()))
 
 
-def _plane_correlation_matrix(state: BellState, plane: SymmetryPlane) -> np.ndarray:
-    """2x2 restriction M of the correlation tensor to the plane basis, so
+def _plane_correlation_matrix(state: BellState) -> np.ndarray:
+    """2x2 restriction M of the correlation tensor to the state's plane, so
     E(alpha, beta) = [cos a, sin a] M [cos b, sin b]^T for in-plane angles."""
-    t = state.correlation_tensor
-    basis = np.stack([plane.e1.as_array(), plane.e2.as_array()])
-    return basis @ t @ basis.T
-
-
-def _inplane_correlation(m2: np.ndarray, alpha: float, beta: float) -> float:
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cb, sb = math.cos(beta), math.sin(beta)
-    return float(
-        ca * (m2[0, 0] * cb + m2[0, 1] * sb) + sa * (m2[1, 0] * cb + m2[1, 1] * sb)
-    )
-
-
-def chsh_grid_max(state: BellState, step: Angle = Angle(math.radians(1.0))) -> tuple[float, CHSHSetting]:
-    """Exhaustive S maximum over the full in-plane angle lattice.
-
-    All four angles range over [0, 2*pi) at the given step. The search is
-    exact on the lattice: for each (a, a') pair the best b and b' are
-    independent maxima, which keeps the cost at O(G^3) array work.
-    """
     plane = state.plane
-    m2 = _plane_correlation_matrix(state, plane)
-    step_rad = step.radians
-    if step_rad <= 0:
-        raise DomainError("grid step must be positive")
-    grid = np.arange(0.0, 2.0 * math.pi, step_rad)
-    basis = np.stack([np.cos(grid), np.sin(grid)])
-    e = basis.T @ m2 @ basis  # e[i, j] = E(alice grid[i], bob grid[j])
-
-    best = -math.inf
-    best_ia = best_iap = 0
-    for ia in range(len(grid)):
-        plus = e[ia, :][None, :] + e  # over (a', b)
-        minus = e - e[ia, :][None, :]  # over (a', b')
-        f = plus.max(axis=1) + minus.max(axis=1)
-        iap = int(np.argmax(f))
-        if f[iap] > best:
-            best, best_ia, best_iap = float(f[iap]), ia, iap
-    ib = int(np.argmax(e[best_ia, :] + e[best_iap, :]))
-    ibp = int(np.argmax(e[best_iap, :] - e[best_ia, :]))
-    setting = CHSHSetting(
-        Angle(float(grid[best_ia])),
-        Angle(float(grid[best_iap])),
-        Angle(float(grid[ib])),
-        Angle(float(grid[ibp])),
-        plane,
-    )
-    return best, setting
+    basis = np.stack([plane.e1.as_array(), plane.e2.as_array()])
+    return basis @ state.correlation_tensor @ basis.T
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _plane_angle(w: np.ndarray) -> Angle:
+    """In-plane angle of a unit vector given in plane coordinates."""
+    return Angle(math.atan2(float(w[1]), float(w[0])))
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
-    a, b = lo, hi
-    c = b - (b - a) * _INVPHI
-    d = a + (b - a) * _INVPHI
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INVPHI
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INVPHI
-            fd = f(d)
-    return (a + b) / 2.0
+def chsh_quantum_max(state: BellState) -> tuple[float, CHSHSetting]:
+    """Largest S over settings in the state's plane, in closed form.
 
-
-def chsh_quantum_max(
-    state: BellState,
-    step: Angle = Angle(math.radians(1.0)),
-    tol: float = 1e-12,
-    max_sweeps: int = 200,
-) -> tuple[float, CHSHSetting]:
-    """Maximize S over in-plane settings: lattice search then deterministic
-    coordinate-wise golden-section refinement.
-
-    Returns the maximum (2*sqrt(2) to well under 1e-6 for every Bell
-    state) and the settings attaining it; the returned value is the
-    Born-rule `chsh_value` at those settings.
+    Horodecki criterion (R., P. and M. Horodecki, Phys. Lett. A 200, 340
+    (1995)) on the in-plane block M = U diag(s1, s2) V^T: the maximum is
+    S = 2 sqrt(s1^2 + s2^2), which is 2*sqrt(2) for every Bell state. It
+    is attained at a = u2, a' = u1, b = cos(phi) v1 + sin(phi) v2 and
+    b' = cos(phi) v1 - sin(phi) v2 with phi = atan2(s2, s1), where
+    E(a, b) - E(a, b') = 2 s2 sin(phi) and E(a', b) + E(a', b') = 2 s1 cos(phi).
     """
-    grid_val, grid_setting = chsh_grid_max(state, step)
-    m2 = _plane_correlation_matrix(state, state.plane)
-
-    def s_of(x: np.ndarray) -> float:
-        return chsh_combination(
-            _inplane_correlation(m2, x[0], x[2]),
-            _inplane_correlation(m2, x[0], x[3]),
-            _inplane_correlation(m2, x[1], x[2]),
-            _inplane_correlation(m2, x[1], x[3]),
-        )
-
-    x = np.array(
-        [
-            grid_setting.alice.radians,
-            grid_setting.alice_prime.radians,
-            grid_setting.bob.radians,
-            grid_setting.bob_prime.radians,
-        ]
+    u, s, vt = np.linalg.svd(_plane_correlation_matrix(state))
+    s1, s2 = float(s[0]), float(s[1])
+    phi = math.atan2(s2, s1)
+    b = math.cos(phi) * vt[0] + math.sin(phi) * vt[1]
+    b_prime = math.cos(phi) * vt[0] - math.sin(phi) * vt[1]
+    setting = CHSHSetting(
+        _plane_angle(u[:, 1]),
+        _plane_angle(u[:, 0]),
+        _plane_angle(b),
+        _plane_angle(b_prime),
+        state.plane,
     )
-    width = step.radians
-    prev = s_of(x)
-    converged = False
-    for _ in range(max_sweeps):
-        for k in range(4):
-            def line(t, k=k):
-                y = x.copy()
-                y[k] = t
-                return s_of(y)
-
-            x[k] = _golden_section_max(line, x[k] - width, x[k] + width, tol)
-        cur = s_of(x)
-        if cur - prev < 1e-14:
-            converged = True
-            break
-        prev = cur
-    if not converged:
-        raise ConvergenceError(
-            f"CHSH refinement did not stabilize after {max_sweeps} sweeps",
-            best=prev,
-        )
-    setting = CHSHSetting(Angle(x[0]), Angle(x[1]), Angle(x[2]), Angle(x[3]), state.plane)
-    return chsh_value(state, setting), setting
+    return 2.0 * math.hypot(s1, s2), setting
 
 
 def chsh_scan(state: BellState, step: Angle = Angle(math.radians(1.0))) -> list[tuple[Angle, float]]:
@@ -550,13 +448,18 @@ def chsh_scan(state: BellState, step: Angle = Angle(math.radians(1.0))) -> list[
 
     For a triplet in its symmetry plane S(t) = 3 cos(t) - cos(3t), which
     peaks at the quantum bound 2*sqrt(2) at t = 45 degrees; plot-ready.
+    Raises DomainError if the step gives more than MAX_SCAN_POINTS points.
     """
     if step.radians <= 0:
         raise DomainError("scan step must be positive")
-    out = []
-    count = math.ceil((2.0 * math.pi - 1e-12) / step.radians)
-    for k in range(count):
-        t = k * step.radians
-        setting = CHSHSetting(Angle(0.0), Angle(2 * t), Angle(t), Angle(3 * t), state.plane)
-        out.append((Angle(t), chsh_value(state, setting)))
-    return out
+    points = (2.0 * math.pi - 1e-12) / step.radians
+    if points > MAX_SCAN_POINTS:
+        raise DomainError(
+            f"scan step of {step.degrees!r} degrees gives more than {MAX_SCAN_POINTS} points"
+        )
+    m = _plane_correlation_matrix(state)
+    t = np.arange(math.ceil(points)) * step.radians
+    a, a_prime, b, b_prime = (np.stack([np.cos(x), np.sin(x)]) for x in (0.0 * t, 2 * t, t, 3 * t))
+    # S = a^T M (b - b') + a'^T M (b + b'), one value per t
+    s = np.einsum("in,ij,jn->n", a, m, b - b_prime) + np.einsum("in,ij,jn->n", a_prime, m, b + b_prime)
+    return [(Angle(x), y) for x, y in zip(t.tolist(), s.tolist())]

@@ -5,7 +5,8 @@ is a stable header row plus data rows. Anything seeded is byte-identical
 across runs with the same arguments (the manifest timestamp is null
 unless --timestamp is passed, keeping full-stream determinism).
 
-Exit codes: 0 success, 2 usage error, 3 domain error, 4 convergence error.
+Exit codes: 0 success, 2 usage error, unreadable input file or closed
+stdout, 3 domain error, 4 convergence error.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -52,6 +54,9 @@ from .spin import (
 )
 
 SCHEMA_VERSION = 1
+
+# Largest grid one `grmass ratio-curve` call may ask for.
+MAX_CURVE_POINTS = 10**6
 
 # jsonschema for every JSON envelope this tool prints
 OUTPUT_SCHEMA = {
@@ -134,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chsh = sub.add_parser("chsh", help="CHSH bounds, scans, and empirical estimates")
     p_chsh.add_argument("--mode", choices=("analytic-max", "classical-max", "scan", "empirical"), required=True)
     p_chsh.add_argument("--state", default="singlet")
-    p_chsh.add_argument("--resolution-deg", type=float, default=1.0, help="grid step in degrees")
+    p_chsh.add_argument("--resolution-deg", type=float, default=1.0, help="scan step in degrees (scan mode)")
     p_chsh.add_argument("--n", type=int, default=100000, help="trials per correlation (empirical mode)")
     p_chsh.add_argument("--seed", type=int, default=0)
     p_chsh.add_argument("--shards", type=int, default=1)
@@ -185,7 +190,13 @@ class _Output:
         self.rng = rng
 
 
+def _check_trials(n: int) -> None:
+    if n < 0:
+        raise DomainError(f"--n must be >= 0 (0 = analytic only), got {n}")
+
+
 def cmd_spin(args: argparse.Namespace) -> _Output:
+    _check_trials(args.n)
     theta = _angle_from(args)
     state = prepare_state(Z_AXIS)
     setting = ZX_PLANE.direction(theta)
@@ -210,6 +221,7 @@ def cmd_spin(args: argparse.Namespace) -> _Output:
 
 
 def cmd_bell(args: argparse.Namespace) -> _Output:
+    _check_trials(args.n)
     state = BellState.from_label(args.state)
     plane = _PLANES[args.plane] if args.plane else state.plane
     theta = _angle_from(args)
@@ -283,9 +295,8 @@ def cmd_chsh(args: argparse.Namespace) -> _Output:
         return _Output(data, ["mode", "value"], [[args.mode, value]])
 
     state = BellState.from_label(args.state)
-    step = Angle.from_degrees(args.resolution_deg)
     if args.mode == "analytic-max":
-        value, setting = chsh_quantum_max(state, step)
+        value, setting = chsh_quantum_max(state)
         data = {
             "mode": args.mode,
             "state": state.label,
@@ -301,7 +312,7 @@ def cmd_chsh(args: argparse.Namespace) -> _Output:
                setting.alice_prime.radians, setting.bob.radians, setting.bob_prime.radians]
         return _Output(data, header, [row])
     if args.mode == "scan":
-        points = chsh_scan(state, step)
+        points = chsh_scan(state, Angle.from_degrees(args.resolution_deg))
         data = {
             "mode": args.mode,
             "state": state.label,
@@ -337,8 +348,8 @@ def cmd_grmass_ratio(args: argparse.Namespace) -> _Output:
 
 
 def cmd_grmass_curve(args: argparse.Namespace) -> _Output:
-    if args.points < 2:
-        raise DomainError(f"need at least 2 grid points, got {args.points}")
+    if not 2 <= args.points <= MAX_CURVE_POINTS:
+        raise DomainError(f"need 2 to {MAX_CURVE_POINTS} grid points, got {args.points}")
     if not 0.0 < args.start < args.stop < math.pi:
         raise DomainError(
             f"grid must satisfy 0 < start < stop < pi, got [{args.start}, {args.stop}]"
@@ -446,10 +457,19 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, out, sys.stdout)
+    try:
+        _emit(args, out, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the flush at
+        # interpreter shutdown does not raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     return 0
 
 

@@ -134,17 +134,20 @@ def su2_from_axis_angle(axis: UnitVector3, angle: Angle) -> SpinRotation:
 def so3_from_su2(u: SpinRotation) -> FrameRotation:
     """Image of a spin rotation under the 2-to-1 covering map onto SO(3).
 
-    Column j holds the Pauli coefficients of U sigma_j U^dagger, so
-    U (sigma.n) U^dagger = sigma.(R n) for every direction n. Both U and
-    -U map to the same R.
+    R is defined by U (sigma.n) U^dagger = sigma.(R n) for every direction
+    n. Writing U = q0 I - i q.sigma with a unit quaternion (q0, q), R is
+    the quaternion rotation matrix. Both U and -U map to the same R.
     """
     m = u.matrix
-    md = m.conj().T
-    r = np.empty((3, 3))
-    for j in range(3):
-        conj = m @ PAULI[j] @ md
-        for i in range(3):
-            r[i, j] = 0.5 * float(np.real(np.trace(PAULI[i] @ conj)))
+    q0, q3 = m[0, 0].real, -m[0, 0].imag
+    q2, q1 = -m[0, 1].real, -m[0, 1].imag
+    r = np.array(
+        [
+            [q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3, 2 * (q1 * q2 - q0 * q3), 2 * (q1 * q3 + q0 * q2)],
+            [2 * (q1 * q2 + q0 * q3), q0 * q0 - q1 * q1 + q2 * q2 - q3 * q3, 2 * (q2 * q3 - q0 * q1)],
+            [2 * (q1 * q3 - q0 * q2), 2 * (q2 * q3 + q0 * q1), q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3],
+        ]
+    )
     return FrameRotation(r)
 
 

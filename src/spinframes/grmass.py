@@ -141,7 +141,7 @@ def load_profile_csv(path: str) -> MassProfile:
     """
     rs: list[float] = []
     ms: list[float] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -21,6 +21,7 @@ from spinframes import (
     SymmetryPlane,
     TSIRELSON_BOUND,
     UndefinedConditionalError,
+    UnitVector3,
     X_AXIS,
     XY_PLANE,
     Y_AXIS,
@@ -28,7 +29,6 @@ from spinframes import (
     ZY_PLANE,
     build_exact_ensemble,
     chsh_classical_max,
-    chsh_grid_max,
     chsh_quantum_max,
     chsh_scan,
     chsh_value,
@@ -36,10 +36,57 @@ from spinframes import (
     correlation,
     enumerate_classical_strategies,
     joint_distribution,
+    su2_from_axis_angle,
 )
+from spinframes.bell import MAX_SCAN_POINTS
+from conftest import random_direction
 
 TRIPLETS = (PSI_PLUS, PHI_PLUS, PHI_MINUS)
 COMMON_ANGLES = [Angle.from_degrees(10.0 * k) for k in range(19)]
+
+# (I x U)|phi+>: maximally entangled, with a correlation tensor that is
+# not diagonal, so no setting is special.
+_U = su2_from_axis_angle(UnitVector3.normalized(1.0, 2.0, 3.0), Angle(1.1)).matrix
+ROTATED = BellState(
+    "rotated_phi_plus",
+    np.kron(np.eye(2), _U) @ (np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)),
+    ZX_PLANE,
+)
+STATES_WITH_ROTATED = ALL_BELL_STATES + (ROTATED,)
+
+SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def kron_born_probabilities(state: BellState, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """p(i, j) = <psi| P_a^i x P_b^j |psi> with explicit Kronecker products,
+    in the order (++, +-, -+, --)."""
+    psi = state.amplitudes
+
+    def projector(n, sign):
+        return (np.eye(2) + sign * np.tensordot(n, SIGMA, 1)) / 2.0
+
+    return np.array(
+        [
+            np.vdot(psi, np.kron(projector(alice, i), projector(bob, j)) @ psi).real
+            for i in (1, -1)
+            for j in (1, -1)
+        ]
+    )
+
+
+def lattice_chsh_max(state: BellState, step_deg: float) -> float:
+    """Largest S over all four in-plane angles on a lattice of the given step,
+    with every correlation taken from explicit Kronecker products."""
+    t = np.radians(np.arange(0.0, 360.0, step_deg))
+    plane = state.plane
+    dirs = np.outer(np.cos(t), plane.e1.as_array()) + np.outer(np.sin(t), plane.e2.as_array())
+    obs = np.tensordot(dirs, SIGMA, 1)  # n.sigma for every lattice direction
+    kron = np.einsum("iab,jcd->ijacbd", obs, obs).reshape(len(t), len(t), 4, 4)
+    e = np.einsum("k,ijkl,l->ij", state.amplitudes.conj(), kron, state.amplitudes).real
+    # for each (a, a'), b and b' maximise their own terms independently
+    plus = (e[:, None, :] + e[None, :, :]).max(axis=-1)
+    minus = (e[None, :, :] - e[:, None, :]).max(axis=-1)
+    return float((plus + minus).max())
 
 
 def in_plane(state: BellState, alice_deg: float, bob_deg: float) -> JointSetting:
@@ -88,6 +135,10 @@ class TestBellStates:
             t = state.correlation_tensor
             assert np.abs(t - np.diag(expected[state.label])).max() <= 1e-12
 
+    def test_rotated_state_has_non_diagonal_tensor(self):
+        t = ROTATED.correlation_tensor
+        assert np.abs(t - np.diag(np.diag(t))).max() > 0.1
+
 
 class TestPlanes:
     def test_direction_parametrization(self):
@@ -118,6 +169,14 @@ class TestJointDistribution:
         d = JointDistribution(0.5, 0.5, 0.0, 0.0)
         with pytest.raises(UndefinedConditionalError):
             d.conditional_bob_mean(Outcome.DOWN)
+
+    def test_matches_kronecker_born_rule(self, rng):
+        for state in STATES_WITH_ROTATED:
+            for _ in range(100):
+                a, b = random_direction(rng), random_direction(rng)
+                got = joint_distribution(state, JointSetting(a, b)).probabilities()
+                want = kron_born_probabilities(state, a.as_array(), b.as_array())
+                assert np.abs(np.array(got) - want).max() <= 1e-12
 
     def test_marginals_are_unbiased_for_bell_states(self):
         for state in ALL_BELL_STATES:
@@ -270,16 +329,23 @@ class TestCHSH:
             )
             assert chsh_value(state, setting) == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
 
-    def test_grid_max_stays_under_quantum_bound(self):
-        for state in ALL_BELL_STATES:
-            value, setting = chsh_grid_max(state, Angle(math.radians(3.0)))
-            assert value <= TSIRELSON_BOUND + 1e-9
+    def test_lattice_max_approaches_quantum_max(self):
+        # S is stationary at its maximum and every second derivative of E
+        # is bounded by 1, so the lattice point nearest the optimum (each
+        # angle off by at most h/2) is within 2 h^2 of it.
+        step_deg = 3.0
+        lattice_error = 2.0 * math.radians(step_deg) ** 2
+        for state in STATES_WITH_ROTATED:
+            value, setting = chsh_quantum_max(state)
+            lattice = lattice_chsh_max(state, step_deg)
+            assert lattice <= value + 1e-12
+            assert lattice >= value - lattice_error
             assert chsh_value(state, setting) == pytest.approx(value, abs=1e-12)
 
     def test_quantum_max_hits_tsirelson(self):
         for state in ALL_BELL_STATES:
             value, setting = chsh_quantum_max(state)
-            assert abs(value - TSIRELSON_BOUND) <= 1e-6
+            assert abs(value - TSIRELSON_BOUND) <= 1e-12
             assert chsh_value(state, setting) == pytest.approx(value, abs=1e-12)
 
     def test_scan_never_exceeds_quantum_bound(self):
@@ -287,6 +353,15 @@ class TestCHSH:
             points = chsh_scan(state, Angle(math.radians(1.0)))
             assert len(points) == 360
             assert max(abs(s) for _, s in points) <= TSIRELSON_BOUND + 1e-9
+            sign = -1.0 if state is SINGLET else 1.0
+            for a, s in points:
+                t = a.radians
+                assert abs(s - sign * (3 * math.cos(t) - math.cos(3 * t))) <= 1e-12
+
+    def test_scan_rejects_more_than_max_points(self):
+        step = Angle(2 * math.pi / (MAX_SCAN_POINTS + 0.5))  # MAX_SCAN_POINTS + 1 points
+        with pytest.raises(DomainError, match="points"):
+            chsh_scan(PHI_PLUS, step)
 
     def test_scan_of_triplet_peaks_at_45_degrees(self):
         points = chsh_scan(PHI_PLUS, Angle(math.radians(1.0)))
@@ -298,3 +373,14 @@ class TestCHSH:
         for (aa, aap, bb, bbp), s in enumerate_classical_strategies():
             assert s == aa * bb - aa * bbp + aap * bb + aap * bbp
             assert s <= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    state_idx=st.integers(0, len(STATES_WITH_ROTATED) - 1),
+    angles=st.lists(st.floats(0.0, 2 * math.pi), min_size=4, max_size=4),
+)
+def test_chsh_value_never_beats_quantum_max(state_idx, angles):
+    state = STATES_WITH_ROTATED[state_idx]
+    setting = CHSHSetting(*(Angle(x) for x in angles), state.plane)
+    assert chsh_value(state, setting) <= chsh_quantum_max(state)[0] + 1e-12

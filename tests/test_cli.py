@@ -2,11 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from spinframes.cli import OUTPUT_SCHEMA, main
+from spinframes.bell import MAX_SCAN_POINTS
+from spinframes.cli import MAX_CURVE_POINTS, OUTPUT_SCHEMA, main
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -61,6 +66,12 @@ class TestSpin:
         assert rc1 == rc2 == 0
         assert out1.encode() == out2.encode()
 
+    def test_negative_n_is_domain_error(self, capsys):
+        rc, out, err = run_cli(capsys, "spin", "--theta-deg", "60", "--n", "-5")
+        assert rc == 3
+        assert out == ""
+        assert "--n" in err
+
     def test_csv_header_is_stable(self, capsys):
         rc, out, _ = run_cli(capsys, "--format", "csv", "spin", "--theta-deg", "60")
         assert rc == 0
@@ -88,6 +99,12 @@ class TestBell:
         rc, _, err = run_cli(capsys, "bell", "--state", "nope", "--theta-deg", "0")
         assert rc == 3
         assert "singlet" in err and "phi+" in err
+
+    def test_negative_n_is_domain_error(self, capsys):
+        rc, out, err = run_cli(capsys, "bell", "--state", "phi+", "--theta-deg", "60", "--n", "-5")
+        assert rc == 3
+        assert out == ""
+        assert "--n" in err
 
     def test_conditional_average_column(self, capsys):
         data = run_json(capsys, "bell", "--state", "phi+", "--theta-deg", "60")["data"]
@@ -141,6 +158,13 @@ class TestCHSH:
         assert len(values) == 360
         assert max(values) <= TSIRELSON + 1e-9
 
+    def test_scan_resolution_over_point_limit(self, capsys):
+        res = 360.0 / (MAX_SCAN_POINTS + 0.5)  # MAX_SCAN_POINTS + 1 points
+        rc, out, err = run_cli(capsys, "chsh", "--mode", "scan", "--resolution-deg", str(res))
+        assert rc == 3
+        assert out == ""
+        assert "points" in err
+
     def test_empirical(self, capsys):
         data = run_json(
             capsys, "chsh", "--mode", "empirical", "--state", "singlet",
@@ -176,6 +200,14 @@ class TestGrmass:
         assert len(ratios) == 30
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
+    def test_ratio_curve_points_over_limit(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "grmass", "ratio-curve", "--points", str(MAX_CURVE_POINTS + 1),
+        )
+        assert rc == 3
+        assert out == ""
+        assert "points" in err
+
     def test_binding_uniform_matches_oracle(self, capsys):
         data = run_json(
             capsys, "grmass", "binding", "--uniform", "--mass", "1",
@@ -198,6 +230,20 @@ class TestGrmass:
     def test_binding_missing_file(self, capsys):
         rc, _, _ = run_cli(capsys, "grmass", "binding", "--profile", "/nonexistent.csv")
         assert rc == 2
+
+    def test_binding_directory(self, capsys, tmp_path):
+        rc, out, err = run_cli(capsys, "grmass", "binding", "--profile", str(tmp_path), "--geometrized")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_binding_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"r,M\n0,0\n1,0.2\xff\n")
+        rc, out, err = run_cli(capsys, "grmass", "binding", "--profile", str(path), "--geometrized")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_binding_bad_header(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
@@ -249,3 +295,22 @@ class TestEnvelope:
     def test_grmass_manifest_command_names_subcommand(self, capsys):
         payload = run_json(capsys, "grmass", "ratio", "--chi0", "0.5")
         assert payload["manifest"]["command"] == "grmass ratio"
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spinframes.cli", "--format", "csv", "grmass", "ratio-curve", "--points", "5000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    # 5000 rows are far more than a pipe buffer holds, so the process is
+    # still writing when the reader goes away
+    assert proc.stdout.readline() == b"chi0,ratio\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert b"Traceback" not in err and b"Exception" not in err, err
