@@ -43,6 +43,8 @@ RATIONAL_TOL = 1e-12
 
 # Largest number of points one chsh_scan call may produce.
 MAX_SCAN_POINTS = 10**6
+# Largest number of trials one build_exact_ensemble call may tabulate.
+MAX_ENSEMBLE_TRIALS = 10**6
 
 
 @dataclass(frozen=True)
@@ -354,8 +356,8 @@ def build_exact_ensemble(theta: Angle, n: int) -> EnsembleTable:
     +1 in every row (the table realizes the conditioned view), with
     n*p/q Bob-up rows followed by the Bob-down rows.
     """
-    if n <= 0:
-        raise DomainError("n must be positive")
+    if not 0 < n <= MAX_ENSEMBLE_TRIALS:
+        raise DomainError(f"n must lie in [1, {MAX_ENSEMBLE_TRIALS}], got {n}")
     c = math.cos(theta.radians / 2.0) ** 2
     frac = _minimal_denominator_fraction(c, RATIONAL_TOL)
     if frac.denominator > MAX_ENSEMBLE_DENOMINATOR:

@@ -18,18 +18,21 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConvergenceError, DomainError, ProfileError
 from .spin import Angle
 
-# chi0 below this evaluates the ratio by series; the direct form loses
-# roughly eight digits to cancellation there.
-SERIES_SWITCH = 1e-4
+# chi0 below this evaluates the ratio by its x^6 series, which is exact to
+# rounding there; the direct form loses digits to cancellation in 2x - sin 2x.
+SERIES_SWITCH = 0.02
 
 QUAD_REL_TOL = 1e-10
-HORIZON_SCAN_POINTS = 4096
+QUAD_MAX_ROUNDS = 50
+_HORIZON = "horizon inside the matter: 1 - 2GM(r)/(c^2 r) <= 0 at r = {!r}"
+
+# Gauss-Legendre rules on [-1, 1]: 10 points give a segment's value and 5
+# points on the same segment its error estimate.
+(_NODES_10, _WEIGHTS_10), (_NODES_5, _WEIGHTS_5) = map(np.polynomial.legendre.leggauss, (10, 5))
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,6 @@ class MassProfile:
     radius: float
     kind: str
     _mass_of: Callable[[float], float]
-    _dmass_of: Callable[[float], float]
 
     def __post_init__(self):
         if not (math.isfinite(self.mass) and self.mass > 0):
@@ -81,26 +83,10 @@ class MassProfile:
             raise DomainError(f"r = {r!r} outside the profile's [0, {self.radius}]")
         return float(self._mass_of(min(r, self.radius)))
 
-    def mass_gradient(self, r: float) -> float:
-        """dM/dr at r."""
-        if not 0.0 <= r <= self.radius * (1 + 1e-12):
-            raise DomainError(f"r = {r!r} outside the profile's [0, {self.radius}]")
-        return float(self._dmass_of(min(r, self.radius)))
-
     @classmethod
     def uniform(cls, mass: float, radius: float) -> "MassProfile":
         """Constant-density ball: M(r) = M (r/R)^3."""
-        if not (math.isfinite(mass) and mass > 0):
-            raise ProfileError(f"total mass must be positive, got {mass!r}")
-        if not (math.isfinite(radius) and radius > 0):
-            raise ProfileError(f"radius must be positive, got {radius!r}")
-        return cls(
-            mass,
-            radius,
-            "uniform",
-            lambda r: mass * (r / radius) ** 3,
-            lambda r: 3.0 * mass * r**2 / radius**3,
-        )
+        return cls(mass, radius, "uniform", lambda r: mass * (r / radius) ** 3)
 
     @classmethod
     def from_table(cls, r: np.ndarray, m: np.ndarray) -> "MassProfile":
@@ -129,9 +115,10 @@ class MassProfile:
             raise ProfileError(f"mass must be nondecreasing (row {i + 1})")
         if m[-1] <= 0:
             raise ProfileError("total mass must be positive")
+        from scipy.interpolate import PchipInterpolator
+
         # PCHIP preserves the table's monotonicity
-        interp = PchipInterpolator(r, m, extrapolate=False)
-        return cls(float(m[-1]), float(r[-1]), "table", interp, interp.derivative())
+        return cls(float(m[-1]), float(r[-1]), "table", PchipInterpolator(r, m, extrapolate=False))
 
 
 def load_profile_csv(path: str) -> MassProfile:
@@ -204,44 +191,77 @@ def flrw_mass_ratio(cfg: JunctionConfig) -> MassRatioResult:
     """M_p/M for a uniform dust cap of coordinate radius chi0.
 
     Evaluates 3 (2 chi0 - sin 2 chi0) / (4 sin^3 chi0), switching to its
-    series below chi0 = 1e-4. The ratio grows from 1 (flat limit) and
+    series below chi0 = SERIES_SWITCH. The ratio grows from 1 (flat limit) and
     diverges as chi0 approaches pi.
     """
     return MassRatioResult(_ratio_of(cfg.chi0), cfg.chi0, cfg.scale_factor)
 
 
+def _cubic(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return ((c[0] * u + c[1]) * u + c[2]) * u + c[3]
+
+
+def _check_no_horizon(x: np.ndarray, c: np.ndarray, k: float) -> None:
+    """Raise DomainError where 1 - k M(r)/r <= 0, M the cubic spline (x, c)."""
+    if k * c[2, 0] >= 1.0:  # k M(r)/r tends to k M'(0) at r = 0
+        raise DomainError(_HORIZON.format(0.0))
+    # r - k M(r) is a cubic in u = r - x_i on piece i, so its minimum is at
+    # a knot or at a real root of its derivative 1 - k M'(r)
+    a, b, q = 3.0 * k * c[0], 2.0 * k * c[1], k * c[2] - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * q), b))
+        u = np.concatenate([np.diff(x), s / a, q / s])
+    piece = np.tile(np.arange(len(x) - 1), 3)
+    keep = (u > 0.0) & (u <= np.diff(x)[piece])  # nan for complex roots fails both
+    piece, u = piece[keep], u[keep]
+    bad = x[piece] + u - k * _cubic(c[:, piece], u) <= 0.0
+    if bad.any():
+        raise DomainError(_HORIZON.format(float((x[piece] + u)[bad].min())))
+
+
 def proper_mass_integral(profile: MassProfile, units: UnitsConfig = UnitsConfig()) -> float:
-    """Proper mass M_p of a static profile by adaptive quadrature.
+    """Proper mass M_p, the integral of dM / sqrt(1 - 2GM(r)/(c^2 r)) over [0, R].
 
-    Integrates (1 - 2 G M(r) / (c^2 r))^(-1/2) dM/dr over [0, R]. The
-    metric factor must stay positive throughout (no horizon inside the
-    matter); violations name the offending radius.
+    A uniform ball of compactness C = 2GM/(c^2 R) has the closed form
+    M * ratio(arcsin sqrt(C)), the dust-cap ratio of `flrw_mass_ratio`. A
+    table is integrated over the knot segments of its cubic interpolant,
+    bisecting the segments whose error estimate exceeds QUAD_REL_TOL of
+    their value for at most QUAD_MAX_ROUNDS rounds. A horizon inside the
+    matter raises DomainError naming its radius.
     """
-    two_g_over_c2 = 2.0 * units.G / units.c**2
+    k = 2.0 * units.G / units.c**2
+    if profile.kind == "uniform":
+        compactness = k * profile.mass / profile.radius
+        if compactness >= 1.0:
+            raise DomainError(_HORIZON.format(profile.radius))
+        return profile.mass * _ratio_of(math.asin(math.sqrt(compactness)))
 
-    def metric_factor(r: float) -> float:
-        return 1.0 - two_g_over_c2 * profile.mass_within(r) / r
+    x, c = profile._mass_of.x, profile._mass_of.c
+    _check_no_horizon(x, c, k)
+    # segments [start, start + width] in the local coordinate u = r - x_i of
+    # their piece i, which keeps u exact on thin pieces far from r = 0
+    piece, start, width = np.arange(len(x) - 1), np.zeros(len(x) - 1), np.diff(x)
+    value = spent = 0.0  # sums over the accepted segments
 
-    scan = np.linspace(profile.radius / HORIZON_SCAN_POINTS, profile.radius, HORIZON_SCAN_POINTS)
-    for r in scan:
-        if metric_factor(float(r)) <= 0.0:
-            raise DomainError(
-                f"horizon inside the matter: 1 - 2GM(r)/(c^2 r) <= 0 at r = {float(r)!r}"
-            )
+    def rule(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        u = start[:, None] + 0.5 * width[:, None] * (nodes + 1.0)
+        cp = c[:, piece, None]
+        dm = (3.0 * cp[0] * u + 2.0 * cp[1]) * u + cp[2]
+        return 0.5 * width * ((dm / np.sqrt(1.0 - k * _cubic(cp, u) / (x[piece, None] + u))) @ weights)
 
-    def integrand(r: float) -> float:
-        if r == 0.0:
-            return profile.mass_gradient(0.0)
-        return profile.mass_gradient(r) / math.sqrt(metric_factor(r))
-
-    value, abserr = integrate.quad(
-        integrand, 0.0, profile.radius, epsabs=0.0, epsrel=1e-12, limit=200
+    for _ in range(QUAD_MAX_ROUNDS):
+        high = rule(_NODES_10, _WEIGHTS_10)
+        err = np.abs(high - rule(_NODES_5, _WEIGHTS_5))
+        total = value + float(high.sum())
+        if spent + float(err.sum()) <= QUAD_REL_TOL * total:
+            return total
+        done = err <= QUAD_REL_TOL * np.abs(high)
+        value, spent = value + float(high[done].sum()), spent + float(err[done].sum())
+        piece, start, width = piece[~done], start[~done], 0.5 * width[~done]
+        piece, start, width = np.tile(piece, 2), np.concatenate([start, start + width]), np.tile(width, 2)
+    raise ConvergenceError(
+        f"quadrature error {spent + float(err.sum())!r} exceeds {QUAD_REL_TOL} relative", best=total
     )
-    if abserr > QUAD_REL_TOL * abs(value):
-        raise ConvergenceError(
-            f"quadrature error {abserr!r} exceeds {QUAD_REL_TOL} relative", best=value
-        )
-    return float(value)
 
 
 def flrw_metric_components(
@@ -261,27 +281,3 @@ def flrw_metric_components(
         a**2 * s_chi**2 * s_theta**2,
     )
 
-
-def dust_cap_mass_ratio(cfg: JunctionConfig) -> float:
-    """M_p/M for the dust cap by direct volume quadrature.
-
-    Integrates the spatial volume element a^3 sin^2(chi) sin(theta) over
-    the cap chi in [0, chi0] and divides by the flat-space volume of a
-    ball with the same areal radius a sin(chi0). Cross-checks the closed
-    form to about 1e-9 relative.
-    """
-    a = cfg.scale_factor
-
-    def element(theta: float, chi: float) -> float:
-        return a**3 * math.sin(chi) ** 2 * math.sin(theta)
-
-    volume, abserr = integrate.dblquad(
-        element, 0.0, cfg.chi0, 0.0, math.pi, epsabs=0.0, epsrel=1e-11
-    )
-    volume *= 2.0 * math.pi
-    if abserr * 2.0 * math.pi > 1e-9 * volume:
-        raise ConvergenceError(
-            f"volume quadrature error {abserr!r} too large", best=volume
-        )
-    flat = (4.0 / 3.0) * math.pi * (a * math.sin(cfg.chi0)) ** 3
-    return volume / flat

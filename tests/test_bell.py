@@ -38,7 +38,7 @@ from spinframes import (
     joint_distribution,
     su2_from_axis_angle,
 )
-from spinframes.bell import MAX_SCAN_POINTS
+from spinframes.bell import MAX_ENSEMBLE_TRIALS, MAX_SCAN_POINTS
 from conftest import random_direction
 
 TRIPLETS = (PSI_PLUS, PHI_PLUS, PHI_MINUS)
@@ -294,6 +294,10 @@ class TestEnsemble:
         table = build_exact_ensemble(Angle.from_degrees(60.0), 400)
         assert table.conditional_average() == Fraction(1, 2)
         assert float(table.conditional_average()) == 0.5
+
+    def test_rejects_more_than_max_trials(self):
+        with pytest.raises(DomainError, match=str(MAX_ENSEMBLE_TRIALS)):
+            build_exact_ensemble(Angle(0.0), MAX_ENSEMBLE_TRIALS + 1)
 
 
 class TestCHSH:

@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from spinframes.bell import MAX_SCAN_POINTS
+from spinframes.bell import MAX_ENSEMBLE_TRIALS, MAX_SCAN_POINTS
 from spinframes.cli import MAX_CURVE_POINTS, OUTPUT_SCHEMA, main
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -137,6 +137,14 @@ class TestEnsemble:
         assert rows[0] == ["index", "alice", "bob"]
         assert rows[-1] == ["average", "", "1/2"]
         assert len(rows) == 10  # header + 8 trials + average
+
+    def test_n_over_trial_limit(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "ensemble", "--theta-deg", "0", "--n", str(MAX_ENSEMBLE_TRIALS + 1),
+        )
+        assert rc == 3
+        assert out == ""
+        assert str(MAX_ENSEMBLE_TRIALS) in err
 
 
 class TestCHSH:
@@ -297,14 +305,34 @@ class TestEnvelope:
         assert payload["manifest"]["command"] == "grmass ratio"
 
 
-def test_closed_stdout_exits_2_without_traceback():
+def _subprocess_env() -> dict:
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def test_import_and_uniform_binding_load_no_scipy():
+    code = (
+        "import sys, spinframes, spinframes.cli\n"
+        "def scipy_loaded():\n"
+        "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "assert not scipy_loaded(), 'import'\n"
+        "rc = spinframes.cli.main(['grmass', 'binding', '--uniform', '--mass', '1',\n"
+        "                          '--compactness', '0.5', '--geometrized'])\n"
+        "assert rc == 0, rc\n"
+        "assert not scipy_loaded(), 'binding'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_closed_stdout_exits_2_without_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "spinframes.cli", "--format", "csv", "grmass", "ratio-curve", "--points", "5000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_subprocess_env(),
     )
     # 5000 rows are far more than a pipe buffer holds, so the process is
     # still writing when the reader goes away

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from spinframes import (
     Angle,
@@ -11,7 +13,6 @@ from spinframes import (
     MassProfile,
     ProfileError,
     UnitsConfig,
-    dust_cap_mass_ratio,
     flrw_mass_ratio,
     flrw_metric_components,
     load_profile_csv,
@@ -26,6 +27,41 @@ def uniform_sphere_ratio_oracle(compactness: float) -> float:
     antiderivative of the binding integrand."""
     x = compactness
     return 3.0 * math.asin(math.sqrt(x)) / (2.0 * x**1.5) - 3.0 * math.sqrt(1.0 - x) / (2.0 * x)
+
+
+def dust_cap_volume_ratio(cfg: JunctionConfig) -> float:
+    """M_p/M for the dust cap by direct volume quadrature: the volume
+    element a^3 sin^2(chi) sin(theta) integrated over the cap chi in
+    [0, chi0], over the flat-space volume of a ball with the same areal
+    radius a sin(chi0)."""
+    a = cfg.scale_factor
+
+    def element(theta: float, chi: float) -> float:
+        return a**3 * math.sin(chi) ** 2 * math.sin(theta)
+
+    volume, abserr = integrate.dblquad(
+        element, 0.0, cfg.chi0, 0.0, math.pi, epsabs=0.0, epsrel=1e-11
+    )
+    assert abserr <= 1e-9 * volume
+    flat = (4.0 / 3.0) * math.pi * (a * math.sin(cfg.chi0)) ** 3
+    return 2.0 * math.pi * volume / flat
+
+
+def dust_cap_series_ratio(chi0: float) -> float:
+    """3 (2x - sin 2x) / (4 sin^3 x), with 2x - sin 2x summed term by term
+    to convergence, so no cancellation enters."""
+    y, total, k = 2.0 * chi0, 0.0, 1
+    while True:
+        term = (-1) ** (k + 1) * y ** (2 * k + 1) / math.factorial(2 * k + 1)
+        total += term
+        if abs(term) <= 1e-20 * abs(total):
+            return 3.0 * total / (4.0 * math.sin(chi0) ** 3)
+        k += 1
+
+
+def step_profile(jump: float) -> MassProfile:
+    """All the mass in a step of width 1e-7 at r = 1."""
+    return MassProfile.from_table(np.array([0.0, 1.0, 1.0 + 1e-7, 2.0]), np.array([0.0, 0.0, jump, jump]))
 
 
 # frozen reference values of the oracle itself
@@ -76,6 +112,13 @@ class TestClosedFormRatio:
         x = 0.99e-4
         assert got == 1.0 + x * x * (3.0 / 10.0 + x * x * (17.0 / 280.0 + x * x * 29.0 / 2800.0))
 
+    def test_matches_series_oracle_across_switch(self):
+        for x in np.geomspace(1e-4, 0.1, 2000):
+            got = flrw_mass_ratio(JunctionConfig(float(x))).ratio
+            want = dust_cap_series_ratio(float(x))
+            assert got >= 1.0
+            assert abs(got - want) <= 1e-12 * want
+
     def test_flat_limit_is_one(self):
         assert flrw_mass_ratio(JunctionConfig(1e-8)).ratio == pytest.approx(1.0, abs=1e-12)
 
@@ -104,7 +147,6 @@ class TestProfiles:
         assert p.mass_within(0.0) == 0.0
         assert p.mass_within(1.0) == pytest.approx(1.0, abs=1e-15)
         assert p.mass_within(2.0) == 8.0
-        assert p.mass_gradient(1.0) == pytest.approx(3.0, abs=1e-15)
 
     def test_uniform_rejects_bad_parameters(self):
         with pytest.raises(ProfileError):
@@ -202,6 +244,39 @@ class TestBindingQuadrature:
         with pytest.raises(DomainError, match="r = "):
             proper_mass_integral(profile, GEOM)
 
+    def test_thin_step(self):
+        # M_p = integral of dm / sqrt(1 - 2m) over [0, j] = 1 - sqrt(1 - 2j)
+        want = 1.0 - math.sqrt(0.2)
+        assert abs(proper_mass_integral(step_profile(0.4), GEOM) - want) <= 1e-5 * want
+
+    def test_horizon_at_knot_rejected(self):
+        # 2M/r = 1.00000002 at the knot r = 1 + 1e-7
+        with pytest.raises(DomainError, match="r = "):
+            proper_mass_integral(step_profile(0.5 + 6e-8), GEOM)
+
+    def test_horizon_inside_segment_rejected(self):
+        # 2M/r is at most 0.932 at the knots but reaches 1.08 near r = 1.19
+        profile = MassProfile.from_table(np.array([0.0, 1.0, 1.0 + 1e-7, 1.5]), np.array([0.0, 0.0, 0.466, 0.699]))
+        with pytest.raises(DomainError, match=r"r = 1\.\d"):
+            proper_mass_integral(profile, GEOM)
+
+    def test_horizon_at_centre_rejected(self):
+        # the interpolant starts with slope M'(0) = 0.73, so 2M/r -> 1.46 at r = 0
+        profile = MassProfile.from_table(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.49, 0.5]))
+        with pytest.raises(DomainError, match="r = 0.0"):
+            proper_mass_integral(profile, GEOM)
+
+    def test_ball_tables_match_arcsin_form(self):
+        x = 0.1
+        radius = 2.0 / x
+        for rows in (20, 50, 200, 1000):
+            r = np.linspace(0.0, radius, rows)
+            profile = MassProfile.from_table(r, (r / radius) ** 3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = proper_mass_integral(profile, GEOM)
+            assert abs(got - UNIFORM_RATIO[x]) / UNIFORM_RATIO[x] <= 1e-6
+
 
 class TestMetric:
     def test_equatorial_unit_sphere(self):
@@ -225,4 +300,4 @@ class TestMetric:
         for chi0 in (0.3, 0.7, 1.2, 2.0):
             cfg = JunctionConfig(chi0, scale_factor=1.7)
             direct = flrw_mass_ratio(cfg).ratio
-            assert abs(dust_cap_mass_ratio(cfg) - direct) / direct <= 1e-9
+            assert abs(dust_cap_volume_ratio(cfg) - direct) / direct <= 1e-9
