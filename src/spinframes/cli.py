@@ -119,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_angle_flags(p_spin)
     p_spin.add_argument("--n", type=int, default=0, help="Monte Carlo trials (0 = analytic only)")
     p_spin.add_argument("--seed", type=int, default=0)
-    p_spin.add_argument("--shards", type=int, default=1)
     p_spin.set_defaults(func=cmd_spin)
 
     p_bell = sub.add_parser("bell", help="Bell-state joint statistics at a setting separation")
@@ -128,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bell.add_argument("--plane", choices=tuple(_PLANES), default=None, help="override the state's plane")
     p_bell.add_argument("--n", type=int, default=0, help="Monte Carlo trials (0 = analytic only)")
     p_bell.add_argument("--seed", type=int, default=0)
-    p_bell.add_argument("--shards", type=int, default=1)
     p_bell.set_defaults(func=cmd_bell)
 
     p_ens = sub.add_parser("ensemble", help="exact-count outcome table realizing cos(theta)")
@@ -142,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chsh.add_argument("--resolution-deg", type=float, default=1.0, help="scan step in degrees (scan mode)")
     p_chsh.add_argument("--n", type=int, default=100000, help="trials per correlation (empirical mode)")
     p_chsh.add_argument("--seed", type=int, default=0)
-    p_chsh.add_argument("--shards", type=int, default=1)
     p_chsh.set_defaults(func=cmd_chsh)
 
     p_gr = sub.add_parser("grmass", help="proper-vs-dynamic mass tools")
@@ -212,8 +209,8 @@ def cmd_spin(args: argparse.Namespace) -> _Output:
     seed = None
     rng = None
     if args.n > 0:
-        _, stats = sample_single(state, setting, args.n, args.seed, args.shards, keep_records=False)
-        data["mc"] = {"n": stats.n, "mean": stats.mean, "stderr": stats.stderr, "shards": stats.shards}
+        _, stats = sample_single(state, setting, args.n, args.seed, keep_records=False)
+        data["mc"] = {"n": stats.n, "mean": stats.mean, "stderr": stats.stderr}
         header += ["mc_n", "mc_mean", "mc_stderr"]
         row += [stats.n, stats.mean, stats.stderr]
         seed, rng = args.seed, RNG_DISCIPLINE
@@ -252,12 +249,11 @@ def cmd_bell(args: argparse.Namespace) -> _Output:
     seed = None
     rng = None
     if args.n > 0:
-        _, stats = sample_joint(state, setting, args.n, args.seed, args.shards, keep_records=False)
+        _, stats = sample_joint(state, setting, args.n, args.seed, keep_records=False)
         data["mc"] = {
             "n": stats.n,
             "mean": stats.mean,
             "stderr": stats.stderr,
-            "shards": stats.shards,
             "conditional_means": {str(k): v for k, v in stats.conditional_means.items()},
         }
         header += ["mc_n", "mc_mean", "mc_stderr"]
@@ -326,7 +322,7 @@ def cmd_chsh(args: argparse.Namespace) -> _Output:
     setting = CHSHSetting(
         Angle(0.0), Angle.from_degrees(90.0), quarter, Angle.from_degrees(135.0), state.plane
     )
-    est = empirical_chsh(state, setting, args.n, args.seed, args.shards)
+    est = empirical_chsh(state, setting, args.n, args.seed)
     data = {
         "mode": args.mode,
         "state": state.label,

@@ -272,12 +272,16 @@ def flrw_metric_components(
     (-c^2, a^2, a^2 sin^2 chi, a^2 sin^2 chi sin^2 theta)."""
     if not (math.isfinite(a) and a > 0):
         raise DomainError(f"scale factor must be positive, got {a!r}")
+    try:
+        a2 = a**2
+    except OverflowError:
+        raise DomainError(f"scale factor {a!r} is too large: its square overflows a float") from None
     s_chi = math.sin(chi.radians)
     s_theta = math.sin(theta.radians)
     return (
         -units.c**2,
-        a**2,
-        a**2 * s_chi**2,
-        a**2 * s_chi**2 * s_theta**2,
+        a2,
+        a2 * s_chi**2,
+        a2 * s_chi**2 * s_theta**2,
     )
 

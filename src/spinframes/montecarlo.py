@@ -1,10 +1,10 @@
 """Monte Carlo sampling of single and joint measurement outcomes.
 
 Every draw is +/-1; only the averages reproduce the smooth cos(theta)
-curves. Sampling is deterministic for a given seed: streams come from
-numpy's Philox engine via SeedSequence spawning, and shard results are
-merged in shard order, so the same seed gives identical trials for any
-fixed parameters.
+curves, so a run's statistics depend only on its outcome counts.
+Sampling is deterministic for a given seed: one Philox stream seeded by
+SeedSequence(seed) draws the counts with a single multinomial call and,
+when records are kept, then a permutation of the counted outcomes.
 """
 from __future__ import annotations
 
@@ -17,11 +17,18 @@ import numpy as np
 
 from .bell import BellState, CHSHSetting, JointSetting, chsh_combination, joint_distribution
 from .errors import DomainError
-from .spin import Outcome, QubitState, UnitVector3, projection_probabilities
+from .spin import QubitState, UnitVector3, projection_probabilities
 
-RNG_DISCIPLINE = "philox:seedsequence-spawn:shard-ordered"
+RNG_DISCIPLINE = "philox:seedsequence:multinomial-counts"
 
 _MAX_SEED = 2**64 - 1
+
+# Generator.multinomial takes n as a C long
+_MAX_TRIALS = 2**63 - 1
+
+_SINGLE_OUTCOMES = np.array([1, -1], dtype=np.int8)
+# outcome pairs indexed 0..3: (+,+), (+,-), (-,+), (-,-)
+_PAIR_OUTCOMES = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int8)
 
 
 def _check_seed(seed: int) -> int:
@@ -30,33 +37,6 @@ def _check_seed(seed: int) -> int:
     if not 0 <= int(seed) <= _MAX_SEED:
         raise DomainError(f"seed must fit in an unsigned 64-bit integer, got {seed!r}")
     return int(seed)
-
-
-def _spawn_generators(seed: int, shards: int) -> list[np.random.Generator]:
-    if shards <= 0:
-        raise DomainError(f"shards must be positive, got {shards}")
-    children = np.random.SeedSequence(_check_seed(seed)).spawn(shards)
-    return [np.random.Generator(np.random.Philox(c)) for c in children]
-
-
-def _shard_sizes(n: int, shards: int) -> list[int]:
-    base, extra = divmod(n, shards)
-    return [base + (1 if i < extra else 0) for i in range(shards)]
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One sampled trial.
-
-    `theta` is the angle between the two measurement settings (joint
-    runs) or between preparation and setting (single runs). `alice` is
-    None for single-qubit runs, where `bob` holds the lone outcome.
-    """
-
-    index: int
-    theta: float
-    alice: Outcome | None
-    bob: Outcome
 
 
 @dataclass(frozen=True)
@@ -73,7 +53,6 @@ class RunStats:
     mean: float
     stderr: float
     seed: int
-    shards: int
     rng: str = RNG_DISCIPLINE
     conditional_means: Mapping[int, float] = field(default_factory=dict)
 
@@ -85,11 +64,30 @@ class RunStats:
         object.__setattr__(self, "conditional_means", MappingProxyType(dict(self.conditional_means)))
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    n = int(values.size)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, stderr
+def _draw(
+    outcomes: np.ndarray, pvals, n: int, seed: int, keep_records: bool
+) -> tuple[list[int], np.ndarray]:
+    """Counts of each row of `outcomes` over n trials, and the records:
+    the counted rows in a seeded random order, or none unless kept."""
+    if not 1 <= n <= _MAX_TRIALS:
+        raise DomainError(f"n must lie in [1, {_MAX_TRIALS}], got {n}")
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(_check_seed(seed))))
+    counts = gen.multinomial(n, pvals)
+    records = outcomes[:0]
+    if keep_records:
+        # shuffle int8 row indices, not the rows: permuting rows costs an int64 index per trial
+        order = np.repeat(np.arange(len(outcomes), dtype=np.int8), counts)
+        gen.shuffle(order)
+        records = outcomes[order]
+    return [int(k) for k in counts], records
+
+
+def _run_stats(seed: int, plus: int, minus: int, conditional=None) -> RunStats:
+    """Stats of a run with `plus` values of +1 and `minus` values of -1;
+    the stderr is the sample standard deviation over sqrt(n)."""
+    n = plus + minus
+    stderr = math.sqrt(4 * plus * minus / (n * n * (n - 1))) if n > 1 else 0.0
+    return RunStats(n, (plus - minus) / n, stderr, seed, conditional_means=conditional or {})
 
 
 def sample_single(
@@ -97,37 +95,18 @@ def sample_single(
     setting: UnitVector3,
     n: int,
     seed: int,
-    shards: int = 1,
     keep_records: bool = True,
-) -> tuple[list[TrialRecord], RunStats]:
+) -> tuple[np.ndarray, RunStats]:
     """Sample n projections of `state` onto `setting`.
 
     Outcomes are +/-1 with p_up from the Born rule; the mean converges
-    to cos(theta). Pass keep_records=False to skip materializing the
-    per-trial list for large n (the statistics are unchanged).
+    to cos(theta). Records are an int8 array of shape (n,) holding the
+    outcomes in trial order; pass keep_records=False to get an empty
+    array instead (the statistics are unchanged).
     """
-    if n <= 0:
-        raise DomainError(f"n must be positive, got {n}")
     dist = projection_probabilities(state, setting)
-    theta = state.bloch_vector.angle_to(setting).radians
-    parts = []
-    for gen, size in zip(_spawn_generators(seed, shards), _shard_sizes(n, shards)):
-        if size:
-            parts.append(np.where(gen.random(size) < dist.p_up, 1.0, -1.0))
-    values = np.concatenate(parts)
-    records: list[TrialRecord] = []
-    if keep_records:
-        records = [
-            TrialRecord(i, theta, None, Outcome.UP if v > 0 else Outcome.DOWN)
-            for i, v in enumerate(values)
-        ]
-    mean, stderr = _mean_stderr(values)
-    return records, RunStats(n=n, mean=mean, stderr=stderr, seed=_check_seed(seed), shards=shards)
-
-
-# outcome pairs indexed 0..3: (+,+), (+,-), (-,+), (-,-)
-_ALICE_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
-_BOB_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
+    (up, down), records = _draw(_SINGLE_OUTCOMES, [dist.p_up, dist.p_down], n, seed, keep_records)
+    return records, _run_stats(int(seed), up, down)
 
 
 def sample_joint(
@@ -135,54 +114,24 @@ def sample_joint(
     setting: JointSetting,
     n: int,
     seed: int,
-    shards: int = 1,
     keep_records: bool = True,
-) -> tuple[list[TrialRecord], RunStats]:
+) -> tuple[np.ndarray, RunStats]:
     """Sample n joint trials of `state` at the given pair of settings.
 
     The run mean is the empirical correlation (the product of the two
     +/-1 outcomes per trial); conditional means give Bob's average for
-    each value of Alice's outcome.
+    each value of Alice's outcome. Records are an int8 array of shape
+    (n, 2) of (Alice, Bob) outcomes in trial order, empty (0, 2) when
+    keep_records=False.
     """
-    if n <= 0:
-        raise DomainError(f"n must be positive, got {n}")
     dist = joint_distribution(state, setting)
-    theta = setting.separation.radians
-    cdf = np.cumsum(dist.probabilities())
-    idx_parts = []
-    for gen, size in zip(_spawn_generators(seed, shards), _shard_sizes(n, shards)):
-        if size:
-            u = gen.random(size)
-            idx_parts.append(np.searchsorted(cdf, u, side="right").clip(0, 3))
-    idx = np.concatenate(idx_parts)
-    alice = _ALICE_SIGN[idx]
-    bob = _BOB_SIGN[idx]
-    mean, stderr = _mean_stderr(alice * bob)
-    conditional = {}
-    for sign in (1, -1):
-        mask = alice == sign
-        if mask.any():
-            conditional[sign] = float(bob[mask].mean())
-    records: list[TrialRecord] = []
-    if keep_records:
-        records = [
-            TrialRecord(
-                i,
-                theta,
-                Outcome.UP if a > 0 else Outcome.DOWN,
-                Outcome.UP if b > 0 else Outcome.DOWN,
-            )
-            for i, (a, b) in enumerate(zip(alice, bob))
-        ]
-    stats = RunStats(
-        n=n,
-        mean=mean,
-        stderr=stderr,
-        seed=_check_seed(seed),
-        shards=shards,
-        conditional_means=conditional,
-    )
-    return records, stats
+    (pp, pm, mp, mm), records = _draw(_PAIR_OUTCOMES, dist.probabilities(), n, seed, keep_records)
+    conditional = {
+        sign: (bob_up - bob_down) / (bob_up + bob_down)
+        for sign, bob_up, bob_down in ((1, pp, pm), (-1, mp, mm))
+        if bob_up + bob_down
+    }
+    return records, _run_stats(int(seed), pp + mm, pm + mp, conditional)
 
 
 @dataclass(frozen=True)
@@ -203,7 +152,6 @@ def empirical_chsh(
     setting: CHSHSetting,
     n_per_pair: int,
     seed: int,
-    shards: int = 1,
 ) -> EmpiricalCHSH:
     """Estimate S by sampling each of the four correlations with its own
     sub-seed derived from `seed`; same inputs, same estimate."""
@@ -212,7 +160,7 @@ def empirical_chsh(
     for (a, b), child in zip(setting.pairs(), term_seeds):
         js = JointSetting.in_plane(setting.plane, a, b)
         term_seed = int(child.generate_state(1, dtype=np.uint64)[0])
-        _, run = sample_joint(state, js, n_per_pair, term_seed, shards, keep_records=False)
+        _, run = sample_joint(state, js, n_per_pair, term_seed, keep_records=False)
         stats.append(run)
     value = chsh_combination(*(s.mean for s in stats))
     stderr = math.sqrt(sum(s.stderr**2 for s in stats))

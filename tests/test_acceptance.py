@@ -123,8 +123,10 @@ def test_05_average_only_conservation():
                 assert abs(got - math.cos(theta.radians)) <= 1e-12
         setting = JointSetting.in_plane(PHI_PLUS.plane, Angle(0.0), Angle.from_degrees(60.0))
         records, _ = sample_joint(PHI_PLUS, setting, 2000, seed=5)
-        assert all(r.alice in (Outcome.UP, Outcome.DOWN) for r in records)
-        assert all(r.bob in (Outcome.UP, Outcome.DOWN) for r in records)
+        assert records.shape == (2000, 2)
+        for a, b in records:
+            assert a in (Outcome.UP, Outcome.DOWN)
+            assert b in (Outcome.UP, Outcome.DOWN)
 
 
 def test_06_chsh_bounds():

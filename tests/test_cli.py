@@ -278,6 +278,35 @@ class TestGrmass:
         assert data["g_theta_theta"] == pytest.approx(1.0, abs=1e-15)
         assert data["g_phi_phi"] == pytest.approx(1.0, abs=1e-15)
 
+    def test_metric_scale_factor_square_overflows(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "grmass", "metric", "--chi-deg", "10", "--theta-deg", "10", "--scale-factor", "1e200",
+        )
+        assert rc == 3
+        assert out == ""
+        assert "scale factor" in err
+
+
+MC_COMMANDS = {
+    "spin": ("spin", "--theta-deg", "1"),
+    "bell": ("bell", "--theta-deg", "60"),
+    "chsh": ("chsh", "--mode", "empirical"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MC_COMMANDS))
+def test_n_bounded_by_the_multinomial_draw(capsys, command):
+    argv = MC_COMMANDS[command]
+    rc, out, err = run_cli(capsys, *argv, "--n", str(2**63))
+    assert rc == 3
+    assert out == ""
+    assert str(2**63) in err
+    data = run_json(capsys, *argv, "--n", str(2**63 - 1))["data"]
+    if command == "chsh":
+        assert data["n_per_pair"] == 2**63 - 1
+    else:
+        assert data["mc"]["n"] == 2**63 - 1
+
 
 class TestEnvelope:
     def test_manifest_fields(self, capsys):

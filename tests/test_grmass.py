@@ -296,6 +296,12 @@ class TestMetric:
         with pytest.raises(DomainError):
             flrw_metric_components(Angle(0.5), Angle(0.5), 0.0, GEOM)
 
+    def test_scale_factor_whose_square_overflows(self):
+        with pytest.raises(DomainError, match="overflows"):
+            flrw_metric_components(Angle(0.5), Angle(0.5), 1e200, GEOM)
+        g = flrw_metric_components(Angle(math.pi / 2), Angle(math.pi / 2), 1e154, GEOM)
+        assert g[1] == g[2] == g[3] == pytest.approx(1e308, rel=1e-15)
+
     def test_volume_quadrature_reproduces_closed_form(self):
         for chi0 in (0.3, 0.7, 1.2, 2.0):
             cfg = JunctionConfig(chi0, scale_factor=1.7)

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinframes import (
+    ALL_BELL_STATES,
     Angle,
     CHSHSetting,
     DomainError,
     JointSetting,
-    Outcome,
     PHI_PLUS,
     RNG_DISCIPLINE,
     RunStats,
@@ -44,23 +45,31 @@ class TestSeeds:
         with pytest.raises(DomainError):
             sample_joint(SINGLET, JointSetting.in_plane(ZX_PLANE, Angle(0.0), Angle(0.5)), 0, seed=1)
 
-    def test_shards_must_be_positive(self):
+    def test_n_must_fit_the_multinomial_draw(self):
         with pytest.raises(DomainError):
-            sample_single(UP_STATE, tilted(60.0), 10, seed=1, shards=0)
+            sample_single(UP_STATE, tilted(60.0), 2**63, seed=1, keep_records=False)
+        with pytest.raises(DomainError):
+            sample_joint(
+                SINGLET, JointSetting.in_plane(ZX_PLANE, Angle(0.0), Angle(0.5)), 2**63, seed=1,
+                keep_records=False,
+            )
+        _, stats = sample_single(UP_STATE, tilted(60.0), 2**63 - 1, seed=1, keep_records=False)
+        assert stats.n == 2**63 - 1
+        assert abs(stats.mean - 0.5) < 1e-6
 
 
 class TestDeterminism:
     def test_same_seed_same_records(self):
         r1, s1 = sample_single(UP_STATE, tilted(60.0), 500, seed=42)
         r2, s2 = sample_single(UP_STATE, tilted(60.0), 500, seed=42)
-        assert r1 == r2
+        assert np.array_equal(r1, r2)
         assert s1 == s2
 
     def test_same_seed_same_records_sharded(self):
         setting = JointSetting.in_plane(ZX_PLANE, Angle(0.0), Angle.from_degrees(45.0))
-        r1, s1 = sample_joint(PHI_PLUS, setting, 501, seed=7, shards=4)
-        r2, s2 = sample_joint(PHI_PLUS, setting, 501, seed=7, shards=4)
-        assert r1 == r2
+        r1, s1 = sample_joint(PHI_PLUS, setting, 501, seed=7)
+        r2, s2 = sample_joint(PHI_PLUS, setting, 501, seed=7)
+        assert np.array_equal(r1, r2)
         assert s1 == s2
 
     def test_different_seeds_differ(self):
@@ -73,6 +82,13 @@ class TestDeterminism:
         _, s2 = sample_single(UP_STATE, tilted(60.0), 1000, seed=3, keep_records=False)
         assert s1 == s2
 
+    def test_keep_records_does_not_change_joint_stats(self):
+        setting = JointSetting.in_plane(PHI_PLUS.plane, Angle(0.0), Angle.from_degrees(60.0))
+        records, s1 = sample_joint(PHI_PLUS, setting, 1000, seed=3, keep_records=True)
+        empty, s2 = sample_joint(PHI_PLUS, setting, 1000, seed=3, keep_records=False)
+        assert s1 == s2
+        assert records.shape == (1000, 2) and empty.shape == (0, 2)
+
     def test_empirical_chsh_reproducible(self):
         setting = CHSHSetting(
             Angle(0.0), Angle.from_degrees(90.0), Angle.from_degrees(45.0),
@@ -82,19 +98,32 @@ class TestDeterminism:
         e2 = empirical_chsh(SINGLET, setting, 2000, seed=11)
         assert e1 == e2
 
+    def test_empirical_chsh_terms_rerun_at_their_sub_seeds(self):
+        setting = CHSHSetting(
+            Angle(0.0), Angle.from_degrees(90.0), Angle.from_degrees(45.0),
+            Angle.from_degrees(135.0), ZX_PLANE,
+        )
+        est = empirical_chsh(SINGLET, setting, 2000, seed=11)
+        children = np.random.SeedSequence(11).spawn(4)
+        for term, (a, b), child in zip(est.terms, setting.pairs(), children):
+            term_seed = int(child.generate_state(1, dtype=np.uint64)[0])
+            js = JointSetting.in_plane(ZX_PLANE, a, b)
+            _, again = sample_joint(SINGLET, js, 2000, term_seed, keep_records=False)
+            assert term == again
+
 
 class TestOutcomes:
     def test_records_are_plus_minus_one(self):
         records, _ = sample_single(UP_STATE, tilted(60.0), 300, seed=5)
-        assert all(r.alice is None for r in records)
-        assert all(r.bob in (Outcome.UP, Outcome.DOWN) for r in records)
-        assert [r.index for r in records] == list(range(300))
+        assert records.shape == (300,)
+        assert set(np.unique(records)) <= {1, -1}
 
     def test_joint_records_are_plus_minus_one(self):
         setting = JointSetting.in_plane(ZX_PLANE, Angle(0.0), Angle.from_degrees(60.0))
         records, _ = sample_joint(PHI_PLUS, setting, 300, seed=5)
-        assert all(r.alice in (Outcome.UP, Outcome.DOWN) for r in records)
-        assert all(r.bob in (Outcome.UP, Outcome.DOWN) for r in records)
+        assert records.shape == (300, 2)
+        assert set(np.unique(records[:, 0])) <= {1, -1}
+        assert set(np.unique(records[:, 1])) <= {1, -1}
 
     def test_aligned_setting_is_deterministic(self):
         _, stats = sample_single(UP_STATE, Z_AXIS, 1000, seed=9, keep_records=False)
@@ -105,13 +134,15 @@ class TestOutcomes:
         setting = JointSetting.in_plane(ZX_PLANE, Angle(0.7), Angle(0.7))
         records, stats = sample_joint(SINGLET, setting, 500, seed=13)
         assert stats.mean == -1.0
-        assert all(r.alice != r.bob for r in records)
+        assert records.shape == (500, 2)
+        assert np.all(records[:, 0] != records[:, 1])
 
     def test_triplet_equal_settings_always_correlated(self):
         setting = JointSetting.in_plane(PHI_PLUS.plane, Angle(1.1), Angle(1.1))
         records, stats = sample_joint(PHI_PLUS, setting, 500, seed=13)
         assert stats.mean == 1.0
-        assert all(r.alice == r.bob for r in records)
+        assert records.shape == (500, 2)
+        assert np.all(records[:, 0] == records[:, 1])
 
 
 class TestConvergence:
@@ -153,7 +184,7 @@ class TestConvergence:
 class TestRunStats:
     def test_stderr_matches_sample_std(self):
         records, stats = sample_single(UP_STATE, tilted(60.0), 400, seed=31)
-        values = np.array([float(r.bob) for r in records])
+        values = records.astype(float)
         assert stats.mean == pytest.approx(values.mean(), abs=1e-15)
         assert stats.stderr == pytest.approx(values.std(ddof=1) / 20.0, abs=1e-15)
 
@@ -164,6 +195,51 @@ class TestRunStats:
 
     def test_mean_range_enforced(self):
         with pytest.raises(DomainError):
-            RunStats(n=10, mean=1.5, stderr=0.0, seed=0, shards=1)
+            RunStats(n=10, mean=1.5, stderr=0.0, seed=0)
         with pytest.raises(DomainError):
-            RunStats(n=0, mean=0.0, stderr=0.0, seed=0, shards=1)
+            RunStats(n=0, mean=0.0, stderr=0.0, seed=0)
+
+
+def assert_stats_match_values(stats, values: np.ndarray):
+    n = values.size
+    assert stats.n == n
+    assert stats.mean == pytest.approx(values.mean(), abs=1e-15)
+    stderr = values.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+    assert stats.stderr == pytest.approx(stderr, abs=1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 2000),
+    seed=st.integers(0, 2**64 - 1),
+    prepared=st.floats(0.0, 2 * math.pi),
+    measured=st.floats(0.0, 2 * math.pi),
+)
+def test_single_stats_are_those_of_the_records(n, seed, prepared, measured):
+    state = prepare_state(ZX_PLANE.direction(Angle(prepared)))
+    records, stats = sample_single(state, ZX_PLANE.direction(Angle(measured)), n, seed)
+    assert records.dtype == np.int8 and records.shape == (n,)
+    assert set(np.unique(records)) <= {1, -1}
+    assert_stats_match_values(stats, records.astype(float))
+    assert dict(stats.conditional_means) == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 2000),
+    seed=st.integers(0, 2**64 - 1),
+    state_idx=st.integers(0, 3),
+    alice=st.floats(0.0, 2 * math.pi),
+    bob=st.floats(0.0, 2 * math.pi),
+)
+def test_joint_stats_are_those_of_the_records(n, seed, state_idx, alice, bob):
+    state = ALL_BELL_STATES[state_idx]
+    setting = JointSetting.in_plane(state.plane, Angle(alice), Angle(bob))
+    records, stats = sample_joint(state, setting, n, seed)
+    assert records.dtype == np.int8 and records.shape == (n, 2)
+    assert set(np.unique(records)) <= {1, -1}
+    a, b = records[:, 0].astype(float), records[:, 1].astype(float)
+    assert_stats_match_values(stats, a * b)
+    assert set(stats.conditional_means) == set(np.unique(records[:, 0]).tolist())
+    for sign, mean in stats.conditional_means.items():
+        assert mean == pytest.approx(b[a == sign].mean(), abs=1e-15)
