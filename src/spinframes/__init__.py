@@ -29,16 +29,6 @@ from .spin import (
     prepare_state,
     projection_probabilities,
 )
-from .frames import (
-    ComplementaryTriad,
-    FrameRotation,
-    SpinRotation,
-    complementarity_check,
-    rotate_state,
-    rotate_triad,
-    so3_from_su2,
-    su2_from_axis_angle,
-)
 from .bell import (
     ALL_BELL_STATES,
     BELL_LABELS,
@@ -65,14 +55,6 @@ from .bell import (
     correlation,
     enumerate_classical_strategies,
     joint_distribution,
-)
-from .montecarlo import (
-    EmpiricalCHSH,
-    RNG_DISCIPLINE,
-    RunStats,
-    empirical_chsh,
-    sample_joint,
-    sample_single,
 )
 from .grmass import (
     JunctionConfig,
@@ -151,3 +133,15 @@ __all__ = [
     "ProfileError",
     "UndefinedConditionalError",
 ]
+
+
+def __getattr__(name: str):
+    # frames and montecarlo import numpy, so they load on first use of one
+    # of their names and `import spinframes` loads no array library
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import frames, montecarlo
+
+    value = getattr(frames if hasattr(frames, name) else montecarlo, name)
+    globals()[name] = value
+    return value

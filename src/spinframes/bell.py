@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, UndefinedConditionalError
 from .spin import (
     NORM_TOL,
-    PAULI,
     Angle,
     Outcome,
     OutcomeDistribution,
@@ -33,6 +32,9 @@ from .spin import (
     Y_AXIS,
     Z_AXIS,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PLANE_TOL = 1e-10
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -72,8 +74,7 @@ class SymmetryPlane:
 
     @property
     def normal(self) -> UnitVector3:
-        n = self.e1.cross(self.e2)
-        return UnitVector3.normalized(n[0], n[1], n[2])
+        return UnitVector3.normalized(*self.e1.cross(self.e2))
 
     def contains(self, v: UnitVector3, tol: float = PLANE_TOL) -> bool:
         return abs(v.dot(self.normal)) <= tol
@@ -84,55 +85,68 @@ ZX_PLANE = SymmetryPlane("zx", Z_AXIS, X_AXIS)
 ZY_PLANE = SymmetryPlane("zy", Z_AXIS, Y_AXIS)
 
 
+def _pauli_sums(g) -> tuple[complex, complex, complex]:
+    """sum over a, c of (sigma_k)[a][c] g[a][c], for k = x, y, z."""
+    return (g[0][1] + g[1][0], 1j * (g[1][0] - g[0][1]), g[0][0] - g[1][1])
+
+
 @dataclass(frozen=True, eq=False)
 class BellState:
     """One of the four maximally entangled two-qubit states.
 
-    Amplitudes are ordered (uu, ud, du, dd). Equality ignores global
-    phase. `plane` is the symmetry plane documented in the module
-    docstring.
+    `psi` holds the four amplitudes ordered (uu, ud, du, dd), as complex
+    numbers. Equality ignores global phase. `plane` is the symmetry plane
+    documented in the module docstring.
     """
 
     label: str
-    amplitudes: np.ndarray
+    psi: tuple[complex, complex, complex, complex]
     plane: SymmetryPlane
-    _tensor: np.ndarray = field(init=False, repr=False)
+    _tensor: tuple[tuple[float, float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = np.array(self.amplitudes, dtype=complex)
-        if a.shape != (4,):
+        try:
+            psi = tuple(complex(x) for x in self.psi)
+        except TypeError:
+            psi = ()
+        if len(psi) != 4:
             raise DomainError("Bell state needs four amplitudes")
-        if abs(float(np.vdot(a, a).real) - 1.0) > NORM_TOL:
+        if abs(sum(abs(x) ** 2 for x in psi) - 1.0) > NORM_TOL:
             raise DomainError("Bell state must be normalized")
-        # psi[i, j] is the amplitude of Alice i, Bob j; maximal entanglement
+        # m[a][b] is the amplitude of Alice a, Bob b; maximal entanglement
         # means both reduced density matrices are I/2
-        psi = a.reshape(2, 2)
-        half = np.eye(2) / 2.0
-        for rho in (psi @ psi.conj().T, psi.T @ psi.conj()):
-            if np.abs(rho - half).max() > NORM_TOL:
+        m, two = (psi[:2], psi[2:]), (0, 1)
+        for x in (m, tuple(zip(*m))):  # rows indexed by Alice's outcome, then by Bob's
+            rho = [[x[a][0] * x[c][0].conjugate() + x[a][1] * x[c][1].conjugate() for c in two] for a in two]
+            if max(abs(rho[a][c] - (0.5 if a == c else 0.0)) for a in two for c in two) > NORM_TOL:
                 raise DomainError("Bell state must be maximally entangled")
-        # T[i, j] = <psi| sigma_i x sigma_j |psi> = tr(psi^dag sigma_i psi sigma_j^T)
-        pauli = np.stack(PAULI)
-        t = np.einsum("ab,iac,jbd,cd->ij", psi.conj(), pauli, pauli, psi).real
-        a.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-        object.__setattr__(self, "_tensor", t)
+        # T[i][j] = <psi| sigma_i x sigma_j |psi>: contract Bob's indices with
+        # sigma_j for each pair of Alice's, then Alice's with sigma_i
+        bob = [[_pauli_sums([[m[a][b].conjugate() * m[c][d] for d in two] for b in two]) for c in two] for a in two]
+        by_j = [_pauli_sums([[bob[a][c][j] for c in two] for a in two]) for j in range(3)]
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "_tensor", tuple(tuple(by_j[j][i].real for j in range(3)) for i in range(3)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BellState):
             return NotImplemented
-        return abs(abs(complex(np.vdot(self.amplitudes, other.amplitudes))) - 1.0) < 1e-10
+        overlap = sum(x.conjugate() * y for x, y in zip(self.psi, other.psi))
+        return abs(abs(overlap) - 1.0) < 1e-10
 
     @property
     def is_triplet(self) -> bool:
         return self.label != "singlet"
 
-    @property
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The four amplitudes as a read-only complex array, built once."""
+        return _read_only(self.psi)
+
+    @cached_property
     def correlation_tensor(self) -> np.ndarray:
-        """T[i, j] = <sigma_i x sigma_j>, computed once from the amplitudes
-        (read-only); E(a, b) = a^T T b."""
-        return self._tensor
+        """T[i, j] = <sigma_i x sigma_j> as a read-only array, built once;
+        E(a, b) = a^T T b."""
+        return _read_only(self._tensor)
 
     @classmethod
     def from_label(cls, label: str) -> "BellState":
@@ -147,12 +161,20 @@ class BellState:
             ) from None
 
 
+def _read_only(values) -> np.ndarray:
+    import numpy as np
+
+    a = np.array(values)
+    a.setflags(write=False)
+    return a
+
+
 _IR2 = 1.0 / math.sqrt(2.0)
 
-SINGLET = BellState("singlet", np.array([0.0, _IR2, -_IR2, 0.0]), ZX_PLANE)
-PSI_PLUS = BellState("triplet_psi_plus", np.array([0.0, _IR2, _IR2, 0.0]), XY_PLANE)
-PHI_PLUS = BellState("triplet_phi_plus", np.array([_IR2, 0.0, 0.0, _IR2]), ZX_PLANE)
-PHI_MINUS = BellState("triplet_phi_minus", np.array([_IR2, 0.0, 0.0, -_IR2]), ZY_PLANE)
+SINGLET = BellState("singlet", (0.0, _IR2, -_IR2, 0.0), ZX_PLANE)
+PSI_PLUS = BellState("triplet_psi_plus", (0.0, _IR2, _IR2, 0.0), XY_PLANE)
+PHI_PLUS = BellState("triplet_phi_plus", (_IR2, 0.0, 0.0, _IR2), ZX_PLANE)
+PHI_MINUS = BellState("triplet_phi_minus", (_IR2, 0.0, 0.0, -_IR2), ZY_PLANE)
 
 ALL_BELL_STATES = (SINGLET, PSI_PLUS, PHI_PLUS, PHI_MINUS)
 
@@ -270,10 +292,16 @@ class CHSHSetting:
         )
 
 
+def _form(state: BellState, a: UnitVector3, b: UnitVector3) -> float:
+    """a^T T b, summed term by term."""
+    t, u, v = state._tensor, (a.x, a.y, a.z), (b.x, b.y, b.z)
+    return sum(u[i] * t[i][j] * v[j] for i in range(3) for j in range(3))
+
+
 def correlation(state: BellState, setting: JointSetting) -> float:
     """E(a, b) = a^T T b; equals cos(theta) for a triplet in its symmetry
     plane, -cos(theta) for the singlet."""
-    return float(setting.alice.as_array() @ state.correlation_tensor @ setting.bob.as_array())
+    return _form(state, setting.alice, setting.bob)
 
 
 def joint_distribution(state: BellState, setting: JointSetting) -> JointDistribution:
@@ -331,21 +359,22 @@ class EnsembleTable:
 
 
 def _minimal_denominator_fraction(value: float, tol: float) -> Fraction:
-    """Smallest-denominator fraction within `tol` of `value` (exact search)."""
-    target = Fraction(value)
-    bound = Fraction(tol)
-
-    def ok(cap: int) -> bool:
-        return abs(target.limit_denominator(cap) - target) <= bound
-
-    lo, hi = 1, 2**60  # every float is exactly representable well below 2**60
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return target.limit_denominator(lo)
+    """Smallest-denominator fraction within `tol` of `value` >= 0, exactly:
+    the first node of the Stern-Brocot tree in [value - tol, value + tol]
+    (Graham, Knuth and Patashnik, Concrete Mathematics, 4.5). While no
+    integer lies in the interval, take off its integer part a and invert
+    it, which swaps its ends; h/k and h_prev/k_prev are the last two
+    convergents."""
+    lo, hi = Fraction(value) - Fraction(tol), Fraction(value) + Fraction(tol)
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    while True:
+        t = -(-ln // ld)  # the least integer >= lo
+        if t * hd <= hn:
+            return Fraction(t * h + h_prev, t * k + k_prev)
+        a = t - 1
+        h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
+        (ln, ld), (hn, hd) = (hd, hn - a * hd), (ld, ln - a * ld)
 
 
 def build_exact_ensemble(theta: Angle, n: int) -> EnsembleTable:
@@ -407,42 +436,36 @@ def chsh_classical_max() -> float:
     return float(max(s for _, s in enumerate_classical_strategies()))
 
 
-def _plane_correlation_matrix(state: BellState) -> np.ndarray:
+def _plane_correlation_matrix(state: BellState) -> tuple[tuple[float, float], tuple[float, float]]:
     """2x2 restriction M of the correlation tensor to the state's plane, so
     E(alpha, beta) = [cos a, sin a] M [cos b, sin b]^T for in-plane angles."""
-    plane = state.plane
-    basis = np.stack([plane.e1.as_array(), plane.e2.as_array()])
-    return basis @ state.correlation_tensor @ basis.T
-
-
-def _plane_angle(w: np.ndarray) -> Angle:
-    """In-plane angle of a unit vector given in plane coordinates."""
-    return Angle(math.atan2(float(w[1]), float(w[0])))
+    e = (state.plane.e1, state.plane.e2)
+    return tuple(tuple(_form(state, u, v) for v in e) for u in e)
 
 
 def chsh_quantum_max(state: BellState) -> tuple[float, CHSHSetting]:
     """Largest S over settings in the state's plane, in closed form.
 
     Horodecki criterion (R., P. and M. Horodecki, Phys. Lett. A 200, 340
-    (1995)) on the in-plane block M = U diag(s1, s2) V^T: the maximum is
-    S = 2 sqrt(s1^2 + s2^2), which is 2*sqrt(2) for every Bell state. It
-    is attained at a = u2, a' = u1, b = cos(phi) v1 + sin(phi) v2 and
-    b' = cos(phi) v1 - sin(phi) v2 with phi = atan2(s2, s1), where
-    E(a, b) - E(a, b') = 2 s2 sin(phi) and E(a', b) + E(a', b') = 2 s1 cos(phi).
+    (1995)): with the in-plane block M = R(phi) diag(s1, s2) R(theta), R a
+    rotation, the maximum is S = 2 sqrt(s1^2 + s2^2) = 2 |M|_F, which is
+    2*sqrt(2) for every Bell state. M splits into a rotation q R(rho) and a
+    reflection of scale r and angle sigma, so s1 = q + r, s2 = q - r,
+    phi = (rho + sigma)/2 and theta = (rho - sigma)/2 (Blinn, "Consider the
+    lowly 2x2 matrix", IEEE CG&A 1996). S is attained at a = phi + pi/2,
+    a' = phi, b = w - theta and b' = -w - theta with w = atan2(s2, s1),
+    reported in [-pi, pi].
     """
-    u, s, vt = np.linalg.svd(_plane_correlation_matrix(state))
-    s1, s2 = float(s[0]), float(s[1])
-    phi = math.atan2(s2, s1)
-    b = math.cos(phi) * vt[0] + math.sin(phi) * vt[1]
-    b_prime = math.cos(phi) * vt[0] - math.sin(phi) * vt[1]
-    setting = CHSHSetting(
-        _plane_angle(u[:, 1]),
-        _plane_angle(u[:, 0]),
-        _plane_angle(b),
-        _plane_angle(b_prime),
-        state.plane,
-    )
-    return 2.0 * math.hypot(s1, s2), setting
+    (a, b), (c, d) = _plane_correlation_matrix(state)
+    q, r = math.hypot(a + d, c - b) / 2.0, math.hypot(a - d, c + b) / 2.0
+    rho = math.atan2(c - b, a + d)
+    # without a reflection part s1 = s2 and any phi will do: take phi = 0
+    sigma = math.atan2(c + b, a - d) if r else -rho
+    phi, theta = (rho + sigma) / 2.0, (rho - sigma) / 2.0
+    w = math.atan2(q - r, q + r)
+    angles = (phi + math.pi / 2.0, phi, w - theta, -w - theta)
+    setting = CHSHSetting(*(Angle(math.remainder(x, 2.0 * math.pi)) for x in angles), state.plane)
+    return 2.0 * math.hypot(a, b, c, d), setting
 
 
 def chsh_scan(state: BellState, step: Angle = Angle(math.radians(1.0))) -> list[tuple[Angle, float]]:
@@ -459,7 +482,9 @@ def chsh_scan(state: BellState, step: Angle = Angle(math.radians(1.0))) -> list[
         raise DomainError(
             f"scan step of {step.degrees!r} degrees gives more than {MAX_SCAN_POINTS} points"
         )
-    m = _plane_correlation_matrix(state)
+    import numpy as np
+
+    m = np.array(_plane_correlation_matrix(state))
     t = np.arange(math.ceil(points)) * step.radians
     a, a_prime, b, b_prime = (np.stack([np.cos(x), np.sin(x)]) for x in (0.0 * t, 2 * t, t, 3 * t))
     # S = a^T M (b - b') + a'^T M (b + b'), one value per t

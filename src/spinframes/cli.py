@@ -43,7 +43,6 @@ from .grmass import (
     load_profile_csv,
     proper_mass_integral,
 )
-from .montecarlo import RNG_DISCIPLINE, empirical_chsh, sample_joint, sample_single
 from .spin import (
     Angle,
     Outcome,
@@ -209,6 +208,8 @@ def cmd_spin(args: argparse.Namespace) -> _Output:
     seed = None
     rng = None
     if args.n > 0:
+        from .montecarlo import RNG_DISCIPLINE, sample_single
+
         _, stats = sample_single(state, setting, args.n, args.seed, keep_records=False)
         data["mc"] = {"n": stats.n, "mean": stats.mean, "stderr": stats.stderr}
         header += ["mc_n", "mc_mean", "mc_stderr"]
@@ -249,6 +250,8 @@ def cmd_bell(args: argparse.Namespace) -> _Output:
     seed = None
     rng = None
     if args.n > 0:
+        from .montecarlo import RNG_DISCIPLINE, sample_joint
+
         _, stats = sample_joint(state, setting, args.n, args.seed, keep_records=False)
         data["mc"] = {
             "n": stats.n,
@@ -318,6 +321,8 @@ def cmd_chsh(args: argparse.Namespace) -> _Output:
         rows = [[a.radians, s] for a, s in points]
         return _Output(data, ["angle_rad", "s"], rows)
     # empirical
+    from .montecarlo import RNG_DISCIPLINE, empirical_chsh
+
     quarter = Angle.from_degrees(45.0)
     setting = CHSHSetting(
         Angle(0.0), Angle.from_degrees(90.0), quarter, Angle.from_degrees(135.0), state.plane

@@ -15,9 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spin import (
-    IDENTITY_2,
     NORM_TOL,
-    PAULI,
     Angle,
     OutcomeDistribution,
     QubitState,
@@ -27,6 +25,12 @@ from .spin import (
     Z_AXIS,
     projection_probabilities,
 )
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)

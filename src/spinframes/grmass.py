@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ConvergenceError, DomainError, ProfileError
 from .spin import Angle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # chi0 below this evaluates the ratio by its x^6 series, which is exact to
 # rounding there; the direct form loses digits to cancellation in 2x - sin 2x.
@@ -30,9 +33,12 @@ QUAD_REL_TOL = 1e-10
 QUAD_MAX_ROUNDS = 50
 _HORIZON = "horizon inside the matter: 1 - 2GM(r)/(c^2 r) <= 0 at r = {!r}"
 
-# Gauss-Legendre rules on [-1, 1]: 10 points give a segment's value and 5
-# points on the same segment its error estimate.
-(_NODES_10, _WEIGHTS_10), (_NODES_5, _WEIGHTS_5) = map(np.polynomial.legendre.leggauss, (10, 5))
+
+@cache
+def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
+    return np.polynomial.legendre.leggauss(points)
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,8 @@ class MassProfile:
         Needs r strictly increasing from 0, M nondecreasing from 0, and
         a positive final mass.
         """
+        import numpy as np
+
         r = np.asarray(r, dtype=float)
         m = np.asarray(m, dtype=float)
         if r.ndim != 1 or r.shape != m.shape:
@@ -115,10 +123,49 @@ class MassProfile:
             raise ProfileError(f"mass must be nondecreasing (row {i + 1})")
         if m[-1] <= 0:
             raise ProfileError("total mass must be positive")
-        from scipy.interpolate import PchipInterpolator
+        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+            c = _pchip_coefficients(r, m)
+        if not np.isfinite(c).all():
+            raise ProfileError("the cubic through the table overflows a float")
+        return cls(float(m[-1]), float(r[-1]), "table", _Pchip(r, c))
 
-        # PCHIP preserves the table's monotonicity
-        return cls(float(m[-1]), float(r[-1]), "table", PchipInterpolator(r, m, extrapolate=False))
+
+@dataclass(frozen=True, eq=False)
+class _Pchip:
+    """Cubic ((c[0] u + c[1]) u + c[2]) u + c[3] in u = r - x[i] on piece i."""
+
+    x: np.ndarray
+    c: np.ndarray
+
+    def __call__(self, r: float) -> float:
+        i = min(int(self.x.searchsorted(r, "right")) - 1, len(self.x) - 2)
+        return _cubic(self.c[:, i], r - self.x[i])
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of the monotone cubic through nondecreasing (x, y)
+    (Fritsch & Butland, SIAM J. Sci. Stat. Comput. 5, 300 (1984)), with the
+    slopes of scipy's PchipInterpolator in its order of operations: inside,
+    the weighted harmonic mean of the two secants, 0 next to a flat one; at
+    each end, the one-sided three-point estimate, 0 where not positive.
+    As no secant is negative, that is all of scipy's sign rule.
+    """
+    import numpy as np
+
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.zeros_like(y)
+    if len(x) == 2:
+        d[:] = m[0]
+    else:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        inner = (m[1:] != 0) & (m[:-1] != 0)
+        with np.errstate(divide="ignore"):
+            d[1:-1][inner] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))[inner]
+        for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]), (-1, h[-1], h[-2], m[-1], m[-2])):
+            d[end] = max(((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1), 0.0)
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
 
 def load_profile_csv(path: str) -> MassProfile:
@@ -147,7 +194,7 @@ def load_profile_csv(path: str) -> MassProfile:
             except ValueError:
                 raise ProfileError(f"{path}: line {line_no}: non-numeric value") from None
     try:
-        return MassProfile.from_table(np.array(rs), np.array(ms))
+        return MassProfile.from_table(rs, ms)
     except ProfileError as exc:
         raise ProfileError(f"{path}: {exc}") from None
 
@@ -203,6 +250,8 @@ def _cubic(c: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _check_no_horizon(x: np.ndarray, c: np.ndarray, k: float) -> None:
     """Raise DomainError where 1 - k M(r)/r <= 0, M the cubic spline (x, c)."""
+    import numpy as np
+
     if k * c[2, 0] >= 1.0:  # k M(r)/r tends to k M'(0) at r = 0
         raise DomainError(_HORIZON.format(0.0))
     # r - k M(r) is a cubic in u = r - x_i on piece i, so its minimum is at
@@ -227,16 +276,25 @@ def proper_mass_integral(profile: MassProfile, units: UnitsConfig = UnitsConfig(
     table is integrated over the knot segments of its cubic interpolant,
     bisecting the segments whose error estimate exceeds QUAD_REL_TOL of
     their value for at most QUAD_MAX_ROUNDS rounds. A horizon inside the
-    matter raises DomainError naming its radius.
+    matter raises DomainError naming its radius; so does a proper mass
+    too large for a float, with the mass.
     """
     k = 2.0 * units.G / units.c**2
     if profile.kind == "uniform":
         compactness = k * profile.mass / profile.radius
         if compactness >= 1.0:
             raise DomainError(_HORIZON.format(profile.radius))
-        return profile.mass * _ratio_of(math.asin(math.sqrt(compactness)))
+        proper = profile.mass * _ratio_of(math.asin(math.sqrt(compactness)))
+    else:
+        proper = _integrate_table(profile._mass_of.x, profile._mass_of.c, k)
+    if not math.isfinite(proper):
+        raise DomainError(f"proper mass of a profile of mass {profile.mass!r} overflows a float")
+    return proper
 
-    x, c = profile._mass_of.x, profile._mass_of.c
+
+def _integrate_table(x: np.ndarray, c: np.ndarray, k: float) -> float:
+    import numpy as np
+
     _check_no_horizon(x, c, k)
     # segments [start, start + width] in the local coordinate u = r - x_i of
     # their piece i, which keeps u exact on thin pieces far from r = 0
@@ -249,9 +307,10 @@ def proper_mass_integral(profile: MassProfile, units: UnitsConfig = UnitsConfig(
         dm = (3.0 * cp[0] * u + 2.0 * cp[1]) * u + cp[2]
         return 0.5 * width * ((dm / np.sqrt(1.0 - k * _cubic(cp, u) / (x[piece, None] + u))) @ weights)
 
+    # Gauss-Legendre rules: 10 points give a segment's value and 5 its error estimate
     for _ in range(QUAD_MAX_ROUNDS):
-        high = rule(_NODES_10, _WEIGHTS_10)
-        err = np.abs(high - rule(_NODES_5, _WEIGHTS_5))
+        high = rule(*_gauss_legendre(10))
+        err = np.abs(high - rule(*_gauss_legendre(5)))
         total = value + float(high.sum())
         if spent + float(err.sum()) <= QUAD_REL_TOL * total:
             return total
@@ -276,6 +335,8 @@ def flrw_metric_components(
         a2 = a**2
     except OverflowError:
         raise DomainError(f"scale factor {a!r} is too large: its square overflows a float") from None
+    if a2 < sys.float_info.min:
+        raise DomainError(f"scale factor {a!r} is too small: its square underflows a normal float")
     s_chi = math.sin(chi.radians)
     s_theta = math.sin(theta.radians)
     return (

@@ -16,10 +16,12 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,12 +29,6 @@ TWO_PI = 2.0 * math.pi
 # compose several operations are tested at 1e-10.
 NORM_TOL = 1e-12
 STATE_EQ_TOL = 1e-10
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -96,18 +92,20 @@ class UnitVector3:
         )
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.x, self.y, self.z])
 
     def dot(self, other: "UnitVector3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
-    def cross(self, other: "UnitVector3") -> np.ndarray:
-        return np.cross(self.as_array(), other.as_array())
+    def cross(self, other: "UnitVector3") -> tuple[float, float, float]:
+        (a, b, c), (x, y, z) = (self.x, self.y, self.z), (other.x, other.y, other.z)
+        return (b * z - c * y, c * x - a * z, a * y - b * x)
 
     def angle_to(self, other: "UnitVector3") -> Angle:
         # atan2 form is stable near 0 and pi, unlike acos of the dot product
-        c = float(np.linalg.norm(self.cross(other)))
-        return Angle(math.atan2(c, self.dot(other)))
+        return Angle(math.atan2(math.hypot(*self.cross(other)), self.dot(other)))
 
     def __neg__(self) -> "UnitVector3":
         return UnitVector3(-self.x, -self.y, -self.z)
@@ -138,14 +136,17 @@ class QubitState:
 
     @property
     def amplitudes(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.amp_up, self.amp_down])
 
     @property
     def bloch_vector(self) -> UnitVector3:
-        """(<sigma_x>, <sigma_y>, <sigma_z>); a unit vector for pure states."""
-        a = self.amplitudes
-        r = [float(np.real(np.vdot(a, s @ a))) for s in PAULI]
-        return UnitVector3.normalized(*r)
+        """(<sigma_x>, <sigma_y>, <sigma_z>) = (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2)
+        for amplitudes (a, b); a unit vector for pure states."""
+        a, b = self.amp_up, self.amp_down
+        ab = a.conjugate() * b
+        return UnitVector3.normalized(2.0 * ab.real, 2.0 * ab.imag, (a.conjugate() * a - b.conjugate() * b).real)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QubitState):
@@ -194,15 +195,12 @@ def prepare_state(direction: UnitVector3) -> QubitState:
 def projection_probabilities(state: QubitState, setting: UnitVector3) -> OutcomeDistribution:
     """Born-rule outcome distribution for a measurement along `setting`.
 
-    Uses the spectral projectors (I +/- setting.sigma)/2, so it applies to
-    any pure state. When the state's Bloch vector makes angle theta with
-    the setting this reduces to (cos^2(theta/2), sin^2(theta/2)).
+    The spectral projectors (I +/- n.sigma)/2 have expectation
+    (1 +/- n.r)/2 in a pure state of Bloch vector r. When r makes angle
+    theta with the setting this is (cos^2(theta/2), sin^2(theta/2)).
     """
-    a = state.amplitudes
-    n_sigma = setting.x * SIGMA_X + setting.y * SIGMA_Y + setting.z * SIGMA_Z
-    p_up = float(np.real(np.vdot(a, ((IDENTITY_2 + n_sigma) / 2.0) @ a)))
-    p_down = float(np.real(np.vdot(a, ((IDENTITY_2 - n_sigma) / 2.0) @ a)))
-    return OutcomeDistribution(p_up, p_down)
+    e = setting.dot(state.bloch_vector)
+    return OutcomeDistribution((1.0 + e) / 2.0, (1.0 - e) / 2.0)
 
 
 def expectation(dist: OutcomeDistribution) -> float:

@@ -38,7 +38,7 @@ from spinframes import (
     joint_distribution,
     su2_from_axis_angle,
 )
-from spinframes.bell import MAX_ENSEMBLE_TRIALS, MAX_SCAN_POINTS
+from spinframes.bell import MAX_ENSEMBLE_TRIALS, MAX_SCAN_POINTS, RATIONAL_TOL, _minimal_denominator_fraction
 from conftest import random_direction
 
 TRIPLETS = (PSI_PLUS, PHI_PLUS, PHI_MINUS)
@@ -87,6 +87,25 @@ def lattice_chsh_max(state: BellState, step_deg: float) -> float:
     plus = (e[:, None, :] + e[None, :, :]).max(axis=-1)
     minus = (e[None, :, :] - e[:, None, :]).max(axis=-1)
     return float((plus + minus).max())
+
+
+def binary_search_fraction(value: float, tol: float) -> Fraction:
+    """Smallest-denominator fraction within `tol` of `value`, by bisection on
+    the denominator cap of Fraction.limit_denominator (about 60 calls)."""
+    target = Fraction(value)
+    bound = Fraction(tol)
+
+    def ok(cap: int) -> bool:
+        return abs(target.limit_denominator(cap) - target) <= bound
+
+    lo, hi = 1, 2**60  # tol >= 1e-15 leaves a fraction well below this cap
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return target.limit_denominator(lo)
 
 
 def in_plane(state: BellState, alice_deg: float, bob_deg: float) -> JointSetting:
@@ -299,6 +318,23 @@ class TestEnsemble:
         with pytest.raises(DomainError, match=str(MAX_ENSEMBLE_TRIALS)):
             build_exact_ensemble(Angle(0.0), MAX_ENSEMBLE_TRIALS + 1)
 
+    @pytest.mark.parametrize("degrees", [0, 60, 90, 120, 180])
+    def test_fraction_walk_matches_binary_search(self, degrees):
+        c = math.cos(math.radians(degrees) / 2.0) ** 2
+        assert _minimal_denominator_fraction(c, RATIONAL_TOL) == binary_search_fraction(c, RATIONAL_TOL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.floats(0.0, 1000.0), tol=st.one_of(st.just(RATIONAL_TOL), st.floats(1e-15, 0.5)))
+def test_fraction_walk_has_the_least_denominator(value, tol):
+    got, want = _minimal_denominator_fraction(value, tol), binary_search_fraction(value, tol)
+    assert abs(got - Fraction(value)) <= Fraction(tol)
+    assert got.denominator == want.denominator
+    # fractions of one denominator q lie 1/q apart, so an interval narrower
+    # than that holds only one of them
+    if 2 * Fraction(tol) < Fraction(1, want.denominator):
+        assert got == want
+
 
 class TestCHSH:
     def test_classical_enumeration_is_complete_and_integer(self):
@@ -351,6 +387,14 @@ class TestCHSH:
             value, setting = chsh_quantum_max(state)
             assert abs(value - TSIRELSON_BOUND) <= 1e-12
             assert chsh_value(state, setting) == pytest.approx(value, abs=1e-12)
+
+    def test_quantum_max_settings_of_the_standard_states(self):
+        # Alice along the plane axes, Bob at +-45 degrees (the singlet at -+135)
+        for state in ALL_BELL_STATES:
+            _, s = chsh_quantum_max(state)
+            bob = -3 * math.pi / 4 if state is SINGLET else math.pi / 4
+            got = (s.alice.radians, s.alice_prime.radians, s.bob.radians, s.bob_prime.radians)
+            assert got == pytest.approx((math.pi / 2, 0.0, bob, -bob), abs=1e-15)
 
     def test_scan_never_exceeds_quantum_bound(self):
         for state in ALL_BELL_STATES:

@@ -253,6 +253,14 @@ class TestGrmass:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_binding_table_whose_cubic_overflows(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("r,M\n0,0\n5e299,1.08e308\n1e300,1.79e308\n")
+        rc, out, err = run_cli(capsys, "grmass", "binding", "--profile", str(path))
+        assert rc == 3
+        assert out == ""
+        assert "overflows" in err
+
     def test_binding_bad_header(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n0,0\n1,1\n")
@@ -285,6 +293,25 @@ class TestGrmass:
         assert rc == 3
         assert out == ""
         assert "scale factor" in err
+
+    @pytest.mark.parametrize("scale", [("1e-200",), ("1e-160", "--geometrized")])
+    def test_metric_scale_factor_square_underflows(self, capsys, scale):
+        rc, out, err = run_cli(
+            capsys, "grmass", "metric", "--chi-deg", "10", "--theta-deg", "10", "--scale-factor", *scale,
+        )
+        assert rc == 3
+        assert out == ""
+        assert "underflows" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_binding_proper_mass_overflow(self, capsys, fmt):
+        rc, out, err = run_cli(
+            capsys, "--format", fmt, "grmass", "binding", "--uniform",
+            "--mass", "1.7976931348623157e308", "--compactness", "1e-9",
+        )
+        assert rc == 3
+        assert out == ""
+        assert "overflows" in err
 
 
 MC_COMMANDS = {
@@ -339,19 +366,52 @@ def _subprocess_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
 
 
-def test_import_and_uniform_binding_load_no_scipy():
+# commands whose result is a handful of closed-form numbers: they must run
+# without importing numpy
+SCALAR_COMMANDS = [
+    ["spin", "--theta-deg", "60"],
+    ["bell", "--state", "phi+", "--theta-deg", "30"],
+    ["ensemble", "--theta-deg", "60", "--n", "8"],
+    ["chsh", "--mode", "classical-max"],
+    ["chsh", "--mode", "analytic-max", "--state", "singlet"],
+    ["grmass", "ratio", "--chi0", "1"],
+    ["grmass", "ratio-curve", "--points", "20"],
+    ["grmass", "binding", "--uniform", "--mass", "1", "--compactness", "0.5", "--geometrized"],
+    ["grmass", "metric", "--chi-deg", "10", "--theta-deg", "20"],
+]
+
+
+def test_array_libraries_load_only_where_needed(tmp_path):
+    profile = tmp_path / "p.csv"
+    profile.write_text("r,M\n0,0\n0.5,0.025\n1,0.2\n")
+    array_commands = [
+        ["spin", "--theta-deg", "60", "--n", "100"],
+        ["bell", "--theta-deg", "60", "--n", "100"],
+        ["chsh", "--mode", "scan", "--resolution-deg", "10"],
+        ["chsh", "--mode", "empirical", "--n", "100"],
+        ["grmass", "binding", "--profile", str(profile), "--geometrized"],
+    ]
     code = (
-        "import sys, spinframes, spinframes.cli\n"
-        "def scipy_loaded():\n"
-        "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
-        "assert not scipy_loaded(), 'import'\n"
-        "rc = spinframes.cli.main(['grmass', 'binding', '--uniform', '--mass', '1',\n"
-        "                          '--compactness', '0.5', '--geometrized'])\n"
-        "assert rc == 0, rc\n"
-        "assert not scipy_loaded(), 'binding'\n"
+        "import contextlib, io, json, sys\n"
+        "import spinframes, spinframes.cli\n"
+        "def loaded(name):\n"
+        "    return any(m.split('.')[0] == name for m in sys.modules)\n"
+        "def run(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert spinframes.cli.main(argv) == 0, argv\n"
+        "assert not loaded('numpy') and not loaded('scipy'), 'import'\n"
+        "scalar, array = json.loads(sys.argv[1])\n"
+        "for argv in scalar:\n"
+        "    for fmt in ('json', 'csv'):\n"
+        "        run(['--format', fmt, *argv])\n"
+        "        assert not loaded('numpy'), argv\n"
+        "for argv in array:\n"
+        "    run(argv)\n"
+        "assert loaded('numpy') and not loaded('scipy')\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60
+        [sys.executable, "-c", code, json.dumps([SCALAR_COMMANDS, array_commands])],
+        capture_output=True, env=_subprocess_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr.decode()
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.interpolate import PchipInterpolator
 
 from spinframes import (
     Angle,
@@ -194,6 +195,13 @@ class TestProfiles:
         assert p.mass == 1.0
         assert p.radius == 1.0
 
+    def test_table_whose_cubic_overflows(self):
+        # the edge slope (2 h0 + h1) m0 overflows although the values are finite
+        with pytest.raises(ProfileError, match="overflows"):
+            MassProfile.from_table(np.array([0.0, 5e299, 1e300]), np.array([0.0, 1.08e308, 1.79e308]))
+        with pytest.raises(ProfileError, match="overflows"):
+            MassProfile.from_table(np.array([0.0, 1e-300]), np.array([0.0, 1e10]))
+
     def test_csv_header_must_match(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("radius,mass\n0,0\n1,1\n")
@@ -214,6 +222,51 @@ class TestProfiles:
         path.write_text("")
         with pytest.raises(ProfileError, match="empty"):
             load_profile_csv(str(path))
+
+
+# tables the scipy pin below must cover by name, (r, M)
+PCHIP_TABLES = {
+    "two rows": ([0.0, 1.0], [0.0, 0.3]),
+    "thin step": ([0.0, 1.0, 1.0 + 1e-7, 2.0], [0.0, 0.0, 0.4, 0.4]),
+    "flat runs": ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.0, 0.2, 0.2, 0.2, 0.7]),
+    # the one-sided estimate is negative at r = 0 and at r = R, so PCHIP sets it to 0
+    "negative edge estimates": ([0.0, 1.0, 1.1, 2.0], [0.0, 0.01, 1.0, 1.2]),
+}
+
+
+def random_monotone_tables(rng, count: int):
+    for _ in range(count):
+        rows = int(rng.integers(3, 40))
+        r = np.concatenate([[0.0], np.cumsum(rng.exponential(size=rows - 1))]) * 10.0 ** rng.uniform(-3, 3)
+        steps = rng.exponential(size=rows - 1) * (rng.uniform(size=rows - 1) < 0.7)
+        steps[-1] += 0.1  # a positive total mass
+        yield r, np.concatenate([[0.0], np.cumsum(steps)]) * 10.0 ** rng.uniform(-3, 3)
+
+
+class TestPchip:
+    """The in-house cubic against scipy's PchipInterpolator, its reference."""
+
+    def check_table(self, r, m):
+        r, m = np.asarray(r), np.asarray(m)
+        profile = MassProfile.from_table(r, m)
+        want = PchipInterpolator(r, m, extrapolate=False)
+        assert np.array_equal(profile._mass_of.x, want.x)
+        np.testing.assert_array_max_ulp(profile._mass_of.c, want.c, maxulp=4)
+        grid = np.concatenate([r, np.linspace(0.0, r[-1], 101)])
+        for x in grid:
+            # scipy sums c[3] + c[2] u + ... where the profile uses Horner's rule,
+            # so both round within a few ulp of the largest term
+            i = min(int(np.searchsorted(r, x, "right")) - 1, len(r) - 2)
+            scale = float(np.abs(want.c[:, i]) @ np.abs(x - r[i]) ** np.arange(3, -1, -1))
+            assert abs(profile.mass_within(x) - float(want(x))) <= 8 * math.ulp(scale)
+
+    @pytest.mark.parametrize("name", sorted(PCHIP_TABLES))
+    def test_named_tables(self, name):
+        self.check_table(*PCHIP_TABLES[name])
+
+    def test_random_monotone_tables(self, rng):
+        for r, m in random_monotone_tables(rng, 200):
+            self.check_table(r, m)
 
 
 class TestBindingQuadrature:
@@ -266,6 +319,13 @@ class TestBindingQuadrature:
         with pytest.raises(DomainError, match="r = 0.0"):
             proper_mass_integral(profile, GEOM)
 
+    def test_proper_mass_overflow_rejected(self):
+        mass = 1.7976931348623157e308
+        units = UnitsConfig()
+        profile = MassProfile.uniform(mass, 2.0 * units.G * mass / (units.c**2 * 1e-9))
+        with pytest.raises(DomainError, match="overflows"):
+            proper_mass_integral(profile, units)
+
     def test_ball_tables_match_arcsin_form(self):
         x = 0.1
         radius = 2.0 / x
@@ -301,6 +361,15 @@ class TestMetric:
             flrw_metric_components(Angle(0.5), Angle(0.5), 1e200, GEOM)
         g = flrw_metric_components(Angle(math.pi / 2), Angle(math.pi / 2), 1e154, GEOM)
         assert g[1] == g[2] == g[3] == pytest.approx(1e308, rel=1e-15)
+
+    def test_scale_factor_whose_square_underflows(self):
+        ten = Angle.from_degrees(10.0)
+        with pytest.raises(DomainError, match="underflows"):
+            flrw_metric_components(ten, ten, 1e-200)
+        with pytest.raises(DomainError, match="underflows"):
+            flrw_metric_components(ten, ten, 1e-160, GEOM)
+        g = flrw_metric_components(Angle(math.pi / 2), Angle(math.pi / 2), 1.5e-154, GEOM)
+        assert g[1] == g[2] == g[3] == pytest.approx(2.25e-308, rel=1e-15)
 
     def test_volume_quadrature_reproduces_closed_form(self):
         for chi0 in (0.3, 0.7, 1.2, 2.0):
