@@ -196,7 +196,7 @@ class TestProfiles:
         assert p.radius == 1.0
 
     def test_table_whose_cubic_overflows(self):
-        # the edge slope (2 h0 + h1) m0 overflows although the values are finite
+        # finite values whose edge slope (2 h0 + h1) m0, then whose secant, overflows
         with pytest.raises(ProfileError, match="overflows"):
             MassProfile.from_table(np.array([0.0, 5e299, 1e300]), np.array([0.0, 1.08e308, 1.79e308]))
         with pytest.raises(ProfileError, match="overflows"):
@@ -224,7 +224,7 @@ class TestProfiles:
             load_profile_csv(str(path))
 
 
-# tables the scipy pin below must cover by name, (r, M)
+# (r, M) tables for the special cases of the PCHIP slopes
 PCHIP_TABLES = {
     "two rows": ([0.0, 1.0], [0.0, 0.3]),
     "thin step": ([0.0, 1.0, 1.0 + 1e-7, 2.0], [0.0, 0.0, 0.4, 0.4]),
