@@ -67,6 +67,27 @@ from .grmass import (
     proper_mass_integral,
 )
 
+# frames and montecarlo import numpy, so their names resolve on first use
+# (see __getattr__) and `import spinframes` loads no array library
+_FRAMES_NAMES = (
+    "ComplementaryTriad",
+    "FrameRotation",
+    "SpinRotation",
+    "complementarity_check",
+    "rotate_state",
+    "rotate_triad",
+    "so3_from_su2",
+    "su2_from_axis_angle",
+)
+_MONTECARLO_NAMES = (
+    "EmpiricalCHSH",
+    "RNG_DISCIPLINE",
+    "RunStats",
+    "empirical_chsh",
+    "sample_joint",
+    "sample_single",
+)
+
 __all__ = [
     "__version__",
     "Angle",
@@ -81,14 +102,7 @@ __all__ = [
     "expectation",
     "prepare_state",
     "projection_probabilities",
-    "ComplementaryTriad",
-    "FrameRotation",
-    "SpinRotation",
-    "complementarity_check",
-    "rotate_state",
-    "rotate_triad",
-    "so3_from_su2",
-    "su2_from_axis_angle",
+    *_FRAMES_NAMES,
     "ALL_BELL_STATES",
     "BELL_LABELS",
     "BellState",
@@ -114,12 +128,7 @@ __all__ = [
     "correlation",
     "enumerate_classical_strategies",
     "joint_distribution",
-    "EmpiricalCHSH",
-    "RNG_DISCIPLINE",
-    "RunStats",
-    "empirical_chsh",
-    "sample_joint",
-    "sample_single",
+    *_MONTECARLO_NAMES,
     "JunctionConfig",
     "MassProfile",
     "MassRatioResult",
@@ -136,12 +145,12 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # frames and montecarlo import numpy, so they load on first use of one
-    # of their names and `import spinframes` loads no array library
-    if name not in __all__:
+    if name in _FRAMES_NAMES:
+        from . import frames as module
+    elif name in _MONTECARLO_NAMES:
+        from . import montecarlo as module
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import frames, montecarlo
-
-    value = getattr(frames if hasattr(frames, name) else montecarlo, name)
+    value = getattr(module, name)
     globals()[name] = value
     return value

@@ -330,32 +330,35 @@ def conditional_average(state: BellState, setting: JointSetting, given: Outcome)
 class EnsembleTable:
     """Exact-count table of (Alice, Bob) outcomes realizing a conditional average.
 
-    All counts are integers and the conditional average is an exact
-    Fraction; floats appear only when callers convert for display.
+    Alice's outcome is +1 in every trial, so the table is Bob's two
+    counts. All counts are integers and the conditional average is an
+    exact Fraction; floats appear only when callers convert for display.
     """
 
     theta: Angle
-    trials: tuple[tuple[Outcome, Outcome], ...]
+    bob_up_given_alice_up: int
+    bob_down_given_alice_up: int
+
+    def __post_init__(self):
+        up, down = self.bob_up_given_alice_up, self.bob_down_given_alice_up
+        if min(up, down) < 0:
+            raise DomainError(f"counts must be >= 0, got {up} Bob-up and {down} Bob-down")
 
     @property
     def n(self) -> int:
-        return len(self.trials)
+        return self.bob_up_given_alice_up + self.bob_down_given_alice_up
 
     @property
-    def bob_up_given_alice_up(self) -> int:
-        return sum(1 for a, b in self.trials if a is Outcome.UP and b is Outcome.UP)
-
-    @property
-    def bob_down_given_alice_up(self) -> int:
-        return sum(1 for a, b in self.trials if a is Outcome.UP and b is Outcome.DOWN)
+    def trials(self) -> tuple[tuple[Outcome, Outcome], ...]:
+        """The n (Alice, Bob) trials: the Bob-up rows, then the Bob-down rows."""
+        return (((Outcome.UP, Outcome.UP),) * self.bob_up_given_alice_up
+                + ((Outcome.UP, Outcome.DOWN),) * self.bob_down_given_alice_up)
 
     def conditional_average(self) -> Fraction:
         """Exact mean of Bob's outcomes over trials with Alice = +1."""
-        ups = self.bob_up_given_alice_up
-        downs = self.bob_down_given_alice_up
-        if ups + downs == 0:
+        if self.n == 0:
             raise UndefinedConditionalError("no trials with Alice = +1")
-        return Fraction(ups - downs, ups + downs)
+        return Fraction(self.bob_up_given_alice_up - self.bob_down_given_alice_up, self.n)
 
 
 def _minimal_denominator_fraction(value: float, tol: float) -> Fraction:
@@ -399,8 +402,7 @@ def build_exact_ensemble(theta: Angle, n: int) -> EnsembleTable:
     if n % q != 0:
         raise DomainError(f"n must be a multiple of {q} (got n = {n})")
     ups = (n // q) * frac.numerator
-    rows = [(Outcome.UP, Outcome.UP)] * ups + [(Outcome.UP, Outcome.DOWN)] * (n - ups)
-    return EnsembleTable(theta, tuple(rows))
+    return EnsembleTable(theta, ups, n - ups)
 
 
 def chsh_combination(e_ab: float, e_ab_prime: float, e_a_prime_b: float, e_a_prime_b_prime: float) -> float:

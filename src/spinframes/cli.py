@@ -18,6 +18,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .bell import (
@@ -98,12 +99,6 @@ def _angle_from(args: argparse.Namespace, prefix: str = "theta") -> Angle:
     return Angle(getattr(args, f"{prefix}_rad"))
 
 
-def _outcome_str(o: Outcome | None) -> str:
-    if o is None:
-        return ""
-    return "+1" if o is Outcome.UP else "-1"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinframes",
@@ -175,15 +170,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Output:
-    """What a command produced: JSON data plus its CSV rendering."""
+class _Output(NamedTuple):
+    """What a command produced: its JSON data and the CSV rows it is built
+    from. The CSV header is the keys of the first row."""
 
-    def __init__(self, data, csv_header: list[str], csv_rows: list[list], seed: int | None = None, rng: str | None = None):
-        self.data = data
-        self.csv_header = csv_header
-        self.csv_rows = csv_rows
-        self.seed = seed
-        self.rng = rng
+    data: dict
+    rows: list[dict]
+    seed: int | None = None
+    rng: str | None = None
+
+
+def _one_row(row: dict, **extras) -> _Output:
+    """A one-row table; JSON data is the row plus the JSON-only `extras`."""
+    return _Output({**row, **extras}, [row])
+
+
+def _with_mc(row: dict, stats, seed: int, **mc_extras) -> _Output:
+    """A one-row table with a Monte Carlo estimate: nested under "mc" in
+    JSON, flattened to mc_n, mc_mean and mc_stderr in CSV."""
+    from .montecarlo import RNG_DISCIPLINE
+
+    mc = {"n": stats.n, "mean": stats.mean, "stderr": stats.stderr}
+    flat = {f"mc_{k}": v for k, v in mc.items()}
+    return _Output({**row, "mc": {**mc, **mc_extras}}, [{**row, **flat}], seed, RNG_DISCIPLINE)
 
 
 def _check_trials(n: int) -> None:
@@ -197,25 +206,14 @@ def cmd_spin(args: argparse.Namespace) -> _Output:
     state = prepare_state(Z_AXIS)
     setting = ZX_PLANE.direction(theta)
     dist = projection_probabilities(state, setting)
-    data = {
-        "theta_rad": theta.radians,
-        "p_up": dist.p_up,
-        "p_down": dist.p_down,
-        "expectation": expectation(dist),
-    }
-    header = ["theta_rad", "p_up", "p_down", "expectation"]
-    row = [theta.radians, dist.p_up, dist.p_down, expectation(dist)]
-    seed = None
-    rng = None
-    if args.n > 0:
-        from .montecarlo import RNG_DISCIPLINE, sample_single
+    row = {"theta_rad": theta.radians, "p_up": dist.p_up, "p_down": dist.p_down,
+           "expectation": expectation(dist)}
+    if args.n == 0:
+        return _one_row(row)
+    from .montecarlo import sample_single
 
-        _, stats = sample_single(state, setting, args.n, args.seed, keep_records=False)
-        data["mc"] = {"n": stats.n, "mean": stats.mean, "stderr": stats.stderr}
-        header += ["mc_n", "mc_mean", "mc_stderr"]
-        row += [stats.n, stats.mean, stats.stderr]
-        seed, rng = args.seed, RNG_DISCIPLINE
-    return _Output(data, header, [row], seed, rng)
+    _, stats = sample_single(state, setting, args.n, args.seed, keep_records=False)
+    return _with_mc(row, stats, args.seed)
 
 
 def cmd_bell(args: argparse.Namespace) -> _Output:
@@ -225,127 +223,71 @@ def cmd_bell(args: argparse.Namespace) -> _Output:
     theta = _angle_from(args)
     setting = JointSetting.in_plane(plane, Angle(0.0), theta)
     dist = joint_distribution(state, setting)
-    cond_up = dist.conditional_bob_mean(Outcome.UP)
-    cond_down = dist.conditional_bob_mean(Outcome.DOWN)
-    data = {
+    row = {
         "state": state.label,
         "plane": plane.name,
         "theta_rad": theta.radians,
-        "p_pp": dist.p_pp,
-        "p_pm": dist.p_pm,
-        "p_mp": dist.p_mp,
-        "p_mm": dist.p_mm,
+        **dict(zip(("p_pp", "p_pm", "p_mp", "p_mm"), dist.probabilities())),
         "correlation": dist.correlation,
-        "conditional_given_up": cond_up,
-        "conditional_given_down": cond_down,
+        "conditional_given_up": dist.conditional_bob_mean(Outcome.UP),
+        "conditional_given_down": dist.conditional_bob_mean(Outcome.DOWN),
     }
-    header = [
-        "state", "plane", "theta_rad", "p_pp", "p_pm", "p_mp", "p_mm",
-        "correlation", "conditional_given_up", "conditional_given_down",
-    ]
-    row = [
-        state.label, plane.name, theta.radians, dist.p_pp, dist.p_pm, dist.p_mp,
-        dist.p_mm, dist.correlation, cond_up, cond_down,
-    ]
-    seed = None
-    rng = None
-    if args.n > 0:
-        from .montecarlo import RNG_DISCIPLINE, sample_joint
+    if args.n == 0:
+        return _one_row(row)
+    from .montecarlo import sample_joint
 
-        _, stats = sample_joint(state, setting, args.n, args.seed, keep_records=False)
-        data["mc"] = {
-            "n": stats.n,
-            "mean": stats.mean,
-            "stderr": stats.stderr,
-            "conditional_means": {str(k): v for k, v in stats.conditional_means.items()},
-        }
-        header += ["mc_n", "mc_mean", "mc_stderr"]
-        row += [stats.n, stats.mean, stats.stderr]
-        seed, rng = args.seed, RNG_DISCIPLINE
-    return _Output(data, header, [row], seed, rng)
+    _, stats = sample_joint(state, setting, args.n, args.seed, keep_records=False)
+    means = {str(k): v for k, v in stats.conditional_means.items()}
+    return _with_mc(row, stats, args.seed, conditional_means=means)
 
 
 def cmd_ensemble(args: argparse.Namespace) -> _Output:
     theta = _angle_from(args)
     table = build_exact_ensemble(theta, args.n)
     avg: Fraction = table.conditional_average()
-    trials = [
-        {"index": i, "alice": _outcome_str(a), "bob": _outcome_str(b)}
-        for i, (a, b) in enumerate(table.trials)
-    ]
+    ups = table.bob_up_given_alice_up
+    trials = [{"index": i, "alice": "+1", "bob": "+1" if i < ups else "-1"} for i in range(table.n)]
     data = {
         "theta_rad": theta.radians,
         "n": table.n,
-        "bob_up": table.bob_up_given_alice_up,
+        "bob_up": ups,
         "bob_down": table.bob_down_given_alice_up,
         "average": str(avg),
         "average_float": float(avg),
         "trials": trials,
     }
-    rows = [[t["index"], t["alice"], t["bob"]] for t in trials]
-    rows.append(["average", "", str(avg)])
-    return _Output(data, ["index", "alice", "bob"], rows)
+    return _Output(data, [*trials, {"index": "average", "alice": "", "bob": str(avg)}])
 
 
 def cmd_chsh(args: argparse.Namespace) -> _Output:
     if args.mode == "classical-max":
-        value = chsh_classical_max()
-        data = {"mode": args.mode, "value": value, "strategies": 16}
-        return _Output(data, ["mode", "value"], [[args.mode, value]])
+        return _one_row({"mode": args.mode, "value": chsh_classical_max()}, strategies=16)
 
     state = BellState.from_label(args.state)
     if args.mode == "analytic-max":
-        value, setting = chsh_quantum_max(state)
-        data = {
-            "mode": args.mode,
-            "state": state.label,
-            "plane": setting.plane.name,
-            "value": value,
-            "alice_rad": setting.alice.radians,
-            "alice_prime_rad": setting.alice_prime.radians,
-            "bob_rad": setting.bob.radians,
-            "bob_prime_rad": setting.bob_prime.radians,
-        }
-        header = ["mode", "state", "value", "alice_rad", "alice_prime_rad", "bob_rad", "bob_prime_rad"]
-        row = [args.mode, state.label, value, setting.alice.radians,
-               setting.alice_prime.radians, setting.bob.radians, setting.bob_prime.radians]
-        return _Output(data, header, [row])
+        value, best = chsh_quantum_max(state)
+        angles = {f"{k}_rad": getattr(best, k).radians for k in ("alice", "alice_prime", "bob", "bob_prime")}
+        row = {"mode": args.mode, "state": state.label, "value": value, **angles}
+        return _one_row(row, plane=best.plane.name)
     if args.mode == "scan":
-        points = chsh_scan(state, Angle.from_degrees(args.resolution_deg))
-        data = {
-            "mode": args.mode,
-            "state": state.label,
-            "plane": state.plane.name,
-            "points": [{"angle_rad": a.radians, "s": s} for a, s in points],
-        }
-        rows = [[a.radians, s] for a, s in points]
-        return _Output(data, ["angle_rad", "s"], rows)
+        scan = chsh_scan(state, Angle.from_degrees(args.resolution_deg))
+        points = [{"angle_rad": a.radians, "s": s} for a, s in scan]
+        data = {"mode": args.mode, "state": state.label, "plane": state.plane.name, "points": points}
+        return _Output(data, points)
     # empirical
     from .montecarlo import RNG_DISCIPLINE, empirical_chsh
 
-    quarter = Angle.from_degrees(45.0)
-    setting = CHSHSetting(
-        Angle(0.0), Angle.from_degrees(90.0), quarter, Angle.from_degrees(135.0), state.plane
-    )
+    setting = CHSHSetting(*map(Angle.from_degrees, (0.0, 90.0, 45.0, 135.0)), state.plane)
     est = empirical_chsh(state, setting, args.n, args.seed)
-    data = {
-        "mode": args.mode,
-        "state": state.label,
-        "plane": state.plane.name,
-        "value": est.value,
-        "stderr": est.stderr,
-        "n_per_pair": args.n,
-        "terms": [{"mean": t.mean, "stderr": t.stderr, "n": t.n} for t in est.terms],
-    }
-    header = ["mode", "state", "value", "stderr", "n_per_pair"]
-    row = [args.mode, state.label, est.value, est.stderr, args.n]
-    return _Output(data, header, [row], args.seed, RNG_DISCIPLINE)
+    row = {"mode": args.mode, "state": state.label, "value": est.value, "stderr": est.stderr,
+           "n_per_pair": args.n}
+    terms = [{"mean": t.mean, "stderr": t.stderr, "n": t.n} for t in est.terms]
+    return _Output({**row, "plane": state.plane.name, "terms": terms}, [row], args.seed, RNG_DISCIPLINE)
 
 
 def cmd_grmass_ratio(args: argparse.Namespace) -> _Output:
     result = flrw_mass_ratio(JunctionConfig(args.chi0, args.scale_factor))
-    data = {"chi0": result.chi0, "scale_factor": result.scale_factor, "ratio": result.ratio}
-    return _Output(data, ["chi0", "ratio"], [[result.chi0, result.ratio]])
+    return _one_row({"chi0": result.chi0, "ratio": result.ratio}, scale_factor=result.scale_factor)
 
 
 def cmd_grmass_curve(args: argparse.Namespace) -> _Output:
@@ -356,12 +298,9 @@ def cmd_grmass_curve(args: argparse.Namespace) -> _Output:
             f"grid must satisfy 0 < start < stop < pi, got [{args.start}, {args.stop}]"
         )
     step = (args.stop - args.start) / (args.points - 1)
-    rows = []
-    for i in range(args.points):
-        chi0 = args.start + i * step
-        rows.append([chi0, flrw_mass_ratio(JunctionConfig(chi0)).ratio])
-    data = {"points": [{"chi0": c, "ratio": r} for c, r in rows]}
-    return _Output(data, ["chi0", "ratio"], rows)
+    grid = (args.start + i * step for i in range(args.points))
+    points = [{"chi0": chi0, "ratio": flrw_mass_ratio(JunctionConfig(chi0)).ratio} for chi0 in grid]
+    return _Output({"points": points}, points)
 
 
 def cmd_grmass_binding(args: argparse.Namespace) -> _Output:
@@ -373,28 +312,22 @@ def cmd_grmass_binding(args: argparse.Namespace) -> _Output:
             raise DomainError("--uniform needs --mass")
         if (args.radius is None) == (args.compactness is None):
             raise DomainError("--uniform needs exactly one of --radius or --compactness")
-        if args.radius is not None:
-            radius = args.radius
-        else:
+        radius = args.radius
+        if radius is None:
             if not 0.0 < args.compactness < 1.0:
                 raise DomainError(f"compactness must lie in (0, 1), got {args.compactness}")
             radius = 2.0 * units.G * args.mass / (units.c**2 * args.compactness)
         profile = MassProfile.uniform(args.mass, radius)
     proper = proper_mass_integral(profile, units)
-    compactness = 2.0 * units.G * profile.mass / (units.c**2 * profile.radius)
-    data = {
+    row = {
         "kind": profile.kind,
         "mass": profile.mass,
         "radius": profile.radius,
-        "compactness": compactness,
+        "compactness": 2.0 * units.G * profile.mass / (units.c**2 * profile.radius),
         "proper_mass": proper,
         "ratio": proper / profile.mass,
-        "G": units.G,
-        "c": units.c,
     }
-    header = ["kind", "mass", "radius", "compactness", "proper_mass", "ratio"]
-    row = [profile.kind, profile.mass, profile.radius, compactness, proper, proper / profile.mass]
-    return _Output(data, header, [row])
+    return _one_row(row, G=units.G, c=units.c)
 
 
 def cmd_grmass_metric(args: argparse.Namespace) -> _Output:
@@ -402,26 +335,46 @@ def cmd_grmass_metric(args: argparse.Namespace) -> _Output:
     chi = _angle_from(args, "chi")
     theta = _angle_from(args, "theta")
     g = flrw_metric_components(chi, theta, args.scale_factor, units)
-    names = ["g_tt", "g_chi_chi", "g_theta_theta", "g_phi_phi"]
-    data = {
+    row = {
         "chi_rad": chi.radians,
         "theta_rad": theta.radians,
         "scale_factor": args.scale_factor,
-        **dict(zip(names, g)),
+        **dict(zip(("g_tt", "g_chi_chi", "g_theta_theta", "g_phi_phi"), g)),
     }
-    return _Output(data, ["chi_rad", "theta_rad", "scale_factor", *names],
-                   [[chi.radians, theta.radians, args.scale_factor, *g]])
+    return _one_row(row)
+
+
+def _parameters(args: argparse.Namespace) -> dict:
+    skip = {"func", "command", "gr_command", "format", "timestamp"}
+    return {k: v for k, v in vars(args).items() if k not in skip}
+
+
+def _finite(value) -> bool:
+    """Whether every float in a tree of dicts and lists is finite."""
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _check_finite(args: argparse.Namespace, out: _Output) -> None:
+    """Raise before any byte is written if either format would print a NaN or
+    an infinity: every CSV value is in `out.data`; JSON adds the parameters."""
+    for name, value in _parameters(args).items():
+        if not _finite(value):
+            raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    if not _finite(out.data):
+        raise DomainError("the result is not finite")
 
 
 def _manifest(args: argparse.Namespace, out: _Output) -> dict:
-    skip = {"func", "command", "gr_command", "format", "timestamp"}
-    params = {k: v for k, v in vars(args).items() if k not in skip}
     command = args.command
     if getattr(args, "gr_command", None):
         command = f"{args.command} {args.gr_command}"
     return {
         "command": command,
-        "parameters": params,
+        "parameters": _parameters(args),
         "seed": out.seed,
         "version": __version__,
         "rng": out.rng,
@@ -440,8 +393,8 @@ def _emit(args: argparse.Namespace, out: _Output, stream) -> None:
         stream.write("\n")
     else:
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(out.csv_header)
-        writer.writerows(out.csv_rows)
+        writer.writerow(out.rows[0].keys())
+        writer.writerows(row.values() for row in out.rows)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -452,6 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         out = args.func(args)
+        _check_finite(args, out)
     except (DomainError, ProfileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

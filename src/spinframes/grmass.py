@@ -31,6 +31,7 @@ SERIES_SWITCH = 0.02
 
 QUAD_REL_TOL = 1e-10
 QUAD_MAX_ROUNDS = 50
+QUAD_MAX_SEGMENTS = 2**16  # live segments beyond the table's pieces: bounds the memory of a round
 _HORIZON = "horizon inside the matter: 1 - 2GM(r)/(c^2 r) <= 0 at r = {!r}"
 
 
@@ -115,11 +116,12 @@ class MassProfile:
             raise ProfileError(f"first radius must be 0, got {r[0]!r}")
         if m[0] != 0.0:
             raise ProfileError(f"mass at r = 0 must be 0, got {m[0]!r}")
-        if not (np.diff(r) > 0).all():
-            i = int(np.argmin(np.diff(r) > 0)) + 1
+        # compare neighbours: np.diff overflows for opposite signs near the largest float
+        if not (r[1:] > r[:-1]).all():
+            i = int(np.argmin(r[1:] > r[:-1])) + 1
             raise ProfileError(f"radii must be strictly increasing (row {i + 1})")
-        if not (np.diff(m) >= 0).all():
-            i = int(np.argmin(np.diff(m) >= 0)) + 1
+        if not (m[1:] >= m[:-1]).all():
+            i = int(np.argmin(m[1:] >= m[:-1])) + 1
             raise ProfileError(f"mass must be nondecreasing (row {i + 1})")
         if m[-1] <= 0:
             raise ProfileError("total mass must be positive")
@@ -257,13 +259,13 @@ def _check_no_horizon(x: np.ndarray, c: np.ndarray, k: float) -> None:
     # r - k M(r) is a cubic in u = r - x_i on piece i, so its minimum is at
     # a knot or at a real root of its derivative 1 - k M'(r)
     a, b, q = 3.0 * k * c[0], 2.0 * k * c[1], k * c[2] - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # an overflowing root is dropped, an overflowing k M(r) is a horizon
         s = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * q), b))
         u = np.concatenate([np.diff(x), s / a, q / s])
-    piece = np.tile(np.arange(len(x) - 1), 3)
-    keep = (u > 0.0) & (u <= np.diff(x)[piece])  # nan for complex roots fails both
-    piece, u = piece[keep], u[keep]
-    bad = x[piece] + u - k * _cubic(c[:, piece], u) <= 0.0
+        piece = np.tile(np.arange(len(x) - 1), 3)
+        keep = (u > 0.0) & (u <= np.diff(x)[piece])  # nan for complex roots fails both
+        piece, u = piece[keep], u[keep]
+        bad = x[piece] + u - k * _cubic(c[:, piece], u) <= 0.0
     if bad.any():
         raise DomainError(_HORIZON.format(float((x[piece] + u)[bad].min())))
 
@@ -275,7 +277,8 @@ def proper_mass_integral(profile: MassProfile, units: UnitsConfig = UnitsConfig(
     M * ratio(arcsin sqrt(C)), the dust-cap ratio of `flrw_mass_ratio`. A
     table is integrated over the knot segments of its cubic interpolant,
     bisecting the segments whose error estimate exceeds QUAD_REL_TOL of
-    their value for at most QUAD_MAX_ROUNDS rounds. A horizon inside the
+    their value for at most QUAD_MAX_ROUNDS rounds and QUAD_MAX_SEGMENTS
+    live segments, or ConvergenceError is raised. A horizon inside the
     matter raises DomainError naming its radius; so does a proper mass
     too large for a float, with the mass.
     """
@@ -308,16 +311,19 @@ def _integrate_table(x: np.ndarray, c: np.ndarray, k: float) -> float:
         return 0.5 * width * ((dm / np.sqrt(1.0 - k * _cubic(cp, u) / (x[piece, None] + u))) @ weights)
 
     # Gauss-Legendre rules: 10 points give a segment's value and 5 its error estimate
-    for _ in range(QUAD_MAX_ROUNDS):
-        high = rule(*_gauss_legendre(10))
-        err = np.abs(high - rule(*_gauss_legendre(5)))
-        total = value + float(high.sum())
-        if spent + float(err.sum()) <= QUAD_REL_TOL * total:
-            return total
-        done = err <= QUAD_REL_TOL * np.abs(high)
-        value, spent = value + float(high[done].sum()), spent + float(err[done].sum())
-        piece, start, width = piece[~done], start[~done], 0.5 * width[~done]
-        piece, start, width = np.tile(piece, 2), np.concatenate([start, start + width]), np.tile(width, 2)
+    with np.errstate(all="ignore"):  # a value that is not finite is never done: no warning
+        for _ in range(QUAD_MAX_ROUNDS):
+            high = rule(*_gauss_legendre(10))
+            err = np.abs(high - rule(*_gauss_legendre(5)))
+            total = value + float(high.sum())
+            if spent + float(err.sum()) <= QUAD_REL_TOL * total:
+                return total
+            done = err <= QUAD_REL_TOL * np.abs(high)
+            value, spent = value + float(high[done].sum()), spent + float(err[done].sum())
+            piece, start, width = piece[~done], start[~done], 0.5 * width[~done]
+            piece, start, width = np.tile(piece, 2), np.concatenate([start, start + width]), np.tile(width, 2)
+            if len(piece) > len(x) - 1 + QUAD_MAX_SEGMENTS:  # segments never done double each round
+                break
     raise ConvergenceError(
         f"quadrature error {spent + float(err.sum())!r} exceeds {QUAD_REL_TOL} relative", best=total
     )

@@ -11,6 +11,7 @@ from spinframes import (
     BellState,
     CHSHSetting,
     DomainError,
+    EnsembleTable,
     JointDistribution,
     JointSetting,
     Outcome,
@@ -295,6 +296,23 @@ class TestEnsemble:
         table = build_exact_ensemble(Angle.from_degrees(60.0), 16)
         assert all(a in (Outcome.UP, Outcome.DOWN) for a, _ in table.trials)
         assert all(b in (Outcome.UP, Outcome.DOWN) for _, b in table.trials)
+
+    def test_table_is_the_two_counts(self):
+        table = build_exact_ensemble(Angle.from_degrees(60.0), 8)
+        assert table == EnsembleTable(Angle.from_degrees(60.0), 6, 2)
+        assert table.n == 8
+        assert table.trials == ((Outcome.UP, Outcome.UP),) * 6 + ((Outcome.UP, Outcome.DOWN),) * 2
+
+    @pytest.mark.parametrize("counts", [(-1, 2), (2, -1)])
+    def test_negative_counts_rejected(self, counts):
+        with pytest.raises(DomainError, match=">= 0"):
+            EnsembleTable(Angle(0.0), *counts)
+
+    def test_empty_table_has_no_average(self):
+        table = EnsembleTable(Angle(0.0), 0, 0)
+        assert table.n == 0 and table.trials == ()
+        with pytest.raises(UndefinedConditionalError):
+            table.conditional_average()
 
     def test_incompatible_n_names_minimal_multiple(self):
         with pytest.raises(DomainError, match="multiple of 4"):

@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -9,7 +12,9 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from spinframes import Angle, cli
 from spinframes.bell import MAX_ENSEMBLE_TRIALS, MAX_SCAN_POINTS
 from spinframes.cli import MAX_CURVE_POINTS, OUTPUT_SCHEMA, main
 
@@ -261,6 +266,28 @@ class TestGrmass:
         assert out == ""
         assert "overflows" in err
 
+    @pytest.mark.parametrize("table, flags, error", [
+        # the quadrature nodes underflow to r = 0, where M(r)/r is 0/0
+        ("0,0\n5e-324,5e-324\n", [], "nan"),
+        # the cubic's slope is subnormal, and its error estimate stalls at 4e-6 relative
+        ("0,0\n1.7976931348623157e+308,1e-10\n", ["--geometrized"], "4.440892098500626e-16"),
+    ])
+    def test_binding_quadrature_that_never_converges(self, tmp_path, table, flags, error):
+        # a segment that never converges used to be bisected every round until
+        # memory ran out, so the run gets its own process with its address
+        # space capped at 2 GiB
+        path = tmp_path / "table.csv"
+        path.write_text("r,M\n" + table)
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+            "from spinframes.cli import main\n"
+            f"sys.exit(main(['grmass', 'binding', '--profile', {str(path)!r}, *{flags!r}]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60)
+        assert (proc.returncode, proc.stdout) == (4, b"")
+        assert proc.stderr == f"error: quadrature error {error} exceeds 1e-10 relative\n".encode()
+
     def test_binding_bad_header(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n0,0\n1,1\n")
@@ -333,6 +360,78 @@ def test_n_bounded_by_the_multinomial_draw(capsys, command):
         assert data["n_per_pair"] == 2**63 - 1
     else:
         assert data["mc"]["n"] == 2**63 - 1
+
+
+# sha256 (first 16 hex digits) of stdout in JSON and in CSV, and of stderr,
+# for each argv: a change to how the CLI builds its tables must keep every
+# byte and exit code. The seeded runs also pin numpy's Philox stream.
+EMPTY = "e3b0c44298fc1c14"
+GOLDEN = [
+    ("spin --theta-deg 60", 0, "6ea08527dc57dbd9", "ecd35dd69e57c350", EMPTY),
+    ("spin --theta-rad 1.0 --n 1000 --seed 42", 0, "71e2c767efe6fe01", "5fbdc5eb9de1b77c", EMPTY),
+    ("spin --theta-deg 60 --n -5", 3, EMPTY, EMPTY, "1eeadda1a400037e"),
+    ("bell --state psi+ --theta-deg 60", 0, "fcc36f7a2e437aee", "5b77cd3b76702f5d", EMPTY),
+    ("bell --state singlet --theta-deg 30 --plane xy", 0, "d616d852b5fdc548", "74d3d5e351728161", EMPTY),
+    ("bell --state phi- --theta-deg 45 --n 2000 --seed 7", 0, "0f0b65cb5f8549d8", "25fdc08c6e9a243e", EMPTY),
+    ("ensemble --theta-deg 60 --n 8", 0, "975baf8d50a02712", "9c5047af7a657b3a", EMPTY),
+    ("ensemble --theta-deg 120 --n 4000", 0, "5adb92549b6856ec", "1580079e761537a7", EMPTY),
+    ("ensemble --theta-deg 60 --n 7", 3, EMPTY, EMPTY, "051351b2d7e95518"),
+    ("chsh --mode classical-max", 0, "b7ea7ec167da0859", "1a9f19362becc20b", EMPTY),
+    ("chsh --mode analytic-max --state phi+", 0, "620f85841d5b352b", "176bd2f85069ea4e", EMPTY),
+    ("chsh --mode scan --state psi+ --resolution-deg 0.37", 0, "90042e85fe648f9c", "c09ed5003fa2ddee", EMPTY),
+    ("chsh --mode empirical --state singlet --n 500 --seed 3", 0, "1311d7e7ef1c9d6d", "c253e4335b925905", EMPTY),
+    ("grmass ratio --chi0 1.5707963267948966", 0, "2665e10ddf5013cc", "ea6404a94538f042", EMPTY),
+    ("grmass ratio --chi0 0.5 --scale-factor 2.5", 0, "5fd089f6695e72d7", "b4b5e215b0fed73a", EMPTY),
+    ("grmass ratio-curve --start 0.1 --stop 3.0 --points 50", 0, "f94f26c0ae6ad247", "01fc7da118cced89", EMPTY),
+    ("grmass binding --uniform --mass 1 --compactness 0.5 --geometrized",
+     0, "36dc8869b1f04873", "717f51690000859a", EMPTY),
+    ("grmass binding --uniform --mass 2e30 --radius 1e4", 0, "7eee950e14890bab", "01fccbff4565f21b", EMPTY),
+    ("grmass binding --profile profile.csv --geometrized", 0, "bef909953ac69593", "7a2d75a4403dfcb4", EMPTY),
+    ("grmass metric --chi-deg 90 --theta-deg 90 --geometrized", 0, "4518f076ced7c489", "94fcb010a0bcb504", EMPTY),
+    ("grmass metric --chi-deg 10 --theta-deg 10 --scale-factor 1e-200", 3, EMPTY, EMPTY, "416d40a9be6f7c6d"),
+]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("argv, rc, json_sha, csv_sha, err_sha", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_bytes(tmp_path, monkeypatch, argv, rc, json_sha, csv_sha, err_sha):
+    (tmp_path / "profile.csv").write_text("r,M\n0,0\n0.5,0.025\n1,0.2\n")
+    monkeypatch.chdir(tmp_path)
+    for fmt, want in (("json", json_sha), ("csv", csv_sha)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            got_rc = main(["--format", fmt, *argv.split()])
+        assert (got_rc, _sha(out.getvalue()), _sha(err.getvalue())) == (rc, want, err_sha), fmt
+
+
+class TestFiniteBackstop:
+    """A NaN or an infinity in a result exits 3 before any byte is written."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalar_result(self, capsys, monkeypatch, fmt, bad):
+        monkeypatch.setattr(cli, "chsh_classical_max", lambda: bad)
+        rc, out, err = run_cli(capsys, "--format", fmt, "chsh", "--mode", "classical-max")
+        assert (rc, out) == (3, "")
+        assert err == "error: the result is not finite\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_in_a_bulk_table(self, capsys, monkeypatch, fmt, bad):
+        monkeypatch.setattr(cli, "chsh_scan", lambda state, step: [(Angle(0.0), 2.0), (Angle(1.0), bad)])
+        rc, out, err = run_cli(capsys, "--format", fmt, "chsh", "--mode", "scan")
+        assert (rc, out) == (3, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_unused_parameter(self, capsys, fmt, bad):
+        rc, out, err = run_cli(capsys, "--format", fmt, "chsh", "--mode", "classical-max", f"--resolution-deg={bad}")
+        assert (rc, out) == (3, "")
+        assert err == f"error: --resolution-deg must be finite, got {float(bad)}\n"
 
 
 class TestEnvelope:
@@ -414,6 +513,11 @@ def test_array_libraries_load_only_where_needed(tmp_path):
         capture_output=True, env=_subprocess_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr.decode()
+    # a lazy package name loads only the module that defines it
+    for name, other in (("sample_joint", "frames"), ("so3_from_su2", "montecarlo")):
+        code = f"import sys, spinframes\nspinframes.{name}\nassert 'spinframes.{other}' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_closed_stdout_exits_2_without_traceback():
@@ -431,3 +535,103 @@ def test_closed_stdout_exits_2_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert b"Traceback" not in err and b"Exception" not in err, err
+
+
+# floats at the edges of the double range, written as the CLI reads them
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-320, 1e-200, -1e-200, 1e200, -1e200, 1e308, -1e308,
+    sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan,
+    math.pi, math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0),
+]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-10.0, 10.0), st.floats())
+
+
+def _flag(name: str, values=FLOATS):
+    # `--name=value`, so that argparse does not read "-inf" as an option
+    return values.map(lambda v: [f"--{name}={v!r}"])
+
+
+def _maybe(flag):
+    return st.one_of(st.just([]), flag)
+
+
+def _angle(prefix: str = "theta"):
+    return st.sampled_from(("deg", "rad")).flatmap(lambda unit: _flag(f"{prefix}-{unit}"))
+
+
+def _command(*head: str, parts=()):
+    return st.tuples(*parts).map(lambda ps: [*head, *itertools.chain.from_iterable(ps)])
+
+
+_TRIALS = _flag("n", st.integers(-1, 20))
+_SEED = _maybe(_flag("seed", st.integers(-1, 2**64)))
+_STATE = _maybe(_flag("state", st.sampled_from(("singlet", "psi+", "phi+", "phi-", "nope"))))
+_GEOMETRIZED = st.sampled_from(([], ["--geometrized"]))
+
+FUZZ = {
+    "spin": _command("spin", parts=(_angle(), _maybe(_TRIALS), _SEED)),
+    "bell": _command("bell", parts=(
+        _STATE, _angle(), _maybe(_flag("plane", st.sampled_from(("xy", "zx", "zy")))), _maybe(_TRIALS), _SEED,
+    )),
+    "ensemble": _command("ensemble", parts=(_angle(), _flag("n", st.integers(-1, 24)))),
+    "chsh": _command("chsh", parts=(
+        _flag("mode", st.sampled_from(("analytic-max", "classical-max", "scan", "empirical"))), _STATE,
+        _maybe(_flag("resolution-deg", st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(1.0, 720.0)))),
+        _maybe(_TRIALS), _SEED,
+    )),
+    "ratio": _command("grmass", "ratio", parts=(_flag("chi0"), _maybe(_flag("scale-factor")))),
+    "ratio-curve": _command("grmass", "ratio-curve", parts=(
+        _maybe(_flag("start")), _maybe(_flag("stop")), _maybe(_flag("points", st.integers(-1, 20))),
+    )),
+    "binding": _command("grmass", "binding", parts=(
+        st.sampled_from((["--uniform"], ["--profile", "profile.csv"])),
+        _maybe(_flag("mass")), _maybe(_flag("radius")), _maybe(_flag("compactness")), _GEOMETRIZED,
+    )),
+    "metric": _command("grmass", "metric", parts=(
+        _angle("chi"), _angle(), _maybe(_flag("scale-factor")), _GEOMETRIZED,
+    )),
+}
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _assert_finite_csv(text: str) -> None:
+    rows = list(csv.reader(io.StringIO(text)))
+    assert len(rows) >= 2
+    for cell in itertools.chain.from_iterable(rows[1:]):
+        try:
+            value = float(cell)
+        except ValueError:
+            continue
+        assert math.isfinite(value), text
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_ends_in_a_documented_way(tmp_path, monkeypatch, command, data):
+    """Every call exits 0, 2, 3 or 4, the same in both formats, and prints
+    either nothing or valid output with only finite numbers."""
+    argv = data.draw(FUZZ[command])
+    if "--profile" in argv:
+        values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(0.0, 10.0))
+        rows = data.draw(st.lists(st.tuples(values, values), max_size=3).map(sorted))
+        (tmp_path / "profile.csv").write_text("r,M\n0,0\n" + "".join(f"{r!r},{m!r}\n" for r, m in rows))
+        monkeypatch.chdir(tmp_path)
+    codes = set()
+    for fmt in ("json", "csv"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["--format", fmt, *argv])
+        out, err = out.getvalue(), err.getvalue()
+        assert rc in (0, 2, 3, 4), argv
+        codes.add(rc)
+        if rc != 0:
+            assert out == "" and err, argv
+        elif fmt == "json":
+            jsonschema.validate(json.loads(out, parse_constant=_reject_constant), OUTPUT_SCHEMA)
+        else:
+            _assert_finite_csv(out)
+    assert len(codes) == 1, argv
