@@ -4,10 +4,16 @@ Every draw is +/-1; only the averages reproduce the smooth cos(theta)
 curves, so a run's statistics depend only on its outcome counts.
 Sampling is deterministic for a given seed: one Philox stream seeded by
 SeedSequence(seed) draws the counts with a single multinomial call and,
-when records are kept, then a permutation of the counted outcomes.
+when records are kept, then arranges the counted outcomes in a uniformly
+random order. Each trial first gets an independent 16-bit label cut at
+the counted shares; a few trials of each over-filled outcome, chosen at
+random, then take the missing outcomes in a random order. Every step
+treats all trials alike, so the order is exchangeable, and an
+exchangeable order with fixed counts is uniform.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -27,8 +33,12 @@ _MAX_SEED = 2**64 - 1
 _MAX_TRIALS = 2**63 - 1
 
 _SINGLE_OUTCOMES = np.array([1, -1], dtype=np.int8)
-# outcome pairs indexed 0..3: (+,+), (+,-), (-,+), (-,-)
-_PAIR_OUTCOMES = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int8)
+# outcome pairs indexed 0..3: (+,+), (+,-), (-,+), (-,-), each read as one
+# int16 so that a record row is gathered in one step
+_PAIR_OUTCOMES = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int8).view(np.int16).ravel()
+
+# resolution of the per-trial labels that _arrange cuts at the counted shares
+_LABEL_BITS = 16
 
 
 def _check_seed(seed: int) -> int:
@@ -64,22 +74,55 @@ class RunStats:
         object.__setattr__(self, "conditional_means", MappingProxyType(dict(self.conditional_means)))
 
 
-def _draw(
-    outcomes: np.ndarray, pvals, n: int, seed: int, keep_records: bool
-) -> tuple[list[int], np.ndarray]:
-    """Counts of each row of `outcomes` over n trials, and the records:
-    the counted rows in a seeded random order, or none unless kept."""
+def _ranked_positions(labels: np.ndarray, label: int, have: int, ranks: np.ndarray) -> np.ndarray:
+    """Positions of the trials carrying `label` with the given ranks in
+    trial order. The index is built over the label's own trials or, when
+    they are the larger part, over the other trials, so it takes at most
+    16/3 bytes per trial."""
+    if 3 * have <= 2 * labels.size:
+        return np.flatnonzero(labels == label)[ranks]
+    others = np.flatnonzero(labels != label)
+    others -= np.arange(others.size)  # trials of `label` before each other trial
+    return ranks + np.searchsorted(others, ranks, side="right")
+
+
+def _arrange(gen: np.random.Generator, counts: list[int]) -> np.ndarray:
+    """A uniformly random int8 sequence holding counts[i] copies of label i."""
+    n = sum(counts)
+    # Python ints, so that the cuts cannot overflow
+    cuts = [(c << _LABEL_BITS) // n for c in itertools.accumulate(counts[:-1])]
+    u = gen.integers(0, 1 << _LABEL_BITS, n, dtype=np.uint16)
+    labels = np.zeros(n, dtype=np.int8)
+    above = [n]  # above[i]: trials labelled i or higher
+    for cut in cuts:
+        mask = u >= cut
+        above.append(np.count_nonzero(mask))
+        labels += mask
+        del mask  # one mask alive at a time
+    del u
+    have = [a - b for a, b in zip(above, [*above[1:], 0])]
+    freed = [
+        _ranked_positions(labels, i, h, gen.choice(h, h - k, replace=False, shuffle=False))
+        for i, (h, k) in enumerate(zip(have, counts))
+        if h > k
+    ]
+    if freed:
+        missing = [max(k - h, 0) for h, k in zip(have, counts)]
+        fill = np.repeat(np.arange(len(counts), dtype=np.int8), missing)
+        labels[np.concatenate(freed)] = gen.permutation(fill)
+    return labels
+
+
+def _draw(table: np.ndarray, pvals, n: int, seed: int, keep_records: bool) -> tuple[list[int], np.ndarray]:
+    """Counts of each entry of `table` over n trials, and the records: the
+    counted entries in a seeded random order, or none unless kept."""
     if not 1 <= n <= _MAX_TRIALS:
         raise DomainError(f"n must lie in [1, {_MAX_TRIALS}], got {n}")
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(_check_seed(seed))))
-    counts = gen.multinomial(n, pvals)
-    records = outcomes[:0]
-    if keep_records:
-        # shuffle int8 row indices, not the rows: permuting rows costs an int64 index per trial
-        order = np.repeat(np.arange(len(outcomes), dtype=np.int8), counts)
-        gen.shuffle(order)
-        records = outcomes[order]
-    return [int(k) for k in counts], records
+    counts = gen.multinomial(n, pvals).tolist()
+    # a plain index gathers in buffered chunks; take would cast the whole index to intp
+    records = table[_arrange(gen, counts)] if keep_records else table[:0]
+    return counts, records
 
 
 def _run_stats(seed: int, plus: int, minus: int, conditional=None) -> RunStats:
@@ -125,7 +168,8 @@ def sample_joint(
     keep_records=False.
     """
     dist = joint_distribution(state, setting)
-    (pp, pm, mp, mm), records = _draw(_PAIR_OUTCOMES, dist.probabilities(), n, seed, keep_records)
+    (pp, pm, mp, mm), rows = _draw(_PAIR_OUTCOMES, dist.probabilities(), n, seed, keep_records)
+    records = rows.view(np.int8).reshape(-1, 2)
     conditional = {
         sign: (bob_up - bob_down) / (bob_up + bob_down)
         for sign, bob_up, bob_down in ((1, pp, pm), (-1, mp, mm))

@@ -407,6 +407,18 @@ def test_golden_bytes(tmp_path, monkeypatch, argv, rc, json_sha, csv_sha, err_sh
         assert (got_rc, _sha(out.getvalue()), _sha(err.getvalue())) == (rc, want, err_sha), fmt
 
 
+def test_one_parser_serves_every_call(capsys):
+    good = ("--format", "csv", "grmass", "ratio", "--chi0", "1")
+    first = run_cli(capsys, *good)
+    usage = run_cli(capsys, "grmass", "ratio", "--chi0", "one")
+    third = run_cli(capsys, *good)
+    assert first[0] == 0 and first[1]
+    assert usage[0] == 2 and usage[1] == "" and "invalid float value" in usage[2]
+    assert third == first
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
 class TestFiniteBackstop:
     """A NaN or an infinity in a result exits 3 before any byte is written."""
 

@@ -1,8 +1,11 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import chisquare
 
 from spinframes import (
     ALL_BELL_STATES,
@@ -22,6 +25,7 @@ from spinframes import (
     sample_joint,
     sample_single,
 )
+from spinframes.montecarlo import _arrange, _ranked_positions
 
 UP_STATE = prepare_state(Z_AXIS)
 
@@ -243,3 +247,92 @@ def test_joint_stats_are_those_of_the_records(n, seed, state_idx, alice, bob):
     assert set(stats.conditional_means) == set(np.unique(records[:, 0]).tolist())
     for sign, mean in stats.conditional_means.items():
         assert mean == pytest.approx(b[a == sign].mean(), abs=1e-15)
+
+
+def philox(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+class TestArrange:
+    """`_arrange` returns exactly the counted labels in a uniformly random order."""
+
+    DRAWS = 6000
+    P_MIN = 1e-3
+
+    @pytest.mark.parametrize("counts, seed", [((2, 1, 1, 0), 9101), ((1, 4), 9102), ((3, 3), 9103)])
+    def test_every_arrangement_equally_likely(self, counts, seed):
+        labels = [i for i, k in enumerate(counts) for _ in range(k)]
+        arrangements = sorted(set(itertools.permutations(labels)))
+        index = {a: j for j, a in enumerate(arrangements)}
+        seen = np.zeros(len(arrangements), dtype=np.int64)
+        gen = philox(seed)
+        for _ in range(self.DRAWS):
+            seen[index[tuple(_arrange(gen, list(counts)).tolist())]] += 1
+        assert np.all(seen > 0)
+        assert chisquare(seen).pvalue >= self.P_MIN, seen.tolist()
+
+    def test_all_trials_in_one_label(self):
+        for counts in ([500, 0], [0, 500], [0, 0, 500, 0], [0, 0, 0, 500]):
+            out = _arrange(philox(5), counts)
+            assert out.dtype == np.int8
+            assert np.all(out == counts.index(500))
+
+    def test_label_with_share_below_label_resolution(self):
+        n = 100_000  # one trial in n is below 2**-16
+        positions = set()
+        for seed in range(40):
+            for counts in ([1, n - 1], [n - 1, 1], [0, 1, n - 2, 1]):
+                out = _arrange(philox(seed), counts)
+                assert np.bincount(out, minlength=len(counts)).tolist() == counts
+            positions.add(int(np.flatnonzero(_arrange(philox(seed), [1, n - 1]) == 0)[0]))
+        assert len(positions) > 30
+
+    @pytest.mark.parametrize("share", [0.1, 0.5, 0.9])
+    def test_ranked_positions_from_either_side(self, share):
+        labels = (philox(3).random(5000) < share).astype(np.int8)
+        for label in (0, 1):
+            mine = np.flatnonzero(labels == label)
+            ranks = philox(4).choice(mine.size, min(mine.size, 300), replace=False)
+            got = _ranked_positions(labels, label, mine.size, ranks)
+            assert np.array_equal(got, mine[ranks])
+
+
+@st.composite
+def label_counts(draw):
+    n = draw(st.integers(1, 3000))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=1, max_size=3).filter(lambda c: len(c) in (1, 3))))
+    edges = [0, *cuts, n]
+    return [b - a for a, b in zip(edges, edges[1:])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=label_counts(), seed=st.integers(0, 2**64 - 1))
+def test_arrange_holds_exactly_the_counts(counts, seed):
+    out = _arrange(philox(seed), counts)
+    assert out.dtype == np.int8 and out.shape == (sum(counts),)
+    assert np.bincount(out, minlength=len(counts)).tolist() == counts
+
+
+N_GUARD = 100_000
+RECORD_CALLS = {
+    # the traced benchmark's records call
+    "benchmark-mix": lambda seed: sample_joint(
+        SINGLET, JointSetting.in_plane(SINGLET.plane, Angle(0.0), Angle(1.0)), N_GUARD, seed),
+    "single-1deg": lambda seed: sample_single(UP_STATE, tilted(1.0), N_GUARD, seed),
+    "single-90deg": lambda seed: sample_single(UP_STATE, tilted(90.0), N_GUARD, seed),
+    "phi+-equal": lambda seed: sample_joint(
+        PHI_PLUS, JointSetting.in_plane(PHI_PLUS.plane, Angle(0.4), Angle(0.4)), N_GUARD, seed),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CALLS))
+def test_records_call_memory_per_trial(case):
+    for seed in (1, 2, 3, 4):
+        tracemalloc.start()
+        try:
+            records, _ = RECORD_CALLS[case](seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert records.shape[0] == N_GUARD
+        assert peak / N_GUARD <= 10.0, (seed, peak / N_GUARD)
