@@ -259,7 +259,9 @@ class TestArrange:
     DRAWS = 6000
     P_MIN = 1e-3
 
-    @pytest.mark.parametrize("counts, seed", [((2, 1, 1, 0), 9101), ((1, 4), 9102), ((3, 3), 9103)])
+    @pytest.mark.parametrize(
+        "counts, seed", [((2, 1, 1, 0), 9101), ((1, 4), 9102), ((3, 3), 9103), ((1, 1, 1, 1), 9104)]
+    )
     def test_every_arrangement_equally_likely(self, counts, seed):
         labels = [i for i, k in enumerate(counts) for _ in range(k)]
         arrangements = sorted(set(itertools.permutations(labels)))
@@ -300,7 +302,8 @@ class TestArrange:
 @st.composite
 def label_counts(draw):
     n = draw(st.integers(1, 3000))
-    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=1, max_size=3).filter(lambda c: len(c) in (1, 3))))
+    inner = draw(st.sampled_from([1, 3]))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=inner, max_size=inner)))
     edges = [0, *cuts, n]
     return [b - a for a, b in zip(edges, edges[1:])]
 
