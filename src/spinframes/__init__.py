@@ -67,8 +67,9 @@ from .grmass import (
     proper_mass_integral,
 )
 
-# frames and montecarlo import numpy, so their names resolve on first use
-# (see __getattr__) and `import spinframes` loads no array library
+# frames and montecarlo names resolve on first use (see __getattr__):
+# montecarlo imports numpy, and no CLI command uses frames, whose
+# dataclasses would add a few ms to every `import spinframes`
 _FRAMES_NAMES = (
     "ComplementaryTriad",
     "FrameRotation",

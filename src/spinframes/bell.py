@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, UndefinedConditionalError
 from .spin import (
@@ -31,10 +29,8 @@ from .spin import (
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
+    _check_probabilities,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 PLANE_TOL = 1e-10
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -96,13 +92,14 @@ class BellState:
 
     `psi` holds the four amplitudes ordered (uu, ud, du, dd), as complex
     numbers. Equality ignores global phase. `plane` is the symmetry plane
-    documented in the module docstring.
+    documented in the module docstring. `correlation_tensor` holds the
+    rows of T[i][j] = <sigma_i x sigma_j>, so that E(a, b) = a^T T b.
     """
 
     label: str
     psi: tuple[complex, complex, complex, complex]
     plane: SymmetryPlane
-    _tensor: tuple[tuple[float, float, float], ...] = field(init=False, repr=False)
+    correlation_tensor: tuple[tuple[float, float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -111,7 +108,8 @@ class BellState:
             psi = ()
         if len(psi) != 4:
             raise DomainError("Bell state needs four amplitudes")
-        if abs(sum(abs(x) ** 2 for x in psi) - 1.0) > NORM_TOL:
+        # False for NaN, so a NaN amplitude is rejected
+        if not abs(sum(abs(x) ** 2 for x in psi) - 1.0) <= NORM_TOL:
             raise DomainError("Bell state must be normalized")
         # m[a][b] is the amplitude of Alice a, Bob b; maximal entanglement
         # means both reduced density matrices are I/2
@@ -125,28 +123,14 @@ class BellState:
         bob = [[_pauli_sums([[m[a][b].conjugate() * m[c][d] for d in two] for b in two]) for c in two] for a in two]
         by_j = [_pauli_sums([[bob[a][c][j] for c in two] for a in two]) for j in range(3)]
         object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "_tensor", tuple(tuple(by_j[j][i].real for j in range(3)) for i in range(3)))
+        tensor = tuple(tuple(by_j[j][i].real for j in range(3)) for i in range(3))
+        object.__setattr__(self, "correlation_tensor", tensor)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BellState):
             return NotImplemented
         overlap = sum(x.conjugate() * y for x, y in zip(self.psi, other.psi))
         return abs(abs(overlap) - 1.0) < 1e-10
-
-    @property
-    def is_triplet(self) -> bool:
-        return self.label != "singlet"
-
-    @cached_property
-    def amplitudes(self) -> np.ndarray:
-        """The four amplitudes as a read-only complex array, built once."""
-        return _read_only(self.psi)
-
-    @cached_property
-    def correlation_tensor(self) -> np.ndarray:
-        """T[i, j] = <sigma_i x sigma_j> as a read-only array, built once;
-        E(a, b) = a^T T b."""
-        return _read_only(self._tensor)
 
     @classmethod
     def from_label(cls, label: str) -> "BellState":
@@ -159,14 +143,6 @@ class BellState:
                 "singlet, psi+, phi+, phi- (or triplet_psi_plus, "
                 "triplet_phi_plus, triplet_phi_minus)"
             ) from None
-
-
-def _read_only(values) -> np.ndarray:
-    import numpy as np
-
-    a = np.array(values)
-    a.setflags(write=False)
-    return a
 
 
 _IR2 = 1.0 / math.sqrt(2.0)
@@ -217,10 +193,6 @@ class JointSetting:
     def in_plane(cls, plane: SymmetryPlane, alice: Angle, bob: Angle) -> "JointSetting":
         return cls(plane.direction(alice), plane.direction(bob), plane)
 
-    @property
-    def separation(self) -> Angle:
-        return self.alice.angle_to(self.bob)
-
 
 @dataclass(frozen=True)
 class JointDistribution:
@@ -232,14 +204,7 @@ class JointDistribution:
     p_mm: float
 
     def __post_init__(self):
-        for name in ("p_pp", "p_pm", "p_mp", "p_mm"):
-            p = getattr(self, name)
-            if not math.isfinite(p) or p < -NORM_TOL or p > 1.0 + NORM_TOL:
-                raise DomainError(f"{name} must lie in [0, 1], got {p!r}")
-            object.__setattr__(self, name, min(max(p, 0.0), 1.0))
-        total = self.p_pp + self.p_pm + self.p_mp + self.p_mm
-        if abs(total - 1.0) > NORM_TOL:
-            raise DomainError(f"probabilities must sum to 1, got {total!r}")
+        _check_probabilities(self, ("p_pp", "p_pm", "p_mp", "p_mm"))
 
     @property
     def correlation(self) -> float:
@@ -294,7 +259,7 @@ class CHSHSetting:
 
 def _form(state: BellState, a: UnitVector3, b: UnitVector3) -> float:
     """a^T T b, summed term by term."""
-    t, u, v = state._tensor, (a.x, a.y, a.z), (b.x, b.y, b.z)
+    t, u, v = state.correlation_tensor, (a.x, a.y, a.z), (b.x, b.y, b.z)
     return sum(u[i] * t[i][j] * v[j] for i in range(3) for j in range(3))
 
 

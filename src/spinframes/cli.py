@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import __version__
@@ -245,7 +244,7 @@ def cmd_bell(args: argparse.Namespace) -> _Output:
 def cmd_ensemble(args: argparse.Namespace) -> _Output:
     theta = _angle_from(args)
     table = build_exact_ensemble(theta, args.n)
-    avg: Fraction = table.conditional_average()
+    avg = table.conditional_average()
     ups = table.bob_up_given_alice_up
     trials = [{"index": i, "alice": "+1", "bob": "+1" if i < ups else "-1"} for i in range(table.n)]
     data = {

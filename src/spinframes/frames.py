@@ -5,13 +5,15 @@ Spin rotations act on amplitudes in SU(2); their images under the 2-to-1
 covering map are the SO(3) rotations relating frames in real space.
 Matched rotations of state and settings leave all outcome statistics
 unchanged.
+
+Every SU(2) matrix is [[a, -conj(b)], [b, conj(a)]] with |a|^2 + |b|^2 = 1,
+so rotations are rows of plain complex or float numbers, checked, composed
+and applied in closed form.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 from .spin import (
@@ -26,75 +28,84 @@ from .spin import (
     projection_probabilities,
 )
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-IDENTITY_2 = np.eye(2, dtype=complex)
+
+def _rows(matrix, n: int, kind: type, what: str) -> tuple[tuple, ...]:
+    """The rows of an n x n matrix as tuples of `kind` (complex or float)."""
+    try:
+        rows = tuple(tuple(kind(x) for x in row) for row in matrix)
+    except (TypeError, ValueError):
+        rows = ()
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise DomainError(f"{what} must be {n}x{n} with {kind.__name__} entries")
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
 class SpinRotation:
-    """2x2 unitary with unit determinant acting on qubit amplitudes."""
+    """2x2 unitary with unit determinant acting on qubit amplitudes, stored
+    as the complex rows ((a, -conj(b)), (b, conj(a))), |a|^2 + |b|^2 = 1."""
 
-    matrix: np.ndarray
+    matrix: tuple[tuple[complex, complex], tuple[complex, complex]]
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise DomainError(f"spin rotation must be 2x2, got shape {m.shape}")
-        if np.abs(m @ m.conj().T - IDENTITY_2).max() > NORM_TOL:
-            raise DomainError("spin rotation must be unitary")
-        det = complex(np.linalg.det(m))
-        if abs(det - 1.0) > NORM_TOL:
-            raise DomainError(f"spin rotation must have det 1, got {det!r}")
-        m.setflags(write=False)
+        m = _rows(self.matrix, 2, complex, "spin rotation")
+        (a, c), (b, d) = m
+        # every comparison is False for NaN, so a NaN entry is rejected
+        if not (abs(d - a.conjugate()) <= NORM_TOL and abs(c + b.conjugate()) <= NORM_TOL
+                and abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= NORM_TOL):
+            raise DomainError("spin rotation must be [[a, -conj(b)], [b, conj(a)]] with |a|^2 + |b|^2 = 1")
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def identity(cls) -> "SpinRotation":
-        return cls(IDENTITY_2)
+        return cls(((1.0, 0.0), (0.0, 1.0)))
 
     def compose(self, other: "SpinRotation") -> "SpinRotation":
         """Rotation equal to applying `other` first, then this one."""
-        return SpinRotation(self.matrix @ other.matrix)
+        (a, b), (c, d) = self.matrix
+        (e, f), (g, h) = other.matrix
+        return SpinRotation(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
 
     def apply(self, state: QubitState) -> QubitState:
-        a = self.matrix @ state.amplitudes
-        return QubitState(a[0], a[1])
+        (a, b), (c, d) = self.matrix
+        up, down = state.amp_up, state.amp_down
+        return QubitState(a * up + b * down, c * up + d * down)
 
     def __neg__(self) -> "SpinRotation":
-        return SpinRotation(-self.matrix)
+        return SpinRotation(tuple(tuple(-x for x in row) for row in self.matrix))
 
 
 @dataclass(frozen=True, eq=False)
 class FrameRotation:
-    """3x3 proper orthogonal matrix rotating directions in real space."""
+    """3x3 proper orthogonal matrix rotating directions in real space,
+    stored as three rows of floats."""
 
-    matrix: np.ndarray
+    matrix: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise DomainError(f"frame rotation must be 3x3, got shape {m.shape}")
-        if np.abs(m @ m.T - np.eye(3)).max() > NORM_TOL:
+        m = _rows(self.matrix, 3, float, "frame rotation")
+        (a, b, c), (d, e, f), (g, h, k) = m
+        # the entries of M M^T - I; every comparison is False for NaN
+        gram = (a * a + b * b + c * c - 1.0, d * d + e * e + f * f - 1.0, g * g + h * h + k * k - 1.0,
+                a * d + b * e + c * f, a * g + b * h + c * k, d * g + e * h + f * k)
+        if not all(abs(x) <= NORM_TOL for x in gram):
             raise DomainError("frame rotation must be orthogonal")
-        det = float(np.linalg.det(m))
-        if abs(det - 1.0) > NORM_TOL:
+        det = a * (e * k - f * h) + b * (f * g - d * k) + c * (d * h - e * g)
+        if not abs(det - 1.0) <= NORM_TOL:
             raise DomainError(f"frame rotation must have det +1, got {det!r}")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def identity(cls) -> "FrameRotation":
-        return cls(np.eye(3))
+        return cls(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
     def compose(self, other: "FrameRotation") -> "FrameRotation":
-        return FrameRotation(self.matrix @ other.matrix)
+        cols = tuple(zip(*other.matrix))
+        rows = (tuple(r[0] * c[0] + r[1] * c[1] + r[2] * c[2] for c in cols) for r in self.matrix)
+        return FrameRotation(tuple(rows))
 
     def apply(self, v: UnitVector3) -> UnitVector3:
-        w = self.matrix @ v.as_array()
-        return UnitVector3.normalized(w[0], w[1], w[2])
+        return UnitVector3.normalized(*(r[0] * v.x + r[1] * v.y + r[2] * v.z for r in self.matrix))
 
 
 @dataclass(frozen=True)
@@ -129,10 +140,13 @@ class ComplementaryTriad:
 
 
 def su2_from_axis_angle(axis: UnitVector3, angle: Angle) -> SpinRotation:
-    """exp(-i angle/2 axis.sigma) in closed form (cos/sin of the half angle)."""
+    """exp(-i angle/2 axis.sigma) = cos(h) I - i sin(h) axis.sigma with h the
+    half angle, whose first column is (cos h - i s n_z, s n_y - i s n_x)
+    for s = sin(h)."""
     half = angle.radians / 2.0
-    n_sigma = axis.x * PAULI[0] + axis.y * PAULI[1] + axis.z * PAULI[2]
-    return SpinRotation(math.cos(half) * IDENTITY_2 - 1j * math.sin(half) * n_sigma)
+    c, s = math.cos(half), math.sin(half)
+    a, b = complex(c, -s * axis.z), complex(s * axis.y, -s * axis.x)
+    return SpinRotation(((a, -b.conjugate()), (b, a.conjugate())))
 
 
 def so3_from_su2(u: SpinRotation) -> FrameRotation:
@@ -142,17 +156,16 @@ def so3_from_su2(u: SpinRotation) -> FrameRotation:
     n. Writing U = q0 I - i q.sigma with a unit quaternion (q0, q), R is
     the quaternion rotation matrix. Both U and -U map to the same R.
     """
-    m = u.matrix
-    q0, q3 = m[0, 0].real, -m[0, 0].imag
-    q2, q1 = -m[0, 1].real, -m[0, 1].imag
-    r = np.array(
-        [
-            [q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3, 2 * (q1 * q2 - q0 * q3), 2 * (q1 * q3 + q0 * q2)],
-            [2 * (q1 * q2 + q0 * q3), q0 * q0 - q1 * q1 + q2 * q2 - q3 * q3, 2 * (q2 * q3 - q0 * q1)],
-            [2 * (q1 * q3 - q0 * q2), 2 * (q2 * q3 + q0 * q1), q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3],
-        ]
+    (a, c), _ = u.matrix
+    q0, q3 = a.real, -a.imag
+    q2, q1 = -c.real, -c.imag
+    return FrameRotation(
+        (
+            (q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3, 2 * (q1 * q2 - q0 * q3), 2 * (q1 * q3 + q0 * q2)),
+            (2 * (q1 * q2 + q0 * q3), q0 * q0 - q1 * q1 + q2 * q2 - q3 * q3, 2 * (q2 * q3 - q0 * q1)),
+            (2 * (q1 * q3 - q0 * q2), 2 * (q2 * q3 + q0 * q1), q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3),
+        )
     )
-    return FrameRotation(r)
 
 
 def rotate_state(state: QubitState, u: SpinRotation) -> QubitState:

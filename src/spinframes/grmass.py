@@ -57,10 +57,6 @@ class UnitsConfig:
             raise DomainError(f"c must be positive, got {self.c!r}")
 
     @classmethod
-    def si(cls) -> "UnitsConfig":
-        return cls()
-
-    @classmethod
     def geometrized(cls) -> "UnitsConfig":
         return cls(G=1.0, c=1.0, geometrized_flag=True)
 

@@ -16,12 +16,8 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,11 +87,6 @@ class UnitVector3:
             st * math.cos(phi.radians), st * math.sin(phi.radians), math.cos(theta.radians)
         )
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.x, self.y, self.z])
-
     def dot(self, other: "UnitVector3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
@@ -135,12 +126,6 @@ class QubitState:
             raise DomainError(f"amplitudes must be normalized, got |psi|^2 = {n2!r}")
 
     @property
-    def amplitudes(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.amp_up, self.amp_down])
-
-    @property
     def bloch_vector(self) -> UnitVector3:
         """(<sigma_x>, <sigma_y>, <sigma_z>) = (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2)
         for amplitudes (a, b); a unit vector for pure states."""
@@ -174,14 +159,22 @@ class OutcomeDistribution:
     p_down: float
 
     def __post_init__(self):
-        for name in ("p_up", "p_down"):
-            p = getattr(self, name)
-            if not math.isfinite(p) or p < -NORM_TOL or p > 1.0 + NORM_TOL:
-                raise DomainError(f"{name} must lie in [0, 1], got {p!r}")
-            object.__setattr__(self, name, min(max(p, 0.0), 1.0))
-        total = self.p_up + self.p_down
-        if abs(total - 1.0) > NORM_TOL:
-            raise DomainError(f"probabilities must sum to 1, got {total!r}")
+        _check_probabilities(self, ("p_up", "p_down"))
+
+
+def _check_probabilities(dist, names: tuple[str, ...]) -> None:
+    """Clamp the named fields of a frozen distribution into [0, 1] and check
+    that they sum to 1, both to 1e-12; raise DomainError otherwise."""
+    total = 0.0
+    for name in names:
+        p = getattr(dist, name)
+        if not math.isfinite(p) or p < -NORM_TOL or p > 1.0 + NORM_TOL:
+            raise DomainError(f"{name} must lie in [0, 1], got {p!r}")
+        p = min(max(p, 0.0), 1.0)
+        object.__setattr__(dist, name, p)
+        total += p
+    if abs(total - 1.0) > NORM_TOL:
+        raise DomainError(f"probabilities must sum to 1, got {total!r}")
 
 
 def prepare_state(direction: UnitVector3) -> QubitState:

@@ -208,10 +208,10 @@ def test_10_rotation_double_cover_and_invariance():
 
         for _ in range(1000):
             u1, u2 = su2(), su2()
-            left = so3_from_su2(u1.compose(u2)).matrix
-            right = (so3_from_su2(u1).compose(so3_from_su2(u2))).matrix
+            left = np.asarray(so3_from_su2(u1.compose(u2)).matrix)
+            right = np.asarray((so3_from_su2(u1).compose(so3_from_su2(u2))).matrix)
             assert np.abs(left - right).max() <= 1e-10
-            assert np.abs(so3_from_su2(-u1).matrix - so3_from_su2(u1).matrix).max() <= 1e-10
+            assert np.abs(np.asarray(so3_from_su2(-u1).matrix) - np.asarray(so3_from_su2(u1).matrix)).max() <= 1e-10
 
         for _ in range(200):
             d, s, u = direction(), direction(), su2()

@@ -61,7 +61,7 @@ SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 def kron_born_probabilities(state: BellState, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     """p(i, j) = <psi| P_a^i x P_b^j |psi> with explicit Kronecker products,
     in the order (++, +-, -+, --)."""
-    psi = state.amplitudes
+    psi = np.array(state.psi)
 
     def projector(n, sign):
         return (np.eye(2) + sign * np.tensordot(n, SIGMA, 1)) / 2.0
@@ -80,10 +80,12 @@ def lattice_chsh_max(state: BellState, step_deg: float) -> float:
     with every correlation taken from explicit Kronecker products."""
     t = np.radians(np.arange(0.0, 360.0, step_deg))
     plane = state.plane
-    dirs = np.outer(np.cos(t), plane.e1.as_array()) + np.outer(np.sin(t), plane.e2.as_array())
+    e1, e2 = (np.array([e.x, e.y, e.z]) for e in (plane.e1, plane.e2))
+    dirs = np.outer(np.cos(t), e1) + np.outer(np.sin(t), e2)
     obs = np.tensordot(dirs, SIGMA, 1)  # n.sigma for every lattice direction
     kron = np.einsum("iab,jcd->ijacbd", obs, obs).reshape(len(t), len(t), 4, 4)
-    e = np.einsum("k,ijkl,l->ij", state.amplitudes.conj(), kron, state.amplitudes).real
+    psi = np.array(state.psi)
+    e = np.einsum("k,ijkl,l->ij", psi.conj(), kron, psi).real
     # for each (a, a'), b and b' maximise their own terms independently
     plus = (e[:, None, :] + e[None, :, :]).max(axis=-1)
     minus = (e[None, :, :] - e[:, None, :]).max(axis=-1)
@@ -140,8 +142,13 @@ class TestBellStates:
         with pytest.raises(DomainError):
             BellState("big", np.array([0.0, 1.0, -1.0, 0.0]), ZX_PLANE)
 
+    def test_rejects_nan_amplitude(self):
+        r = 1.0 / math.sqrt(2.0)
+        with pytest.raises(DomainError):
+            BellState("x", (math.nan, r, -r, 0.0), ZX_PLANE)
+
     def test_equality_ignores_global_phase(self):
-        flipped = BellState("singlet", -SINGLET.amplitudes, ZX_PLANE)
+        flipped = BellState("singlet", -np.array(SINGLET.psi), ZX_PLANE)
         assert flipped == SINGLET
 
     def test_correlation_tensors_are_diagonal_signatures(self):
@@ -195,7 +202,7 @@ class TestJointDistribution:
             for _ in range(100):
                 a, b = random_direction(rng), random_direction(rng)
                 got = joint_distribution(state, JointSetting(a, b)).probabilities()
-                want = kron_born_probabilities(state, a.as_array(), b.as_array())
+                want = kron_born_probabilities(state, np.array([a.x, a.y, a.z]), np.array([b.x, b.y, b.z]))
                 assert np.abs(np.array(got) - want).max() <= 1e-12
 
     def test_marginals_are_unbiased_for_bell_states(self):

@@ -511,6 +511,10 @@ def test_array_libraries_load_only_where_needed(tmp_path):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert spinframes.cli.main(argv) == 0, argv\n"
         "assert not loaded('numpy') and not loaded('scipy'), 'import'\n"
+        "u = spinframes.su2_from_axis_angle(spinframes.Y_AXIS, spinframes.Angle(1.0))\n"
+        "r = spinframes.so3_from_su2(u.compose(-u))\n"
+        "spinframes.rotate_state(spinframes.prepare_state(r.apply(spinframes.X_AXIS)), u)\n"
+        "assert not loaded('numpy'), 'frames'\n"
         "scalar, array = json.loads(sys.argv[1])\n"
         "for argv in scalar:\n"
         "    for fmt in ('json', 'csv'):\n"

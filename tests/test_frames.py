@@ -21,7 +21,55 @@ from spinframes import (
     so3_from_su2,
     su2_from_axis_angle,
 )
+from spinframes.spin import NORM_TOL
 from conftest import random_direction
+
+# The numpy route that frames once took, kept as the oracle for its closed
+# forms: a Pauli sum for exp(-i angle/2 n.sigma), the quaternion formula on
+# that array, R_ij = tr(sigma_i U sigma_j U^dagger) / 2, and the U U^dagger
+# and determinant checks.
+SIGMA = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+IDENTITY_2 = np.eye(2, dtype=complex)
+
+
+def oracle_su2(axis: UnitVector3, angle: Angle) -> np.ndarray:
+    half = angle.radians / 2.0
+    n_sigma = axis.x * SIGMA[0] + axis.y * SIGMA[1] + axis.z * SIGMA[2]
+    return math.cos(half) * IDENTITY_2 - 1j * math.sin(half) * n_sigma
+
+
+def oracle_quaternion_so3(m: np.ndarray) -> np.ndarray:
+    q0, q3 = m[0, 0].real, -m[0, 0].imag
+    q2, q1 = -m[0, 1].real, -m[0, 1].imag
+    return np.array(
+        [
+            [q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3, 2 * (q1 * q2 - q0 * q3), 2 * (q1 * q3 + q0 * q2)],
+            [2 * (q1 * q2 + q0 * q3), q0 * q0 - q1 * q1 + q2 * q2 - q3 * q3, 2 * (q2 * q3 - q0 * q1)],
+            [2 * (q1 * q3 - q0 * q2), 2 * (q2 * q3 + q0 * q1), q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3],
+        ]
+    )
+
+
+def oracle_trace_so3(m: np.ndarray) -> np.ndarray:
+    return np.array([[0.5 * np.trace(si @ m @ sj @ m.conj().T).real for sj in SIGMA] for si in SIGMA])
+
+
+def oracle_accepts(m: np.ndarray) -> bool:
+    """U U^dagger = I and det U = 1, each to NORM_TOL."""
+    unitary = np.abs(m @ m.conj().T - np.eye(len(m))).max() <= NORM_TOL
+    return bool(unitary and abs(np.linalg.det(m) - 1.0) <= NORM_TOL)
+
+
+def accepts(cls, m: np.ndarray) -> bool:
+    try:
+        cls(m)
+    except DomainError:
+        return False
+    return True
 
 
 def random_su2(rng):
@@ -43,6 +91,20 @@ class TestConstruction:
         with pytest.raises(DomainError):
             FrameRotation(2.0 * np.eye(3))
 
+    @pytest.mark.parametrize("cls", [SpinRotation, FrameRotation])
+    @pytest.mark.parametrize("bad", [None, 5, [1.0, 0.0], np.eye(4), [["a", "b"], ["c", "d"]], [[1j] * 3] * 3])
+    def test_malformed_matrix_is_a_domain_error(self, cls, bad):
+        with pytest.raises(DomainError):
+            cls(bad)
+
+    def test_spin_rotation_rejects_nan(self):
+        with pytest.raises(DomainError):
+            SpinRotation([[math.nan, 0.0], [0.0, math.nan]])
+
+    def test_frame_rotation_rejects_nan(self):
+        with pytest.raises(DomainError):
+            FrameRotation(np.full((3, 3), math.nan))
+
     def test_identity(self):
         assert np.allclose(SpinRotation.identity().matrix, np.eye(2))
         assert np.allclose(FrameRotation.identity().matrix, np.eye(3))
@@ -57,8 +119,8 @@ class TestDoubleCover:
     def test_negated_su2_gives_same_so3(self, rng):
         for _ in range(100):
             u = random_su2(rng)
-            r1 = so3_from_su2(u).matrix
-            r2 = so3_from_su2(-u).matrix
+            r1 = np.asarray(so3_from_su2(u).matrix)
+            r2 = np.asarray(so3_from_su2(-u).matrix)
             assert np.abs(r1 - r2).max() <= 1e-10
 
     def test_full_turn_negates_su2(self, rng):
@@ -67,13 +129,13 @@ class TestDoubleCover:
             t = float(rng.uniform(0.0, 2 * math.pi))
             u = su2_from_axis_angle(axis, Angle(t))
             u_plus_turn = su2_from_axis_angle(axis, Angle(t + 2 * math.pi))
-            assert np.abs(u_plus_turn.matrix + u.matrix).max() <= 1e-10
+            assert np.abs(np.asarray(u_plus_turn.matrix) + np.asarray(u.matrix)).max() <= 1e-10
 
     def test_homomorphism(self, rng):
         for _ in range(200):
             u1, u2 = random_su2(rng), random_su2(rng)
-            left = so3_from_su2(u1.compose(u2)).matrix
-            right = so3_from_su2(u1).compose(so3_from_su2(u2)).matrix
+            left = np.asarray(so3_from_su2(u1.compose(u2)).matrix)
+            right = np.asarray(so3_from_su2(u1).compose(so3_from_su2(u2)).matrix)
             assert np.abs(left - right).max() <= 1e-10
 
 
@@ -105,6 +167,63 @@ class TestRotationAction:
         r12 = so3_from_su2(u1.compose(u2))
         step = so3_from_su2(u1).apply(so3_from_su2(u2).apply(d))
         assert r12.apply(d).dot(step) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestOracle:
+    """The closed forms against the numpy route above, on random axes and angles."""
+
+    def test_su2_and_so3_equal_the_oracle_exactly(self, rng):
+        for _ in range(500):
+            axis, angle = random_direction(rng), Angle(float(rng.uniform(-4 * math.pi, 4 * math.pi)))
+            u = su2_from_axis_angle(axis, angle)
+            m = oracle_su2(axis, angle)
+            assert np.array_equal(np.asarray(u.matrix), m)
+            r = np.asarray(so3_from_su2(u).matrix)
+            assert np.array_equal(r, oracle_quaternion_so3(m))
+            assert np.abs(r - oracle_trace_so3(m)).max() <= 1e-15
+
+    def test_action_and_composition_agree_with_the_oracle(self, rng):
+        for _ in range(500):
+            u1, u2 = random_su2(rng), random_su2(rng)
+            m1, m2 = np.asarray(u1.matrix), np.asarray(u2.matrix)
+            r1, r2 = so3_from_su2(u1), so3_from_su2(u2)
+            state, d = prepare_state(random_direction(rng)), random_direction(rng)
+            rotated = rotate_state(state, u1)
+            want = m1 @ np.array([state.amp_up, state.amp_down])
+            assert np.abs(np.array([rotated.amp_up, rotated.amp_down]) - want).max() <= 1e-15
+            moved = r1.apply(d)
+            want = UnitVector3.normalized(*(np.asarray(r1.matrix) @ np.array([d.x, d.y, d.z])))
+            assert max(abs(moved.x - want.x), abs(moved.y - want.y), abs(moved.z - want.z)) <= 1e-15
+            assert np.abs(np.asarray(u1.compose(u2).matrix) - m1 @ m2).max() <= 1e-15
+            want = np.asarray(r1.matrix) @ np.asarray(r2.matrix)
+            assert np.abs(np.asarray(r1.compose(r2).matrix) - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("noise, accepted", [(1e-14, True), (1e-9, False)])
+    def test_constructors_accept_and_reject_as_the_oracle_does(self, rng, noise, accepted):
+        for _ in range(50):
+            m = np.asarray(random_su2(rng).matrix)
+            r = np.asarray(so3_from_su2(random_su2(rng)).matrix)
+            cases = (
+                (SpinRotation, m, noise * (rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)))),
+                (FrameRotation, r, noise * rng.uniform(-1, 1, (3, 3))),
+            )
+            for cls, exact, delta in cases:
+                # every entry at once; a scaling, which in SU(2) only the
+                # norm condition catches; then each entry alone, which
+                # only the condition on that entry catches
+                noisy = [exact + delta, exact * (1.0 + noise)]
+                for index in np.ndindex(exact.shape):
+                    noisy.append(exact.copy())
+                    noisy[-1][index] += noise
+                for x in noisy:
+                    assert accepts(cls, x) is oracle_accepts(x) is accepted, (cls, x)
+
+    def test_det_minus_one_rejected_as_by_the_oracle(self, rng):
+        for _ in range(200):
+            m = 1j * np.asarray(random_su2(rng).matrix)  # unitary, det = -1
+            r = -np.asarray(so3_from_su2(random_su2(rng)).matrix)  # orthogonal, det = -1
+            assert not accepts(SpinRotation, m) and not oracle_accepts(m)
+            assert not accepts(FrameRotation, r) and not oracle_accepts(r)
 
 
 class TestComplementaryTriad:
