@@ -29,10 +29,10 @@ from .spin import (
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
+    _check_integer,
     _check_probabilities,
 )
 
-PLANE_TOL = 1e-10
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 # Denominators above this have no practical exact-count ensemble.
@@ -68,13 +68,6 @@ class SymmetryPlane:
             c * self.e1.z + s * self.e2.z,
         )
 
-    @property
-    def normal(self) -> UnitVector3:
-        return UnitVector3.normalized(*self.e1.cross(self.e2))
-
-    def contains(self, v: UnitVector3, tol: float = PLANE_TOL) -> bool:
-        return abs(v.dot(self.normal)) <= tol
-
 
 XY_PLANE = SymmetryPlane("xy", X_AXIS, Y_AXIS)
 ZX_PLANE = SymmetryPlane("zx", Z_AXIS, X_AXIS)
@@ -104,7 +97,7 @@ class BellState:
     def __post_init__(self):
         try:
             psi = tuple(complex(x) for x in self.psi)
-        except TypeError:
+        except (TypeError, ValueError):
             psi = ()
         if len(psi) != 4:
             raise DomainError("Bell state needs four amplitudes")
@@ -175,23 +168,14 @@ BELL_LABELS = ("singlet", "psi+", "phi+", "phi-")
 
 @dataclass(frozen=True)
 class JointSetting:
-    """Measurement directions for Alice and Bob, optionally tagged in-plane."""
+    """Measurement directions for Alice and Bob."""
 
     alice: UnitVector3
     bob: UnitVector3
-    plane: SymmetryPlane | None = None
-
-    def __post_init__(self):
-        if self.plane is not None:
-            for who, v in (("alice", self.alice), ("bob", self.bob)):
-                if not self.plane.contains(v):
-                    raise DomainError(
-                        f"{who} setting is not in the {self.plane.name} plane"
-                    )
 
     @classmethod
     def in_plane(cls, plane: SymmetryPlane, alice: Angle, bob: Angle) -> "JointSetting":
-        return cls(plane.direction(alice), plane.direction(bob), plane)
+        return cls(plane.direction(alice), plane.direction(bob))
 
 
 @dataclass(frozen=True)
@@ -305,9 +289,11 @@ class EnsembleTable:
     bob_down_given_alice_up: int
 
     def __post_init__(self):
-        up, down = self.bob_up_given_alice_up, self.bob_down_given_alice_up
-        if min(up, down) < 0:
-            raise DomainError(f"counts must be >= 0, got {up} Bob-up and {down} Bob-down")
+        for name in ("bob_up_given_alice_up", "bob_down_given_alice_up"):
+            count = _check_integer(getattr(self, name), name)
+            if count < 0:
+                raise DomainError(f"{name} must be >= 0, got {count}")
+            object.__setattr__(self, name, count)
 
     @property
     def n(self) -> int:
@@ -353,6 +339,7 @@ def build_exact_ensemble(theta: Angle, n: int) -> EnsembleTable:
     +1 in every row (the table realizes the conditioned view), with
     n*p/q Bob-up rows followed by the Bob-down rows.
     """
+    n = _check_integer(n, "n")
     if not 0 < n <= MAX_ENSEMBLE_TRIALS:
         raise DomainError(f"n must lie in [1, {MAX_ENSEMBLE_TRIALS}], got {n}")
     c = math.cos(theta.radians / 2.0) ** 2

@@ -177,7 +177,6 @@ class _Output(NamedTuple):
     data: dict
     rows: list[dict]
     seed: int | None = None
-    rng: str | None = None
 
 
 def _one_row(row: dict, **extras) -> _Output:
@@ -185,14 +184,12 @@ def _one_row(row: dict, **extras) -> _Output:
     return _Output({**row, **extras}, [row])
 
 
-def _with_mc(row: dict, stats, seed: int, **mc_extras) -> _Output:
+def _with_mc(row: dict, stats, **mc_extras) -> _Output:
     """A one-row table with a Monte Carlo estimate: nested under "mc" in
     JSON, flattened to mc_n, mc_mean and mc_stderr in CSV."""
-    from .montecarlo import RNG_DISCIPLINE
-
     mc = {"n": stats.n, "mean": stats.mean, "stderr": stats.stderr}
     flat = {f"mc_{k}": v for k, v in mc.items()}
-    return _Output({**row, "mc": {**mc, **mc_extras}}, [{**row, **flat}], seed, RNG_DISCIPLINE)
+    return _Output({**row, "mc": {**mc, **mc_extras}}, [{**row, **flat}], stats.seed)
 
 
 def _check_trials(n: int) -> None:
@@ -213,7 +210,7 @@ def cmd_spin(args: argparse.Namespace) -> _Output:
     from .montecarlo import sample_single
 
     _, stats = sample_single(state, setting, args.n, args.seed, keep_records=False)
-    return _with_mc(row, stats, args.seed)
+    return _with_mc(row, stats)
 
 
 def cmd_bell(args: argparse.Namespace) -> _Output:
@@ -238,7 +235,7 @@ def cmd_bell(args: argparse.Namespace) -> _Output:
 
     _, stats = sample_joint(state, setting, args.n, args.seed, keep_records=False)
     means = {str(k): v for k, v in stats.conditional_means.items()}
-    return _with_mc(row, stats, args.seed, conditional_means=means)
+    return _with_mc(row, stats, conditional_means=means)
 
 
 def cmd_ensemble(args: argparse.Namespace) -> _Output:
@@ -275,14 +272,14 @@ def cmd_chsh(args: argparse.Namespace) -> _Output:
         data = {"mode": args.mode, "state": state.label, "plane": state.plane.name, "points": points}
         return _Output(data, points)
     # empirical
-    from .montecarlo import RNG_DISCIPLINE, empirical_chsh
+    from .montecarlo import empirical_chsh
 
     setting = CHSHSetting(*map(Angle.from_degrees, (0.0, 90.0, 45.0, 135.0)), state.plane)
     est = empirical_chsh(state, setting, args.n, args.seed)
     row = {"mode": args.mode, "state": state.label, "value": est.value, "stderr": est.stderr,
            "n_per_pair": args.n}
     terms = [{"mean": t.mean, "stderr": t.stderr, "n": t.n} for t in est.terms]
-    return _Output({**row, "plane": state.plane.name, "terms": terms}, [row], args.seed, RNG_DISCIPLINE)
+    return _Output({**row, "plane": state.plane.name, "terms": terms}, [row], est.seed)
 
 
 def cmd_grmass_ratio(args: argparse.Namespace) -> _Output:
@@ -372,12 +369,15 @@ def _manifest(args: argparse.Namespace, out: _Output) -> dict:
     command = args.command
     if getattr(args, "gr_command", None):
         command = f"{args.command} {args.gr_command}"
+    rng = None
+    if out.seed is not None:  # only Monte Carlo runs are seeded, and they loaded numpy already
+        from .montecarlo import RNG_DISCIPLINE as rng
     return {
         "command": command,
         "parameters": _parameters(args),
         "seed": out.seed,
         "version": __version__,
-        "rng": out.rng,
+        "rng": rng,
         "timestamp": datetime.now(timezone.utc).isoformat() if args.timestamp else None,
     }
 

@@ -48,7 +48,6 @@ class UnitsConfig:
 
     G: float = 6.67430e-11
     c: float = 299792458.0
-    geometrized_flag: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.G) and self.G > 0):
@@ -58,7 +57,7 @@ class UnitsConfig:
 
     @classmethod
     def geometrized(cls) -> "UnitsConfig":
-        return cls(G=1.0, c=1.0, geometrized_flag=True)
+        return cls(G=1.0, c=1.0)
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,11 @@ class MassProfile:
         """
         import numpy as np
 
-        r = np.asarray(r, dtype=float)
-        m = np.asarray(m, dtype=float)
+        try:
+            r = np.asarray(r, dtype=float)
+            m = np.asarray(m, dtype=float)
+        except (TypeError, ValueError):
+            raise ProfileError("r and M must be sequences of numbers") from None
         if r.ndim != 1 or r.shape != m.shape:
             raise ProfileError("r and M must be one-dimensional and the same length")
         if len(r) < 2:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bell import BellState, CHSHSetting, JointSetting, chsh_combination, joint_distribution
 from .errors import DomainError
-from .spin import QubitState, UnitVector3, projection_probabilities
+from .spin import QubitState, UnitVector3, _check_integer, projection_probabilities
 
 RNG_DISCIPLINE = "philox:seedsequence:multinomial-counts"
 
@@ -32,21 +32,15 @@ _MAX_SEED = 2**64 - 1
 # Generator.multinomial takes n as a C long
 _MAX_TRIALS = 2**63 - 1
 
-_SINGLE_OUTCOMES = np.array([1, -1], dtype=np.int8)
-# outcome pairs indexed 0..3: (+,+), (+,-), (-,+), (-,-), each read as one
-# int16 so that a record row is gathered in one step
-_PAIR_OUTCOMES = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int8).view(np.int16).ravel()
-
 # resolution of the per-trial labels that _arrange cuts at the counted shares
 _LABEL_BITS = 16
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) <= _MAX_SEED:
+    value = _check_integer(seed, "seed")
+    if not 0 <= value <= _MAX_SEED:
         raise DomainError(f"seed must fit in an unsigned 64-bit integer, got {seed!r}")
-    return int(seed)
+    return value
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,6 @@ class RunStats:
     mean: float
     stderr: float
     seed: int
-    rng: str = RNG_DISCIPLINE
     conditional_means: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -113,16 +106,16 @@ def _arrange(gen: np.random.Generator, counts: list[int]) -> np.ndarray:
     return labels
 
 
-def _draw(table: np.ndarray, pvals, n: int, seed: int, keep_records: bool) -> tuple[list[int], np.ndarray]:
-    """Counts of each entry of `table` over n trials, and the records: the
-    counted entries in a seeded random order, or none unless kept."""
+def _draw(pvals, n: int, seed: int, keep_records: bool) -> tuple[list[int], np.ndarray]:
+    """Counts of each label (index into `pvals`) over n trials, and the
+    labels: the counted labels in a seeded random order, or none unless kept."""
+    n = _check_integer(n, "n")
     if not 1 <= n <= _MAX_TRIALS:
         raise DomainError(f"n must lie in [1, {_MAX_TRIALS}], got {n}")
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(_check_seed(seed))))
     counts = gen.multinomial(n, pvals).tolist()
-    # a plain index gathers in buffered chunks; take would cast the whole index to intp
-    records = table[_arrange(gen, counts)] if keep_records else table[:0]
-    return counts, records
+    labels = _arrange(gen, counts) if keep_records else np.zeros(0, dtype=np.int8)
+    return counts, labels
 
 
 def _run_stats(seed: int, plus: int, minus: int, conditional=None) -> RunStats:
@@ -148,7 +141,8 @@ def sample_single(
     array instead (the statistics are unchanged).
     """
     dist = projection_probabilities(state, setting)
-    (up, down), records = _draw(_SINGLE_OUTCOMES, [dist.p_up, dist.p_down], n, seed, keep_records)
+    (up, down), labels = _draw([dist.p_up, dist.p_down], n, seed, keep_records)
+    records = 1 - 2 * labels if keep_records else labels
     return records, _run_stats(int(seed), up, down)
 
 
@@ -168,8 +162,9 @@ def sample_joint(
     keep_records=False.
     """
     dist = joint_distribution(state, setting)
-    (pp, pm, mp, mm), rows = _draw(_PAIR_OUTCOMES, dist.probabilities(), n, seed, keep_records)
-    records = rows.view(np.int8).reshape(-1, 2)
+    (pp, pm, mp, mm), labels = _draw(dist.probabilities(), n, seed, keep_records)
+    # label (a << 1) | b holds the outcomes 1 - 2a for Alice and 1 - 2b for Bob
+    records = 1 - 2 * np.stack((labels >> 1, labels & 1), axis=1) if keep_records else labels.reshape(0, 2)
     conditional = {
         sign: (bob_up - bob_down) / (bob_up + bob_down)
         for sign, bob_up, bob_down in ((1, pp, pm), (-1, mp, mm))
@@ -199,7 +194,8 @@ def empirical_chsh(
 ) -> EmpiricalCHSH:
     """Estimate S by sampling each of the four correlations with its own
     sub-seed derived from `seed`; same inputs, same estimate."""
-    term_seeds = np.random.SeedSequence(_check_seed(seed)).spawn(4)
+    seed = _check_seed(seed)
+    term_seeds = np.random.SeedSequence(seed).spawn(4)
     stats = []
     for (a, b), child in zip(setting.pairs(), term_seeds):
         js = JointSetting.in_plane(setting.plane, a, b)
@@ -208,4 +204,4 @@ def empirical_chsh(
         stats.append(run)
     value = chsh_combination(*(s.mean for s in stats))
     stderr = math.sqrt(sum(s.stderr**2 for s in stats))
-    return EmpiricalCHSH(value, stderr, tuple(stats), _check_seed(seed))
+    return EmpiricalCHSH(value, stderr, tuple(stats), seed)

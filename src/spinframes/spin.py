@@ -15,6 +15,8 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -175,6 +177,13 @@ def _check_probabilities(dist, names: tuple[str, ...]) -> None:
         total += p
     if abs(total - 1.0) > NORM_TOL:
         raise DomainError(f"probabilities must sum to 1, got {total!r}")
+
+
+def _check_integer(value, name: str) -> int:
+    """`value` as an int; it must be an int or a numpy integer, never a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def prepare_state(direction: UnitVector3) -> QubitState:

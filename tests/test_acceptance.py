@@ -130,12 +130,12 @@ def test_05_average_only_conservation():
 
 
 def test_06_chsh_bounds():
-    with criterion(6, "classical max 2 exactly; quantum max 2*sqrt(2) +/- 1e-6; <10s"):
+    with criterion(6, "classical max 2 exactly; quantum max 2*sqrt(2) +/- 1e-12; <10s"):
         start = time.perf_counter()
         assert chsh_classical_max() == 2.0
         for state in ALL_BELL_STATES:
             value, setting = chsh_quantum_max(state)
-            assert abs(value - TSIRELSON_BOUND) <= 1e-6
+            assert abs(value - TSIRELSON_BOUND) <= 1e-12
         for state in ALL_BELL_STATES:
             points = chsh_scan(state, Angle(math.radians(1.0)))
             assert all(abs(s) <= TSIRELSON_BOUND + 1e-9 for _, s in points)

@@ -21,6 +21,14 @@ REMOVED = [
     ("bell", "JointSetting.separation"),
     ("bell", "_read_only"),
     ("grmass", "UnitsConfig.si"),
+    ("bell", "JointSetting.plane"),
+    ("bell", "SymmetryPlane.normal"),
+    ("bell", "SymmetryPlane.contains"),
+    ("bell", "PLANE_TOL"),
+    ("montecarlo", "RunStats.rng"),
+    ("grmass", "UnitsConfig.geometrized_flag"),
+    ("montecarlo", "_SINGLE_OUTCOMES"),
+    ("montecarlo", "_PAIR_OUTCOMES"),
 ]
 
 

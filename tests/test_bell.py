@@ -25,7 +25,6 @@ from spinframes import (
     UnitVector3,
     X_AXIS,
     XY_PLANE,
-    Y_AXIS,
     ZX_PLANE,
     ZY_PLANE,
     build_exact_ensemble,
@@ -147,6 +146,11 @@ class TestBellStates:
         with pytest.raises(DomainError):
             BellState("x", (math.nan, r, -r, 0.0), ZX_PLANE)
 
+    @pytest.mark.parametrize("psi", ["abcd", ("1", "0", "0", "x")])
+    def test_rejects_malformed_amplitudes(self, psi):
+        with pytest.raises(DomainError, match="four amplitudes"):
+            BellState("x", psi, ZX_PLANE)
+
     def test_equality_ignores_global_phase(self):
         flipped = BellState("singlet", -np.array(SINGLET.psi), ZX_PLANE)
         assert flipped == SINGLET
@@ -172,17 +176,9 @@ class TestPlanes:
         v = ZX_PLANE.direction(Angle.from_degrees(90.0))
         assert v.dot(X_AXIS) == pytest.approx(1.0, abs=1e-12)
 
-    def test_contains(self):
-        assert XY_PLANE.contains(X_AXIS)
-        assert not XY_PLANE.contains(ZX_PLANE.direction(Angle.from_degrees(30.0)))
-
     def test_rejects_skew_axes(self):
         with pytest.raises(DomainError):
             SymmetryPlane("bad", X_AXIS, X_AXIS)
-
-    def test_setting_outside_plane_rejected(self):
-        with pytest.raises(DomainError, match="plane"):
-            JointSetting(X_AXIS, Y_AXIS, plane=ZX_PLANE)
 
 
 class TestJointDistribution:

@@ -79,10 +79,9 @@ class TestUnits:
         u = UnitsConfig()
         assert u.G == pytest.approx(6.6743e-11, rel=1e-4)
         assert u.c == 299792458.0
-        assert not u.geometrized_flag
 
     def test_geometrized(self):
-        assert (GEOM.G, GEOM.c, GEOM.geometrized_flag) == (1.0, 1.0, True)
+        assert (GEOM.G, GEOM.c) == (1.0, 1.0)
 
     def test_constants_must_be_positive(self):
         with pytest.raises(DomainError):
@@ -187,6 +186,11 @@ class TestProfiles:
             MassProfile.from_table(np.array([0.0, 0.5, 0.5]), np.array([0.0, 0.5, 1.0]))
         with pytest.raises(ProfileError, match="nondecreasing"):
             MassProfile.from_table(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.7, 0.6]))
+
+    @pytest.mark.parametrize("r, m", [(["0", "1"], ["0", "x"]), ([[0.0, 1.0], [2.0]], [0.0, 1.0])])
+    def test_table_must_hold_numbers(self, r, m):
+        with pytest.raises(ProfileError, match="numbers"):
+            MassProfile.from_table(r, m)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "profile.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -12,6 +13,7 @@ from spinframes import (
     Angle,
     CHSHSetting,
     DomainError,
+    EnsembleTable,
     JointSetting,
     PHI_PLUS,
     RNG_DISCIPLINE,
@@ -20,8 +22,11 @@ from spinframes import (
     TSIRELSON_BOUND,
     Z_AXIS,
     ZX_PLANE,
+    build_exact_ensemble,
     empirical_chsh,
+    joint_distribution,
     prepare_state,
+    projection_probabilities,
     sample_joint,
     sample_single,
 )
@@ -60,6 +65,34 @@ class TestSeeds:
         _, stats = sample_single(UP_STATE, tilted(60.0), 2**63 - 1, seed=1, keep_records=False)
         assert stats.n == 2**63 - 1
         assert abs(stats.mean - 0.5) < 1e-6
+
+
+SIXTY = Angle.from_degrees(60.0)
+CHSH_SETTING = CHSHSetting(*map(Angle.from_degrees, (0.0, 90.0, 45.0, 135.0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_exact_ensemble(SIXTY, 8.0),
+    lambda: build_exact_ensemble(Angle(0.0), True),
+    lambda: EnsembleTable(SIXTY, 1.5, 2),
+    lambda: EnsembleTable(SIXTY, 6, False),
+    lambda: sample_single(UP_STATE, tilted(60.0), 10.5, seed=1),
+    lambda: sample_single(UP_STATE, tilted(60.0), True, seed=1),
+    lambda: sample_joint(SINGLET, JointSetting.in_plane(ZX_PLANE, Angle(0.0), SIXTY), np.float64(100.0), seed=1),
+    lambda: empirical_chsh(SINGLET, CHSH_SETTING, 100.0, seed=1),
+], ids=["ensemble-float", "ensemble-bool", "table-float", "table-bool", "single-float", "single-bool",
+        "joint-numpy-float", "chsh-float"])
+def test_integer_arguments_reject_non_integers(call):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_arguments_become_ints():
+    table = build_exact_ensemble(SIXTY, np.int64(8))
+    counts = (table.bob_up_given_alice_up, table.bob_down_given_alice_up)
+    assert counts == (6, 2) and all(type(c) is int for c in counts)
+    records, stats = sample_single(UP_STATE, tilted(60.0), np.int32(10), seed=np.uint64(3))
+    assert records.shape == (10,) and type(stats.n) is int and stats.n == 10
 
 
 class TestDeterminism:
@@ -185,6 +218,52 @@ class TestConvergence:
         assert est.value == pytest.approx(2.0, abs=1e-12)
 
 
+# sha256 of records.tobytes() for UP_STATE at 60 degrees and PHI_PLUS at
+# (0, 60) degrees, recorded when records were still gathered from outcome
+# tables; (n, seed, single, joint)
+RECORD_PINS = [
+    (1, 0, "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+     "ca2fd00fa001190744c15c317643ab092e7048ce086a243e2be9437c898de1bb"),
+    (1, 2**64 - 1, "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+     "4b3a43f592f577fcfcb5b0e1f42bec5182c9edc414e1f667528f56e7cf0be11d"),
+    (1000, 0, "53e458900074c25a96974a058b36e15357cd8b837e62e52db16c90e81e5efacf",
+     "449078f427552a94d6a41233151f1b3dddc972de2130b711eaf100bd2f4b4722"),
+    (1000, 7, "33d9d9b2c5b90471579b2ae61d89144e9158e1e78e5b93043ab46463d6f909ba",
+     "aca33881dd6233077c411b89996554748c6b6ffb82601fb8f44bab2936b5706e"),
+    (1000, 2**64 - 1, "e03909d08f67e6acdbb0a26d5f89d97004bd16ca8e274d5b4e8ccb381a14e981",
+     "9a6684a9790cbeddb0b4297bcc83fb6cc560e81d5fbb21f600a14bd1eab279cb"),
+    (100_000, 0, "879f72883d811fa25ce52a675f7cf914114c9a5a7b7c1146806e0234f86ee003",
+     "cf45a266f422c7399eba55229257da09ab1f76f96ff26ededf8b4ed20cda671e"),
+    (100_000, 7, "80b4156e5babc46a76c3a5e9b4f660f8360f1ade8abfff7f141a4304ab8e3f81",
+     "46557a80427f58b79add65c8988678205a5a29a74cad75bf68e276ea03d6d96f"),
+    (100_000, 2**64 - 1, "6c6743a3aca394d9346db4db6e2c167f9e8488957ef658d0927650685edd007b",
+     "1cba55d2b4603c7eb3f760dbfc68c999246afe34abc9f56c8aa22eb32eadbf41"),
+]
+
+# the outcomes of each label, as a table to gather from
+SINGLE_TABLE = np.array([1, -1], dtype=np.int8)
+PAIR_TABLE = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int8)
+
+
+def gathered_records(table: np.ndarray, pvals, n: int, seed: int) -> np.ndarray:
+    """Records drawn as the library draws them, then looked up in `table`."""
+    gen = philox(seed)
+    return table[_arrange(gen, gen.multinomial(n, pvals).tolist())]
+
+
+@pytest.mark.parametrize("n, seed, single_sha, joint_sha", RECORD_PINS)
+def test_records_match_their_pins_and_the_table_oracle(n, seed, single_sha, joint_sha):
+    setting = JointSetting.in_plane(PHI_PLUS.plane, Angle(0.0), SIXTY)
+    single, _ = sample_single(UP_STATE, tilted(60.0), n, seed)
+    joint, _ = sample_joint(PHI_PLUS, setting, n, seed)
+    assert hashlib.sha256(single.tobytes()).hexdigest() == single_sha
+    assert hashlib.sha256(joint.tobytes()).hexdigest() == joint_sha
+    dist = projection_probabilities(UP_STATE, tilted(60.0))
+    assert np.array_equal(single, gathered_records(SINGLE_TABLE, [dist.p_up, dist.p_down], n, seed))
+    pvals = joint_distribution(PHI_PLUS, setting).probabilities()
+    assert np.array_equal(joint, gathered_records(PAIR_TABLE, pvals, n, seed))
+
+
 class TestRunStats:
     def test_stderr_matches_sample_std(self):
         records, stats = sample_single(UP_STATE, tilted(60.0), 400, seed=31)
@@ -193,8 +272,6 @@ class TestRunStats:
         assert stats.stderr == pytest.approx(values.std(ddof=1) / 20.0, abs=1e-15)
 
     def test_rng_discipline_recorded(self):
-        _, stats = sample_single(UP_STATE, tilted(60.0), 10, seed=0)
-        assert stats.rng == RNG_DISCIPLINE
         assert "philox" in RNG_DISCIPLINE
 
     def test_mean_range_enforced(self):
