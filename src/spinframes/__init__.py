@@ -53,7 +53,6 @@ from .bell import (
     chsh_value,
     conditional_average,
     correlation,
-    enumerate_classical_strategies,
     joint_distribution,
 )
 from .grmass import (
@@ -127,7 +126,6 @@ __all__ = [
     "chsh_value",
     "conditional_average",
     "correlation",
-    "enumerate_classical_strategies",
     "joint_distribution",
     *_MONTECARLO_NAMES,
     "JunctionConfig",

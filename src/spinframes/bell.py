@@ -284,7 +284,6 @@ class EnsembleTable:
     exact Fraction; floats appear only when callers convert for display.
     """
 
-    theta: Angle
     bob_up_given_alice_up: int
     bob_down_given_alice_up: int
 
@@ -354,7 +353,7 @@ def build_exact_ensemble(theta: Angle, n: int) -> EnsembleTable:
     if n % q != 0:
         raise DomainError(f"n must be a multiple of {q} (got n = {n})")
     ups = (n // q) * frac.numerator
-    return EnsembleTable(theta, ups, n - ups)
+    return EnsembleTable(ups, n - ups)
 
 
 def chsh_combination(e_ab: float, e_ab_prime: float, e_a_prime_b: float, e_a_prime_b_prime: float) -> float:
@@ -368,26 +367,14 @@ def chsh_value(state: BellState, s: CHSHSetting) -> float:
     return chsh_combination(*es)
 
 
-def enumerate_classical_strategies() -> list[tuple[tuple[int, int, int, int], int]]:
-    """All 16 deterministic local strategies and their exact S values.
-
-    A strategy assigns +/-1 to each of Alice's settings (a, a') and each
-    of Bob's (b, b'); S is then integer-valued.
-    """
-    out = []
-    signs = (1, -1)
-    for aa in signs:
-        for aap in signs:
-            for bb in signs:
-                for bbp in signs:
-                    s = aa * bb - aa * bbp + aap * bb + aap * bbp
-                    out.append(((aa, aap, bb, bbp), s))
-    return out
-
-
 def chsh_classical_max() -> float:
-    """Maximum S over all deterministic local strategies: exactly 2."""
-    return float(max(s for _, s in enumerate_classical_strategies()))
+    """Maximum S over all local deterministic strategies: exactly 2.
+
+    CHSH (Clauser, Horne, Shimony and Holt, PRL 23, 880 (1969)): with
+    values a, a', b, b' in {+1, -1}, S = a (b - b') + a' (b + b'). One
+    bracket is 0 and the other is +/-2, so |S| = 2 for every strategy.
+    """
+    return 2.0
 
 
 def _plane_correlation_matrix(state: BellState) -> tuple[tuple[float, float], tuple[float, float]]:

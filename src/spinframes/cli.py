@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -57,6 +58,10 @@ SCHEMA_VERSION = 1
 
 # Largest grid one `grmass ratio-curve` call may ask for.
 MAX_CURVE_POINTS = 10**6
+
+# JSON encoder chunks joined into one write: a write per chunk costs more
+# than the encoding, and a batch stays small, so bulk output still streams.
+JSON_WRITE_BATCH = 1024
 
 # jsonschema for every JSON envelope this tool prints
 OUTPUT_SCHEMA = {
@@ -283,8 +288,8 @@ def cmd_chsh(args: argparse.Namespace) -> _Output:
 
 
 def cmd_grmass_ratio(args: argparse.Namespace) -> _Output:
-    result = flrw_mass_ratio(JunctionConfig(args.chi0, args.scale_factor))
-    return _one_row({"chi0": result.chi0, "ratio": result.ratio}, scale_factor=result.scale_factor)
+    cfg = JunctionConfig(args.chi0, args.scale_factor)
+    return _one_row({"chi0": cfg.chi0, "ratio": flrw_mass_ratio(cfg).ratio}, scale_factor=cfg.scale_factor)
 
 
 def cmd_grmass_curve(args: argparse.Namespace) -> _Output:
@@ -389,7 +394,10 @@ def _emit(args: argparse.Namespace, out: _Output, stream) -> None:
             "manifest": _manifest(args, out),
             "data": out.data,
         }
-        json.dump(envelope, stream, indent=2, sort_keys=True)
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(envelope)
+        # every chunk is a non-empty token, so only the end gives an empty batch
+        while batch := "".join(itertools.islice(chunks, JSON_WRITE_BATCH)):
+            stream.write(batch)
         stream.write("\n")
     else:
         writer = csv.writer(stream, lineterminator="\n")

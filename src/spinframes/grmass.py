@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, ProfileError
 from .spin import Angle
@@ -52,27 +52,28 @@ class UnitsConfig:
     def __post_init__(self):
         if not (math.isfinite(self.G) and self.G > 0):
             raise DomainError(f"G must be positive, got {self.G!r}")
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise DomainError(f"c must be positive, got {self.c!r}")
+        # k = 2G/c^2 and g_tt = -c^2 need c^2 to be a positive normal float
+        if not (self.c > 0 and sys.float_info.min <= self.c * self.c < math.inf):
+            raise DomainError(f"c must be positive with c^2 in the normal float range, got {self.c!r}")
 
     @classmethod
     def geometrized(cls) -> "UnitsConfig":
         return cls(G=1.0, c=1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MassProfile:
     """Cumulative mass M(r) of a spherical body on [0, R].
 
     M(r) is nondecreasing with M(0) = 0 and M(R) = the total dynamic
-    mass. `kind` records how the profile was built ("uniform" or
-    "table").
+    mass. A tabulated profile holds its `spline`: the knots x and the
+    coefficients c of the cubic ((c[0] u + c[1]) u + c[2]) u + c[3] in
+    u = r - x[i] on piece i. A uniform ball has no spline.
     """
 
     mass: float
     radius: float
-    kind: str
-    _mass_of: Callable[[float], float]
+    spline: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.mass) and self.mass > 0):
@@ -83,12 +84,22 @@ class MassProfile:
     def mass_within(self, r: float) -> float:
         if not 0.0 <= r <= self.radius * (1 + 1e-12):
             raise DomainError(f"r = {r!r} outside the profile's [0, {self.radius}]")
-        return float(self._mass_of(min(r, self.radius)))
+        r = min(r, self.radius)
+        if self.spline is None:
+            return float(self.mass * (r / self.radius) ** 3)
+        x, c = self.spline
+        i = min(int(x.searchsorted(r, "right")) - 1, len(x) - 2)
+        return float(_cubic(c[:, i], r - x[i]))
+
+    @property
+    def kind(self) -> str:
+        """How the profile was built: "uniform" or "table"."""
+        return "uniform" if self.spline is None else "table"
 
     @classmethod
     def uniform(cls, mass: float, radius: float) -> "MassProfile":
         """Constant-density ball: M(r) = M (r/R)^3."""
-        return cls(mass, radius, "uniform", lambda r: mass * (r / radius) ** 3)
+        return cls(mass, radius)
 
     @classmethod
     def from_table(cls, r: np.ndarray, m: np.ndarray) -> "MassProfile":
@@ -127,19 +138,7 @@ class MassProfile:
             c = _pchip_coefficients(r, m)
         if not np.isfinite(c).all():
             raise ProfileError("the cubic through the table overflows a float")
-        return cls(float(m[-1]), float(r[-1]), "table", _Pchip(r, c))
-
-
-@dataclass(frozen=True, eq=False)
-class _Pchip:
-    """Cubic ((c[0] u + c[1]) u + c[2]) u + c[3] in u = r - x[i] on piece i."""
-
-    x: np.ndarray
-    c: np.ndarray
-
-    def __call__(self, r: float) -> float:
-        i = min(int(self.x.searchsorted(r, "right")) - 1, len(self.x) - 2)
-        return _cubic(self.c[:, i], r - self.x[i])
+        return cls(float(m[-1]), float(r[-1]), (r, c))
 
 
 def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -215,11 +214,9 @@ class JunctionConfig:
 
 @dataclass(frozen=True)
 class MassRatioResult:
-    """Proper-to-dynamic mass ratio with its inputs echoed."""
+    """Proper-to-dynamic mass ratio M_p/M, at least 1."""
 
     ratio: float
-    chi0: float
-    scale_factor: float
 
     def __post_init__(self):
         if self.ratio < 1.0:
@@ -241,7 +238,7 @@ def flrw_mass_ratio(cfg: JunctionConfig) -> MassRatioResult:
     series below chi0 = SERIES_SWITCH. The ratio grows from 1 (flat limit) and
     diverges as chi0 approaches pi.
     """
-    return MassRatioResult(_ratio_of(cfg.chi0), cfg.chi0, cfg.scale_factor)
+    return MassRatioResult(_ratio_of(cfg.chi0))
 
 
 def _cubic(c: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -281,13 +278,13 @@ def proper_mass_integral(profile: MassProfile, units: UnitsConfig = UnitsConfig(
     too large for a float, with the mass.
     """
     k = 2.0 * units.G / units.c**2
-    if profile.kind == "uniform":
+    if profile.spline is None:
         compactness = k * profile.mass / profile.radius
         if compactness >= 1.0:
             raise DomainError(_HORIZON.format(profile.radius))
         proper = profile.mass * _ratio_of(math.asin(math.sqrt(compactness)))
     else:
-        proper = _integrate_table(profile._mass_of.x, profile._mass_of.c, k)
+        proper = _integrate_table(*profile.spline, k)
     if not math.isfinite(proper):
         raise DomainError(f"proper mass of a profile of mass {profile.mass!r} overflows a float")
     return proper

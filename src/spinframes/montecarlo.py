@@ -60,10 +60,15 @@ class RunStats:
     conditional_means: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"n must be positive, got {self.n}")
+        n = _check_integer(self.n, "n")
+        if n < 1:
+            raise DomainError(f"n must be positive, got {n}")
         if not -1.0 <= self.mean <= 1.0:
             raise DomainError(f"mean of +/-1 outcomes must lie in [-1, 1], got {self.mean!r}")
+        if not 0.0 <= self.stderr < math.inf:
+            raise DomainError(f"stderr must be finite and >= 0, got {self.stderr!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         object.__setattr__(self, "conditional_means", MappingProxyType(dict(self.conditional_means)))
 
 
@@ -143,7 +148,7 @@ def sample_single(
     dist = projection_probabilities(state, setting)
     (up, down), labels = _draw([dist.p_up, dist.p_down], n, seed, keep_records)
     records = 1 - 2 * labels if keep_records else labels
-    return records, _run_stats(int(seed), up, down)
+    return records, _run_stats(seed, up, down)
 
 
 def sample_joint(
@@ -170,7 +175,7 @@ def sample_joint(
         for sign, bob_up, bob_down in ((1, pp, pm), (-1, mp, mm))
         if bob_up + bob_down
     }
-    return records, _run_stats(int(seed), pp + mm, pm + mp, conditional)
+    return records, _run_stats(seed, pp + mm, pm + mp, conditional)
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,8 @@ def _check_probabilities(dist, names: tuple[str, ...]) -> None:
 
 def _check_integer(value, name: str) -> int:
     """`value` as an int; it must be an int or a numpy integer, never a bool."""
+    if type(value) is int:  # the common case, without the slow ABC check below
+        return value
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)

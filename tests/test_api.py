@@ -29,6 +29,8 @@ REMOVED = [
     ("grmass", "UnitsConfig.geometrized_flag"),
     ("montecarlo", "_SINGLE_OUTCOMES"),
     ("montecarlo", "_PAIR_OUTCOMES"),
+    ("bell", "enumerate_classical_strategies"),
+    ("grmass", "_Pchip"),
 ]
 
 

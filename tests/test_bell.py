@@ -34,7 +34,6 @@ from spinframes import (
     chsh_value,
     conditional_average,
     correlation,
-    enumerate_classical_strategies,
     joint_distribution,
     su2_from_axis_angle,
 )
@@ -53,6 +52,16 @@ ROTATED = BellState(
     ZX_PLANE,
 )
 STATES_WITH_ROTATED = ALL_BELL_STATES + (ROTATED,)
+
+
+def enumerate_classical_strategies() -> list[tuple[tuple[int, int, int, int], int]]:
+    """All 16 deterministic local strategies and their exact S values: the
+    oracle for the closed-form classical bound. A strategy assigns +/-1 to
+    each of Alice's settings (a, a') and each of Bob's (b, b')."""
+    signs = (1, -1)
+    return [((aa, aap, bb, bbp), aa * bb - aa * bbp + aap * bb + aap * bbp)
+            for aa in signs for aap in signs for bb in signs for bbp in signs]
+
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
@@ -302,17 +311,17 @@ class TestEnsemble:
 
     def test_table_is_the_two_counts(self):
         table = build_exact_ensemble(Angle.from_degrees(60.0), 8)
-        assert table == EnsembleTable(Angle.from_degrees(60.0), 6, 2)
+        assert table == EnsembleTable(6, 2)
         assert table.n == 8
         assert table.trials == ((Outcome.UP, Outcome.UP),) * 6 + ((Outcome.UP, Outcome.DOWN),) * 2
 
     @pytest.mark.parametrize("counts", [(-1, 2), (2, -1)])
     def test_negative_counts_rejected(self, counts):
         with pytest.raises(DomainError, match=">= 0"):
-            EnsembleTable(Angle(0.0), *counts)
+            EnsembleTable(*counts)
 
     def test_empty_table_has_no_average(self):
-        table = EnsembleTable(Angle(0.0), 0, 0)
+        table = EnsembleTable(0, 0)
         assert table.n == 0 and table.trials == ()
         with pytest.raises(UndefinedConditionalError):
             table.conditional_average()
@@ -368,6 +377,7 @@ class TestCHSH:
 
     def test_classical_max_is_exactly_two(self):
         assert chsh_classical_max() == 2.0
+        assert chsh_classical_max() == max(s for _, s in enumerate_classical_strategies())
 
     def test_singlet_standard_settings(self):
         setting = CHSHSetting(

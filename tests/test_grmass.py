@@ -89,6 +89,12 @@ class TestUnits:
         with pytest.raises(DomainError):
             UnitsConfig(c=-1.0)
 
+    @pytest.mark.parametrize("c", [1e-200, 1e200, 1e-160, math.inf, math.nan])
+    def test_c_squared_must_be_a_normal_float(self, c):
+        # 1e-200 squares to 0.0, 1e-160 to a subnormal and 1e200 overflows
+        with pytest.raises(DomainError, match="c\\^2"):
+            UnitsConfig(c=c)
+
 
 class TestClosedFormRatio:
     def test_right_angle_junction(self):
@@ -135,10 +141,6 @@ class TestClosedFormRatio:
         for bad in (0.0, -0.5, math.pi, 3.2, math.nan):
             with pytest.raises(DomainError):
                 JunctionConfig(bad)
-
-    def test_result_echoes_inputs(self):
-        r = flrw_mass_ratio(JunctionConfig(0.7, scale_factor=2.5))
-        assert (r.chi0, r.scale_factor) == (0.7, 2.5)
 
 
 class TestProfiles:
@@ -254,8 +256,9 @@ class TestPchip:
         r, m = np.asarray(r), np.asarray(m)
         profile = MassProfile.from_table(r, m)
         want = PchipInterpolator(r, m, extrapolate=False)
-        assert np.array_equal(profile._mass_of.x, want.x)
-        np.testing.assert_array_max_ulp(profile._mass_of.c, want.c, maxulp=4)
+        knots, coefficients = profile.spline
+        assert np.array_equal(knots, want.x)
+        np.testing.assert_array_max_ulp(coefficients, want.c, maxulp=4)
         grid = np.concatenate([r, np.linspace(0.0, r[-1], 101)])
         for x in grid:
             # scipy sums c[3] + c[2] u + ... where the profile uses Horner's rule,

@@ -74,8 +74,8 @@ CHSH_SETTING = CHSHSetting(*map(Angle.from_degrees, (0.0, 90.0, 45.0, 135.0)))
 @pytest.mark.parametrize("call", [
     lambda: build_exact_ensemble(SIXTY, 8.0),
     lambda: build_exact_ensemble(Angle(0.0), True),
-    lambda: EnsembleTable(SIXTY, 1.5, 2),
-    lambda: EnsembleTable(SIXTY, 6, False),
+    lambda: EnsembleTable(1.5, 2),
+    lambda: EnsembleTable(6, False),
     lambda: sample_single(UP_STATE, tilted(60.0), 10.5, seed=1),
     lambda: sample_single(UP_STATE, tilted(60.0), True, seed=1),
     lambda: sample_joint(SINGLET, JointSetting.in_plane(ZX_PLANE, Angle(0.0), SIXTY), np.float64(100.0), seed=1),
@@ -279,6 +279,19 @@ class TestRunStats:
             RunStats(n=10, mean=1.5, stderr=0.0, seed=0)
         with pytest.raises(DomainError):
             RunStats(n=0, mean=0.0, stderr=0.0, seed=0)
+
+    @pytest.mark.parametrize("fields", [
+        {"n": 2.5}, {"n": True}, {"seed": "abc"}, {"seed": -5}, {"seed": 2**64},
+        {"stderr": -1.0}, {"stderr": math.inf}, {"stderr": math.nan},
+    ], ids=["n-float", "n-bool", "seed-str", "seed-negative", "seed-too-large",
+            "stderr-negative", "stderr-inf", "stderr-nan"])
+    def test_rejects_values_no_run_produces(self, fields):
+        with pytest.raises(DomainError):
+            RunStats(**{"n": 10, "mean": 0.0, "stderr": 0.1, "seed": 0, **fields})
+
+    def test_integer_fields_become_ints(self):
+        stats = RunStats(n=np.int64(10), mean=0.0, stderr=0.1, seed=np.uint64(3))
+        assert (stats.n, stats.seed) == (10, 3) and type(stats.n) is type(stats.seed) is int
 
 
 def assert_stats_match_values(stats, values: np.ndarray):
