@@ -67,8 +67,8 @@ from .grmass import (
 )
 
 # frames and montecarlo names resolve on first use (see __getattr__):
-# montecarlo imports numpy, and no CLI command uses frames, whose
-# dataclasses would add a few ms to every `import spinframes`
+# montecarlo imports numpy, and no CLI command uses frames, so loading it
+# would only add to every `import spinframes`
 _FRAMES_NAMES = (
     "ComplementaryTriad",
     "FrameRotation",

@@ -16,12 +16,12 @@ in every plane. The planes are a convention of this module:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, UndefinedConditionalError
 from .spin import (
     NORM_TOL,
+    NOT_A_NUMBER,
     Angle,
     Outcome,
     OutcomeDistribution,
@@ -30,8 +30,13 @@ from .spin import (
     Y_AXIS,
     Z_AXIS,
     _check_integer,
-    _check_probabilities,
+    _set,
+    _set_probabilities,
+    _Value,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -45,20 +50,20 @@ MAX_SCAN_POINTS = 10**6
 MAX_ENSEMBLE_TRIALS = 10**6
 
 
-@dataclass(frozen=True)
-class SymmetryPlane:
+class SymmetryPlane(_Value):
     """Measurement plane spanned by two orthonormal axes.
 
     An in-plane setting at angle t is cos(t) e1 + sin(t) e2.
     """
 
-    name: str
-    e1: UnitVector3
-    e2: UnitVector3
+    __slots__ = ("name", "e1", "e2")
 
-    def __post_init__(self):
-        if abs(self.e1.dot(self.e2)) > NORM_TOL:
+    def __init__(self, name: str, e1: UnitVector3, e2: UnitVector3):
+        if abs(e1.dot(e2)) > NORM_TOL:
             raise DomainError("plane axes must be orthogonal")
+        _set(self, "name", name)
+        _set(self, "e1", e1)
+        _set(self, "e2", e2)
 
     def direction(self, angle: Angle) -> UnitVector3:
         c, s = math.cos(angle.radians), math.sin(angle.radians)
@@ -79,30 +84,30 @@ def _pauli_sums(g) -> tuple[complex, complex, complex]:
     return (g[0][1] + g[1][0], 1j * (g[1][0] - g[0][1]), g[0][0] - g[1][1])
 
 
-@dataclass(frozen=True, eq=False)
-class BellState:
+class BellState(_Value):
     """One of the four maximally entangled two-qubit states.
 
     `psi` holds the four amplitudes ordered (uu, ud, du, dd), as complex
     numbers. Equality ignores global phase. `plane` is the symmetry plane
     documented in the module docstring. `correlation_tensor` holds the
-    rows of T[i][j] = <sigma_i x sigma_j>, so that E(a, b) = a^T T b.
+    rows of T[i][j] = <sigma_i x sigma_j>, so that E(a, b) = a^T T b; it is
+    computed, not passed, and left out of the repr.
     """
 
-    label: str
-    psi: tuple[complex, complex, complex, complex]
-    plane: SymmetryPlane
-    correlation_tensor: tuple[tuple[float, float, float], ...] = field(init=False, repr=False)
+    __slots__ = ("label", "psi", "plane", "correlation_tensor")
 
-    def __post_init__(self):
+    def __init__(self, label: str, psi: tuple[complex, complex, complex, complex], plane: SymmetryPlane):
         try:
-            psi = tuple(complex(x) for x in self.psi)
+            psi = tuple(complex(x) for x in psi)
         except (TypeError, ValueError):
             psi = ()
         if len(psi) != 4:
             raise DomainError("Bell state needs four amplitudes")
-        # False for NaN, so a NaN amplitude is rejected
-        if not abs(sum(abs(x) ** 2 for x in psi) - 1.0) <= NORM_TOL:
+        try:
+            normalized = abs(sum(abs(x) ** 2 for x in psi) - 1.0) <= NORM_TOL  # False for NaN
+        except NOT_A_NUMBER:  # a square that overflows
+            normalized = False
+        if not normalized:
             raise DomainError("Bell state must be normalized")
         # m[a][b] is the amplitude of Alice a, Bob b; maximal entanglement
         # means both reduced density matrices are I/2
@@ -115,9 +120,13 @@ class BellState:
         # sigma_j for each pair of Alice's, then Alice's with sigma_i
         bob = [[_pauli_sums([[m[a][b].conjugate() * m[c][d] for d in two] for b in two]) for c in two] for a in two]
         by_j = [_pauli_sums([[bob[a][c][j] for c in two] for a in two]) for j in range(3)]
-        object.__setattr__(self, "psi", psi)
-        tensor = tuple(tuple(by_j[j][i].real for j in range(3)) for i in range(3))
-        object.__setattr__(self, "correlation_tensor", tensor)
+        _set(self, "label", label)
+        _set(self, "psi", psi)
+        _set(self, "plane", plane)
+        _set(self, "correlation_tensor", tuple(tuple(by_j[j][i].real for j in range(3)) for i in range(3)))
+
+    def __repr__(self) -> str:
+        return f"BellState(label={self.label!r}, psi={self.psi!r}, plane={self.plane!r})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BellState):
@@ -166,29 +175,27 @@ _BELL_BY_ALIAS = {
 BELL_LABELS = ("singlet", "psi+", "phi+", "phi-")
 
 
-@dataclass(frozen=True)
-class JointSetting:
+class JointSetting(_Value):
     """Measurement directions for Alice and Bob."""
 
-    alice: UnitVector3
-    bob: UnitVector3
+    __slots__ = ("alice", "bob")
+
+    def __init__(self, alice: UnitVector3, bob: UnitVector3):
+        _set(self, "alice", alice)
+        _set(self, "bob", bob)
 
     @classmethod
     def in_plane(cls, plane: SymmetryPlane, alice: Angle, bob: Angle) -> "JointSetting":
         return cls(plane.direction(alice), plane.direction(bob))
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(_Value):
     """Probabilities of the four outcome pairs (Alice, Bob)."""
 
-    p_pp: float
-    p_pm: float
-    p_mp: float
-    p_mm: float
+    __slots__ = ("p_pp", "p_pm", "p_mp", "p_mm")
 
-    def __post_init__(self):
-        _check_probabilities(self, ("p_pp", "p_pm", "p_mp", "p_mm"))
+    def __init__(self, p_pp: float, p_pm: float, p_mp: float, p_mm: float):
+        _set_probabilities(self, (p_pp, p_pm, p_mp, p_mm))
 
     @property
     def correlation(self) -> float:
@@ -221,15 +228,18 @@ class JointDistribution:
         return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
 
 
-@dataclass(frozen=True)
-class CHSHSetting:
+class CHSHSetting(_Value):
     """Two in-plane setting angles per party for a CHSH run."""
 
-    alice: Angle
-    alice_prime: Angle
-    bob: Angle
-    bob_prime: Angle
-    plane: SymmetryPlane = field(default=ZX_PLANE)
+    __slots__ = ("alice", "alice_prime", "bob", "bob_prime", "plane")
+
+    def __init__(self, alice: Angle, alice_prime: Angle, bob: Angle, bob_prime: Angle,
+                 plane: SymmetryPlane = ZX_PLANE):
+        _set(self, "alice", alice)
+        _set(self, "alice_prime", alice_prime)
+        _set(self, "bob", bob)
+        _set(self, "bob_prime", bob_prime)
+        _set(self, "plane", plane)
 
     def pairs(self) -> tuple[tuple[Angle, Angle], ...]:
         """The four (Alice, Bob) angle pairs in S's combination order."""
@@ -275,8 +285,7 @@ def conditional_average(state: BellState, setting: JointSetting, given: Outcome)
     return joint_distribution(state, setting).conditional_bob_mean(given)
 
 
-@dataclass(frozen=True)
-class EnsembleTable:
+class EnsembleTable(_Value):
     """Exact-count table of (Alice, Bob) outcomes realizing a conditional average.
 
     Alice's outcome is +1 in every trial, so the table is Bob's two
@@ -284,15 +293,14 @@ class EnsembleTable:
     exact Fraction; floats appear only when callers convert for display.
     """
 
-    bob_up_given_alice_up: int
-    bob_down_given_alice_up: int
+    __slots__ = ("bob_up_given_alice_up", "bob_down_given_alice_up")
 
-    def __post_init__(self):
-        for name in ("bob_up_given_alice_up", "bob_down_given_alice_up"):
-            count = _check_integer(getattr(self, name), name)
+    def __init__(self, bob_up_given_alice_up: int, bob_down_given_alice_up: int):
+        for name, count in zip(self.__slots__, (bob_up_given_alice_up, bob_down_given_alice_up)):
+            count = _check_integer(count, name)
             if count < 0:
                 raise DomainError(f"{name} must be >= 0, got {count}")
-            object.__setattr__(self, name, count)
+            _set(self, name, count)
 
     @property
     def n(self) -> int:
@@ -308,6 +316,8 @@ class EnsembleTable:
         """Exact mean of Bob's outcomes over trials with Alice = +1."""
         if self.n == 0:
             raise UndefinedConditionalError("no trials with Alice = +1")
+        from fractions import Fraction
+
         return Fraction(self.bob_up_given_alice_up - self.bob_down_given_alice_up, self.n)
 
 
@@ -318,6 +328,8 @@ def _minimal_denominator_fraction(value: float, tol: float) -> Fraction:
     integer lies in the interval, take off its integer part a and invert
     it, which swaps its ends; h/k and h_prev/k_prev are the last two
     convergents."""
+    from fractions import Fraction
+
     lo, hi = Fraction(value) - Fraction(tol), Fraction(value) + Fraction(tol)
     (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
     h, h_prev, k, k_prev = 1, 0, 0, 1

@@ -11,14 +11,11 @@ stdout, 3 domain error, 4 convergence error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
-import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 from typing import NamedTuple
 
 from . import __version__
@@ -374,21 +371,28 @@ def _manifest(args: argparse.Namespace, out: _Output) -> dict:
     command = args.command
     if getattr(args, "gr_command", None):
         command = f"{args.command} {args.gr_command}"
-    rng = None
+    rng = timestamp = None
     if out.seed is not None:  # only Monte Carlo runs are seeded, and they loaded numpy already
         from .montecarlo import RNG_DISCIPLINE as rng
+    if args.timestamp:
+        from datetime import datetime, timezone
+
+        timestamp = datetime.now(timezone.utc).isoformat()
     return {
         "command": command,
         "parameters": _parameters(args),
         "seed": out.seed,
         "version": __version__,
         "rng": rng,
-        "timestamp": datetime.now(timezone.utc).isoformat() if args.timestamp else None,
+        "timestamp": timestamp,
     }
 
 
 def _emit(args: argparse.Namespace, out: _Output, stream) -> None:
+    # each format's module is imported only when that format is written
     if args.format == "json":
+        import json
+
         envelope = {
             "schema_version": SCHEMA_VERSION,
             "manifest": _manifest(args, out),
@@ -400,6 +404,8 @@ def _emit(args: argparse.Namespace, out: _Output, stream) -> None:
             stream.write(batch)
         stream.write("\n")
     else:
+        import csv
+
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(out.rows[0].keys())
         writer.writerows(row.values() for row in out.rows)

@@ -13,11 +13,11 @@ and applied in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .spin import (
     NORM_TOL,
+    NOT_A_NUMBER,
     Angle,
     OutcomeDistribution,
     QubitState,
@@ -25,6 +25,8 @@ from .spin import (
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
+    _set,
+    _Value,
     projection_probabilities,
 )
 
@@ -40,21 +42,26 @@ def _rows(matrix, n: int, kind: type, what: str) -> tuple[tuple, ...]:
     return rows
 
 
-@dataclass(frozen=True, eq=False)
-class SpinRotation:
+class SpinRotation(_Value):
     """2x2 unitary with unit determinant acting on qubit amplitudes, stored
-    as the complex rows ((a, -conj(b)), (b, conj(a))), |a|^2 + |b|^2 = 1."""
+    as the complex rows ((a, -conj(b)), (b, conj(a))), |a|^2 + |b|^2 = 1.
+    Equality is identity."""
 
-    matrix: tuple[tuple[complex, complex], tuple[complex, complex]]
+    __slots__ = ("matrix",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        m = _rows(self.matrix, 2, complex, "spin rotation")
+    def __init__(self, matrix: tuple[tuple[complex, complex], tuple[complex, complex]]):
+        m = _rows(matrix, 2, complex, "spin rotation")
         (a, c), (b, d) = m
         # every comparison is False for NaN, so a NaN entry is rejected
-        if not (abs(d - a.conjugate()) <= NORM_TOL and abs(c + b.conjugate()) <= NORM_TOL
-                and abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= NORM_TOL):
+        try:
+            su2 = (abs(d - a.conjugate()) <= NORM_TOL and abs(c + b.conjugate()) <= NORM_TOL
+                   and abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= NORM_TOL)
+        except NOT_A_NUMBER:  # a square that overflows
+            su2 = False
+        if not su2:
             raise DomainError("spin rotation must be [[a, -conj(b)], [b, conj(a)]] with |a|^2 + |b|^2 = 1")
-        object.__setattr__(self, "matrix", m)
+        _set(self, "matrix", m)
 
     @classmethod
     def identity(cls) -> "SpinRotation":
@@ -75,15 +82,15 @@ class SpinRotation:
         return SpinRotation(tuple(tuple(-x for x in row) for row in self.matrix))
 
 
-@dataclass(frozen=True, eq=False)
-class FrameRotation:
+class FrameRotation(_Value):
     """3x3 proper orthogonal matrix rotating directions in real space,
-    stored as three rows of floats."""
+    stored as three rows of floats. Equality is identity."""
 
-    matrix: tuple[tuple[float, float, float], ...]
+    __slots__ = ("matrix",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        m = _rows(self.matrix, 3, float, "frame rotation")
+    def __init__(self, matrix: tuple[tuple[float, float, float], ...]):
+        m = _rows(matrix, 3, float, "frame rotation")
         (a, b, c), (d, e, f), (g, h, k) = m
         # the entries of M M^T - I; every comparison is False for NaN
         gram = (a * a + b * b + c * c - 1.0, d * d + e * e + f * f - 1.0, g * g + h * h + k * k - 1.0,
@@ -93,7 +100,7 @@ class FrameRotation:
         det = a * (e * k - f * h) + b * (f * g - d * k) + c * (d * h - e * g)
         if not abs(det - 1.0) <= NORM_TOL:
             raise DomainError(f"frame rotation must have det +1, got {det!r}")
-        object.__setattr__(self, "matrix", m)
+        _set(self, "matrix", m)
 
     @classmethod
     def identity(cls) -> "FrameRotation":
@@ -108,27 +115,22 @@ class FrameRotation:
         return UnitVector3.normalized(*(r[0] * v.x + r[1] * v.y + r[2] * v.z for r in self.matrix))
 
 
-@dataclass(frozen=True)
-class ComplementaryTriad:
+class ComplementaryTriad(_Value):
     """Three pairwise-orthogonal measurement axes.
 
     An eigenstate of one axis yields uniform (1/2, 1/2) outcomes for the
     other two, making the three measurements mutually complementary.
     """
 
-    first: UnitVector3
-    second: UnitVector3
-    third: UnitVector3
+    __slots__ = ("first", "second", "third")
 
-    def __post_init__(self):
-        pairs = (
-            (self.first, self.second),
-            (self.first, self.third),
-            (self.second, self.third),
-        )
-        for a, b in pairs:
+    def __init__(self, first: UnitVector3, second: UnitVector3, third: UnitVector3):
+        for a, b in ((first, second), (first, third), (second, third)):
             if abs(a.dot(b)) > NORM_TOL:
                 raise DomainError(f"triad axes must be orthogonal, got dot = {a.dot(b)!r}")
+        _set(self, "first", first)
+        _set(self, "second", second)
+        _set(self, "third", third)
 
     @classmethod
     def standard(cls) -> "ComplementaryTriad":

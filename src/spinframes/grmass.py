@@ -12,15 +12,13 @@ difference is the binding energy.
 """
 from __future__ import annotations
 
-import csv
 import math
 import sys
-from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, ProfileError
-from .spin import Angle
+from .spin import NOT_A_NUMBER, Angle, _set, _Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,44 +40,58 @@ def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(points)
 
 
-@dataclass(frozen=True)
-class UnitsConfig:
+class UnitsConfig(_Value):
     """Physical constants used by the quadrature."""
 
-    G: float = 6.67430e-11
-    c: float = 299792458.0
+    __slots__ = ("G", "c")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.G) and self.G > 0):
-            raise DomainError(f"G must be positive, got {self.G!r}")
-        # k = 2G/c^2 and g_tt = -c^2 need c^2 to be a positive normal float
-        if not (self.c > 0 and sys.float_info.min <= self.c * self.c < math.inf):
-            raise DomainError(f"c must be positive with c^2 in the normal float range, got {self.c!r}")
+    def __init__(self, G: float = 6.67430e-11, c: float = 299792458.0):
+        positive = normal = False
+        try:
+            positive = 0.0 < G < math.inf  # False for NaN
+            # k = 2G/c^2 and g_tt = -c^2 need c^2 to be a positive normal float
+            normal = c > 0 and sys.float_info.min <= c * c < math.inf
+        except NOT_A_NUMBER:  # the first argument that is no real number fails its check
+            pass
+        if not positive:
+            raise DomainError(f"G must be positive, got {G!r}")
+        if not normal:
+            raise DomainError(f"c must be positive with c^2 in the normal float range, got {c!r}")
+        _set(self, "G", G)
+        _set(self, "c", c)
 
     @classmethod
     def geometrized(cls) -> "UnitsConfig":
         return cls(G=1.0, c=1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class MassProfile:
+class MassProfile(_Value):
     """Cumulative mass M(r) of a spherical body on [0, R].
 
     M(r) is nondecreasing with M(0) = 0 and M(R) = the total dynamic
     mass. A tabulated profile holds its `spline`: the knots x and the
     coefficients c of the cubic ((c[0] u + c[1]) u + c[2]) u + c[3] in
-    u = r - x[i] on piece i. A uniform ball has no spline.
+    u = r - x[i] on piece i. A uniform ball has no spline. Equality is
+    identity.
     """
 
-    mass: float
-    radius: float
-    spline: tuple[np.ndarray, np.ndarray] | None = None
+    __slots__ = ("mass", "radius", "spline")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise ProfileError(f"total mass must be positive, got {self.mass!r}")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ProfileError(f"radius must be positive, got {self.radius!r}")
+    def __init__(self, mass: float, radius: float, spline: tuple[np.ndarray, np.ndarray] | None = None):
+        positive_mass = positive_radius = False
+        try:
+            positive_mass = 0.0 < mass < math.inf  # False for NaN
+            positive_radius = 0.0 < radius < math.inf
+        except NOT_A_NUMBER:  # the first argument that is no real number fails its check
+            pass
+        if not positive_mass:
+            raise ProfileError(f"total mass must be positive, got {mass!r}")
+        if not positive_radius:
+            raise ProfileError(f"radius must be positive, got {radius!r}")
+        _set(self, "mass", mass)
+        _set(self, "radius", radius)
+        _set(self, "spline", spline)
 
     def mass_within(self, r: float) -> float:
         if not 0.0 <= r <= self.radius * (1 + 1e-12):
@@ -172,6 +184,8 @@ def load_profile_csv(path: str) -> MassProfile:
 
     Errors carry 1-based line numbers of the offending row.
     """
+    import csv
+
     rs: list[float] = []
     ms: list[float] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -198,29 +212,39 @@ def load_profile_csv(path: str) -> MassProfile:
         raise ProfileError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class JunctionConfig:
+class JunctionConfig(_Value):
     """FLRW dust cap joined to a vacuum exterior at radial coordinate chi0."""
 
-    chi0: float
-    scale_factor: float = 1.0
+    __slots__ = ("chi0", "scale_factor")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.chi0) and 0.0 < self.chi0 < math.pi):
-            raise DomainError(f"chi0 must lie in (0, pi), got {self.chi0!r}")
-        if not (math.isfinite(self.scale_factor) and self.scale_factor > 0):
-            raise DomainError(f"scale factor must be positive, got {self.scale_factor!r}")
+    def __init__(self, chi0: float, scale_factor: float = 1.0):
+        inside = positive = False
+        try:
+            inside = 0.0 < chi0 < math.pi  # False for NaN
+            positive = 0.0 < scale_factor < math.inf
+        except NOT_A_NUMBER:  # the first argument that is no real number fails its check
+            pass
+        if not inside:
+            raise DomainError(f"chi0 must lie in (0, pi), got {chi0!r}")
+        if not positive:
+            raise DomainError(f"scale factor must be positive, got {scale_factor!r}")
+        _set(self, "chi0", chi0)
+        _set(self, "scale_factor", scale_factor)
 
 
-@dataclass(frozen=True)
-class MassRatioResult:
+class MassRatioResult(_Value):
     """Proper-to-dynamic mass ratio M_p/M, at least 1."""
 
-    ratio: float
+    __slots__ = ("ratio",)
 
-    def __post_init__(self):
-        if self.ratio < 1.0:
-            raise DomainError(f"M_p/M must be >= 1, got {self.ratio!r}")
+    def __init__(self, ratio: float):
+        try:
+            bound = ratio >= 1.0  # False for NaN
+        except NOT_A_NUMBER:
+            bound = False
+        if not bound:
+            raise DomainError(f"M_p/M must be >= 1, got {ratio!r}")
+        _set(self, "ratio", ratio)
 
 
 def _ratio_of(chi0: float) -> float:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .bell import BellState, CHSHSetting, JointSetting, chsh_combination, joint_distribution
 from .errors import DomainError
-from .spin import QubitState, UnitVector3, _check_integer, projection_probabilities
+from .spin import NOT_A_NUMBER, QubitState, UnitVector3, _check_integer, _set, _Value, projection_probabilities
 
 RNG_DISCIPLINE = "philox:seedsequence:multinomial-counts"
 
@@ -43,33 +42,56 @@ def _check_seed(seed: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class RunStats:
+def _check_estimate(value: float, bound: float, stderr: float, what: str) -> None:
+    """Raise DomainError unless value lies in [-bound, bound] and stderr is
+    finite and >= 0; both comparisons are False for NaN."""
+    inside = spread = False
+    try:
+        inside = -bound <= value <= bound
+        spread = 0.0 <= stderr < math.inf
+    except NOT_A_NUMBER:  # the first argument that is no real number fails its check
+        pass
+    if not inside:
+        raise DomainError(f"{what} must lie in [{-bound:g}, {bound:g}], got {value!r}")
+    if not spread:
+        raise DomainError(f"stderr must be finite and >= 0, got {stderr!r}")
+
+
+_NO_MEANS = MappingProxyType({})
+_OUTCOMES = frozenset((1, -1))
+
+
+class RunStats(_Value):
     """Summary of a sampled run of +/-1 outcomes.
 
     `mean` averages the per-trial value (the outcome for single runs,
     the outcome product for joint runs). `conditional_means` maps
-    Alice's outcome to Bob's average over the matching trials; it is
-    empty for single-qubit runs and omits outcomes Alice never produced.
+    Alice's outcome (+1 or -1) to Bob's average over the matching
+    trials, in [-1, 1]; it is empty for single-qubit runs and omits
+    outcomes Alice never produced.
     """
 
-    n: int
-    mean: float
-    stderr: float
-    seed: int
-    conditional_means: Mapping[int, float] = field(default_factory=dict)
+    __slots__ = ("n", "mean", "stderr", "seed", "conditional_means")
 
-    def __post_init__(self):
-        n = _check_integer(self.n, "n")
+    def __init__(self, n: int, mean: float, stderr: float, seed: int,
+                 conditional_means: Mapping[int, float] = _NO_MEANS):
+        n = _check_integer(n, "n")
         if n < 1:
             raise DomainError(f"n must be positive, got {n}")
-        if not -1.0 <= self.mean <= 1.0:
-            raise DomainError(f"mean of +/-1 outcomes must lie in [-1, 1], got {self.mean!r}")
-        if not 0.0 <= self.stderr < math.inf:
-            raise DomainError(f"stderr must be finite and >= 0, got {self.stderr!r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "seed", _check_seed(self.seed))
-        object.__setattr__(self, "conditional_means", MappingProxyType(dict(self.conditional_means)))
+        _check_estimate(mean, 1.0, stderr, "mean of +/-1 outcomes")
+        try:
+            means = dict(conditional_means)
+            averages = (means.keys() <= _OUTCOMES and -1.0 <= means.get(1, 0.0) <= 1.0
+                        and -1.0 <= means.get(-1, 0.0) <= 1.0)
+        except NOT_A_NUMBER:
+            averages = False
+        if not averages:
+            raise DomainError(f"conditional means must map +1 and -1 to values in [-1, 1], got {conditional_means!r}")
+        _set(self, "n", n)
+        _set(self, "mean", mean)
+        _set(self, "stderr", stderr)
+        _set(self, "seed", _check_seed(seed))
+        _set(self, "conditional_means", MappingProxyType(means))
 
 
 def _ranked_positions(labels: np.ndarray, label: int, have: int, ranks: np.ndarray) -> np.ndarray:
@@ -178,14 +200,25 @@ def sample_joint(
     return records, _run_stats(seed, pp + mm, pm + mp, conditional)
 
 
-@dataclass(frozen=True)
-class EmpiricalCHSH:
-    """CHSH estimate from four independently sampled correlations."""
+class EmpiricalCHSH(_Value):
+    """CHSH estimate from four independently sampled correlations: S in
+    [-4, 4], as each correlation lies in [-1, 1]."""
 
-    value: float
-    stderr: float
-    terms: tuple[RunStats, RunStats, RunStats, RunStats]
-    seed: int
+    __slots__ = ("value", "stderr", "terms", "seed")
+
+    def __init__(self, value: float, stderr: float, terms: tuple[RunStats, RunStats, RunStats, RunStats],
+                 seed: int):
+        _check_estimate(value, 4.0, stderr, "CHSH estimate")
+        try:
+            terms = tuple(terms)
+        except TypeError:
+            terms = ()
+        if len(terms) != 4 or not all(isinstance(t, RunStats) for t in terms):
+            raise DomainError(f"a CHSH estimate needs four RunStats terms, got {terms!r}")
+        _set(self, "value", value)
+        _set(self, "stderr", stderr)
+        _set(self, "terms", terms)
+        _set(self, "seed", _check_seed(seed))
 
     def __float__(self) -> float:
         return self.value

@@ -15,9 +15,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import numbers
 import operator
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -28,16 +26,59 @@ TWO_PI = 2.0 * math.pi
 NORM_TOL = 1e-12
 STATE_EQ_TOL = 1e-10
 
+# What arithmetic and comparisons raise for an argument that is no real
+# number: a string, None, a complex or a tuple, or an overflowing power.
+NOT_A_NUMBER = (TypeError, ValueError, OverflowError)
 
-@dataclass(frozen=True)
-class Angle:
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the immutable value classes. A subclass names its fields in
+    __slots__ and sets them once in __init__ through `_set`; repr, == and
+    hash are built from the fields in that order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __setstate__(self, state):  # copy and pickle hand back (None, {field: value})
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class Angle(_Value):
     """A plane angle stored in radians; must be finite."""
 
-    radians: float
+    __slots__ = ("radians",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.radians):
-            raise DomainError(f"angle must be finite, got {self.radians!r}")
+    def __init__(self, radians: float):
+        try:
+            finite = math.isfinite(radians)
+        except NOT_A_NUMBER:
+            finite = False
+        if not finite:
+            raise DomainError(f"angle must be finite, got {radians!r}")
+        _set(self, "radians", radians)
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "Angle":
@@ -57,22 +98,26 @@ class Angle:
         return Angle(r)
 
 
-@dataclass(frozen=True)
-class UnitVector3:
+class UnitVector3(_Value):
     """Unit-norm direction in real 3-space.
 
     The constructor requires components already normalized to 1e-12;
     use :meth:`normalized` to rescale arbitrary nonzero components.
     """
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self):
-        n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if not math.isfinite(n2) or abs(n2 - 1.0) > NORM_TOL:
+    def __init__(self, x: float, y: float, z: float):
+        try:
+            n2 = x * x + y * y + z * z
+            unit = -NORM_TOL <= n2 - 1.0 <= NORM_TOL  # False for NaN and infinity
+        except NOT_A_NUMBER:
+            raise DomainError(f"components must be real numbers, got {(x, y, z)!r}") from None
+        if not unit:
             raise DomainError(f"components must form a unit vector, got |v|^2 = {n2!r}")
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "UnitVector3":
@@ -109,23 +154,25 @@ Y_AXIS = UnitVector3(0.0, 1.0, 0.0)
 Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class QubitState:
+class QubitState(_Value):
     """Pure spin-1/2 state amp_up|u> + amp_down|d>, normalized to 1e-12.
 
     Equality is phase-insensitive: two states compare equal when their
     Bloch vectors lie within 1e-10 of each other.
     """
 
-    amp_up: complex
-    amp_down: complex
+    __slots__ = ("amp_up", "amp_down")
 
-    def __post_init__(self):
-        object.__setattr__(self, "amp_up", complex(self.amp_up))
-        object.__setattr__(self, "amp_down", complex(self.amp_down))
-        n2 = abs(self.amp_up) ** 2 + abs(self.amp_down) ** 2
-        if not math.isfinite(n2) or abs(n2 - 1.0) > NORM_TOL:
+    def __init__(self, amp_up: complex, amp_down: complex):
+        try:
+            amp_up, amp_down = complex(amp_up), complex(amp_down)
+            n2 = abs(amp_up) ** 2 + abs(amp_down) ** 2
+        except NOT_A_NUMBER:
+            raise DomainError(f"amplitudes must be complex numbers of norm 1, got {(amp_up, amp_down)!r}") from None
+        if not abs(n2 - 1.0) <= NORM_TOL:  # False for NaN and infinity
             raise DomainError(f"amplitudes must be normalized, got |psi|^2 = {n2!r}")
+        _set(self, "amp_up", amp_up)
+        _set(self, "amp_down", amp_down)
 
     @property
     def bloch_vector(self) -> UnitVector3:
@@ -153,27 +200,29 @@ class Outcome(enum.IntEnum):
     DOWN = -1
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(_Value):
     """Probabilities of the two outcomes; p_up + p_down = 1 to 1e-12."""
 
-    p_up: float
-    p_down: float
+    __slots__ = ("p_up", "p_down")
 
-    def __post_init__(self):
-        _check_probabilities(self, ("p_up", "p_down"))
+    def __init__(self, p_up: float, p_down: float):
+        _set_probabilities(self, (p_up, p_down))
 
 
-def _check_probabilities(dist, names: tuple[str, ...]) -> None:
-    """Clamp the named fields of a frozen distribution into [0, 1] and check
-    that they sum to 1, both to 1e-12; raise DomainError otherwise."""
+def _set_probabilities(dist: _Value, values: tuple) -> None:
+    """Set the fields of a distribution to `values` clamped into [0, 1],
+    after checking that each lies in [0, 1] and that they sum to 1, both to
+    1e-12; raise DomainError otherwise."""
     total = 0.0
-    for name in names:
-        p = getattr(dist, name)
-        if not math.isfinite(p) or p < -NORM_TOL or p > 1.0 + NORM_TOL:
+    for name, p in zip(dist.__slots__, values):
+        try:
+            inside = -NORM_TOL <= p <= 1.0 + NORM_TOL  # False for NaN and infinity
+        except NOT_A_NUMBER:
+            inside = False
+        if not inside:
             raise DomainError(f"{name} must lie in [0, 1], got {p!r}")
         p = min(max(p, 0.0), 1.0)
-        object.__setattr__(dist, name, p)
+        _set(dist, name, p)
         total += p
     if abs(total - 1.0) > NORM_TOL:
         raise DomainError(f"probabilities must sum to 1, got {total!r}")
@@ -183,6 +232,8 @@ def _check_integer(value, name: str) -> int:
     """`value` as an int; it must be an int or a numpy integer, never a bool."""
     if type(value) is int:  # the common case, without the slow ABC check below
         return value
+    import numbers
+
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)

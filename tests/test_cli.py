@@ -502,32 +502,41 @@ def test_array_libraries_load_only_where_needed(tmp_path):
         ["chsh", "--mode", "empirical", "--n", "100"],
         ["grmass", "binding", "--profile", str(profile), "--geometrized"],
     ]
+    scalar = [argv for argv in SCALAR_COMMANDS if argv[0] != "ensemble"]
+    ensemble = [argv for argv in SCALAR_COMMANDS if argv[0] == "ensemble"]
+    # the commands are spliced in as literals: the child must not import json
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "import spinframes, spinframes.cli\n"
-        "def loaded(name):\n"
-        "    return any(m.split('.')[0] == name for m in sys.modules)\n"
+        "STDLIB = ('dataclasses', 'inspect', 'fractions', 'decimal', 'datetime', 'numbers')\n"
+        "def loaded(*names):\n"
+        "    return sorted({m.split('.')[0] for m in sys.modules} & set(names))\n"
         "def run(argv):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert spinframes.cli.main(argv) == 0, argv\n"
-        "assert not loaded('numpy') and not loaded('scipy'), 'import'\n"
+        "assert not loaded('numpy', 'scipy', 'json', 'csv', *STDLIB), ('import', loaded('json', 'csv', *STDLIB))\n"
         "u = spinframes.su2_from_axis_angle(spinframes.Y_AXIS, spinframes.Angle(1.0))\n"
         "r = spinframes.so3_from_su2(u.compose(-u))\n"
         "spinframes.rotate_state(spinframes.prepare_state(r.apply(spinframes.X_AXIS)), u)\n"
-        "assert not loaded('numpy'), 'frames'\n"
-        "scalar, array = json.loads(sys.argv[1])\n"
-        "for argv in scalar:\n"
-        "    for fmt in ('json', 'csv'):\n"
+        "assert not loaded('numpy', *STDLIB), 'frames'\n"
+        f"scalar, ensemble, array = {scalar!r}, {ensemble!r}, {array_commands!r}\n"
+        "for fmt in ('csv', 'json'):\n"
+        "    gated = ('numpy', *STDLIB, *(['json'] if fmt == 'csv' else []))\n"
+        "    for argv in scalar:\n"
         "        run(['--format', fmt, *argv])\n"
-        "        assert not loaded('numpy'), argv\n"
+        "        assert not loaded(*gated), (fmt, argv, loaded(*gated))\n"
+        "for fmt in ('csv', 'json'):\n"
+        "    for argv in ensemble:\n"
+        "        run(['--format', fmt, *argv])\n"
+        "        assert not loaded('numpy', 'dataclasses', 'inspect', 'datetime'), argv\n"
+        "assert loaded('fractions') == ['fractions'], 'ensemble computes its average as a Fraction'\n"
+        "run(['--timestamp', *scalar[0]])\n"
+        "assert loaded('datetime') == ['datetime'], 'timestamp'\n"
         "for argv in array:\n"
         "    run(argv)\n"
         "assert loaded('numpy') and not loaded('scipy')\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps([SCALAR_COMMANDS, array_commands])],
-        capture_output=True, env=_subprocess_env(), timeout=60,
-    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
     # a lazy package name loads only the module that defines it
     for name, other in (("sample_joint", "frames"), ("so3_from_su2", "montecarlo")):
