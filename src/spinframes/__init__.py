@@ -24,14 +24,12 @@ from .spin import (
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
-    classical_projection,
     expectation,
     prepare_state,
     projection_probabilities,
 )
 from .bell import (
     ALL_BELL_STATES,
-    BELL_LABELS,
     BellState,
     CHSHSetting,
     EnsembleTable,
@@ -98,13 +96,11 @@ __all__ = [
     "X_AXIS",
     "Y_AXIS",
     "Z_AXIS",
-    "classical_projection",
     "expectation",
     "prepare_state",
     "projection_probabilities",
     *_FRAMES_NAMES,
     "ALL_BELL_STATES",
-    "BELL_LABELS",
     "BellState",
     "CHSHSetting",
     "EnsembleTable",

@@ -24,7 +24,6 @@ from .spin import (
     NOT_A_NUMBER,
     Angle,
     Outcome,
-    OutcomeDistribution,
     UnitVector3,
     X_AXIS,
     Y_AXIS,
@@ -59,6 +58,9 @@ class SymmetryPlane(_Value):
     __slots__ = ("name", "e1", "e2")
 
     def __init__(self, name: str, e1: UnitVector3, e2: UnitVector3):
+        for axis in (e1, e2):
+            if not isinstance(axis, UnitVector3):
+                raise DomainError(f"plane axes must be UnitVector3 values, got {axis!r}")
         if abs(e1.dot(e2)) > NORM_TOL:
             raise DomainError("plane axes must be orthogonal")
         _set(self, "name", name)
@@ -125,6 +127,9 @@ class BellState(_Value):
         _set(self, "plane", plane)
         _set(self, "correlation_tensor", tuple(tuple(by_j[j][i].real for j in range(3)) for i in range(3)))
 
+    def __reduce__(self):  # the tensor is computed by __init__, not passed
+        return BellState, (self.label, self.psi, self.plane)
+
     def __repr__(self) -> str:
         return f"BellState(label={self.label!r}, psi={self.psi!r}, plane={self.plane!r})"
 
@@ -172,9 +177,6 @@ _BELL_BY_ALIAS = {
     "phi_": PHI_MINUS,
 }
 
-BELL_LABELS = ("singlet", "psi+", "phi+", "phi-")
-
-
 class JointSetting(_Value):
     """Measurement directions for Alice and Bob."""
 
@@ -201,14 +203,6 @@ class JointDistribution(_Value):
     def correlation(self) -> float:
         """E = p(++) + p(--) - p(+-) - p(-+)."""
         return self.p_pp + self.p_mm - self.p_pm - self.p_mp
-
-    @property
-    def alice_marginal(self) -> OutcomeDistribution:
-        return OutcomeDistribution(self.p_pp + self.p_pm, self.p_mp + self.p_mm)
-
-    @property
-    def bob_marginal(self) -> OutcomeDistribution:
-        return OutcomeDistribution(self.p_pp + self.p_mp, self.p_pm + self.p_mm)
 
     def conditional_bob_mean(self, given: Outcome) -> float:
         """Average of Bob's outcome given Alice's outcome."""
@@ -368,7 +362,7 @@ def build_exact_ensemble(theta: Angle, n: int) -> EnsembleTable:
     return EnsembleTable(ups, n - ups)
 
 
-def chsh_combination(e_ab: float, e_ab_prime: float, e_a_prime_b: float, e_a_prime_b_prime: float) -> float:
+def _chsh_combination(e_ab: float, e_ab_prime: float, e_a_prime_b: float, e_a_prime_b_prime: float) -> float:
     """S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
     return e_ab - e_ab_prime + e_a_prime_b + e_a_prime_b_prime
 
@@ -376,7 +370,7 @@ def chsh_combination(e_ab: float, e_ab_prime: float, e_a_prime_b: float, e_a_pri
 def chsh_value(state: BellState, s: CHSHSetting) -> float:
     """CHSH combination of the four Born-rule correlations."""
     es = [correlation(state, JointSetting.in_plane(s.plane, a, b)) for a, b in s.pairs()]
-    return chsh_combination(*es)
+    return _chsh_combination(*es)
 
 
 def chsh_classical_max() -> float:

@@ -125,6 +125,9 @@ class ComplementaryTriad(_Value):
     __slots__ = ("first", "second", "third")
 
     def __init__(self, first: UnitVector3, second: UnitVector3, third: UnitVector3):
+        for axis in (first, second, third):
+            if not isinstance(axis, UnitVector3):
+                raise DomainError(f"triad axes must be UnitVector3 values, got {axis!r}")
         for a, b in ((first, second), (first, third), (second, third)):
             if abs(a.dot(b)) > NORM_TOL:
                 raise DomainError(f"triad axes must be orthogonal, got dot = {a.dot(b)!r}")

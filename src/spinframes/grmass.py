@@ -13,6 +13,7 @@ difference is the binding energy.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from functools import cache
 from typing import TYPE_CHECKING
@@ -186,6 +187,10 @@ def load_profile_csv(path: str) -> MassProfile:
     """
     import csv
 
+    try:
+        path = os.fspath(path)
+    except TypeError:
+        raise ProfileError(f"profile path must be a str or path-like object, got {path!r}") from None
     rs: list[float] = []
     ms: list[float] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -354,7 +359,11 @@ def flrw_metric_components(
     """Diagonal metric components (g_tt, g_chichi, g_thetatheta, g_phiphi)
     of a closed constant-curvature space of scale factor a:
     (-c^2, a^2, a^2 sin^2 chi, a^2 sin^2 chi sin^2 theta)."""
-    if not (math.isfinite(a) and a > 0):
+    try:
+        positive = math.isfinite(a) and a > 0
+    except NOT_A_NUMBER:
+        positive = False
+    if not positive:
         raise DomainError(f"scale factor must be positive, got {a!r}")
     try:
         a2 = a**2

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bell import BellState, CHSHSetting, JointSetting, chsh_combination, joint_distribution
+from .bell import BellState, CHSHSetting, JointSetting, _chsh_combination, joint_distribution
 from .errors import DomainError
 from .spin import NOT_A_NUMBER, QubitState, UnitVector3, _check_integer, _set, _Value, projection_probabilities
 
@@ -92,6 +92,9 @@ class RunStats(_Value):
         _set(self, "stderr", stderr)
         _set(self, "seed", _check_seed(seed))
         _set(self, "conditional_means", MappingProxyType(means))
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled
+        return RunStats, (self.n, self.mean, self.stderr, self.seed, dict(self.conditional_means))
 
 
 def _ranked_positions(labels: np.ndarray, label: int, have: int, ranks: np.ndarray) -> np.ndarray:
@@ -220,9 +223,6 @@ class EmpiricalCHSH(_Value):
         _set(self, "terms", terms)
         _set(self, "seed", _check_seed(seed))
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def empirical_chsh(
     state: BellState,
@@ -240,6 +240,6 @@ def empirical_chsh(
         term_seed = int(child.generate_state(1, dtype=np.uint64)[0])
         _, run = sample_joint(state, js, n_per_pair, term_seed, keep_records=False)
         stats.append(run)
-    value = chsh_combination(*(s.mean for s in stats))
+    value = _chsh_combination(*(s.mean for s in stats))
     stderr = math.sqrt(sum(s.stderr**2 for s in stats))
     return EmpiricalCHSH(value, stderr, tuple(stats), seed)

@@ -19,8 +19,6 @@ import operator
 
 from .errors import DomainError
 
-TWO_PI = 2.0 * math.pi
-
 # Tolerance ladder: constructed invariants hold to 1e-12, identities that
 # compose several operations are tested at 1e-10.
 NORM_TOL = 1e-12
@@ -46,9 +44,8 @@ class _Value:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
 
-    def __setstate__(self, state):  # copy and pickle hand back (None, {field: value})
-        for name, value in state[1].items():
-            _set(self, name, value)
+    def __reduce__(self):  # copy and pickle rebuild through __init__, which re-runs the checks
+        return type(self), self._fields()
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -82,20 +79,15 @@ class Angle(_Value):
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "Angle":
-        return cls(math.radians(degrees))
+        try:
+            radians = math.radians(degrees)
+        except NOT_A_NUMBER:
+            raise DomainError(f"angle must be finite, got {degrees!r} degrees") from None
+        return cls(radians)
 
     @property
     def degrees(self) -> float:
         return math.degrees(self.radians)
-
-    def canonical(self) -> "Angle":
-        """Equivalent angle in [0, 2*pi)."""
-        r = math.fmod(self.radians, TWO_PI)
-        if r < 0.0:
-            r += TWO_PI
-        if r >= TWO_PI:  # fmod rounding can land exactly on the boundary
-            r = 0.0
-        return Angle(r)
 
 
 class UnitVector3(_Value):
@@ -121,7 +113,10 @@ class UnitVector3(_Value):
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "UnitVector3":
-        n = math.sqrt(x * x + y * y + z * z)
+        try:
+            n = math.sqrt(x * x + y * y + z * z)
+        except NOT_A_NUMBER:
+            raise DomainError(f"components must be real numbers, got {(x, y, z)!r}") from None
         if not (n > 0.0) or not math.isfinite(n):
             raise DomainError("cannot normalize a zero or non-finite vector")
         return cls(x / n, y / n, z / n)
@@ -136,14 +131,6 @@ class UnitVector3(_Value):
 
     def dot(self, other: "UnitVector3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other: "UnitVector3") -> tuple[float, float, float]:
-        (a, b, c), (x, y, z) = (self.x, self.y, self.z), (other.x, other.y, other.z)
-        return (b * z - c * y, c * x - a * z, a * y - b * x)
-
-    def angle_to(self, other: "UnitVector3") -> Angle:
-        # atan2 form is stable near 0 and pi, unlike acos of the dot product
-        return Angle(math.atan2(math.hypot(*self.cross(other)), self.dot(other)))
 
     def __neg__(self) -> "UnitVector3":
         return UnitVector3(-self.x, -self.y, -self.z)
@@ -261,12 +248,3 @@ def projection_probabilities(state: QubitState, setting: UnitVector3) -> Outcome
 def expectation(dist: OutcomeDistribution) -> float:
     """Average outcome (+1) p_up + (-1) p_down."""
     return dist.p_up - dist.p_down
-
-
-def classical_projection(state_direction: UnitVector3, setting: UnitVector3) -> float:
-    """Classical counterfactual S.b = cos(theta).
-
-    This is the value a projective classical model would record directly;
-    quantum measurements recover it only as the average of +/-1 outcomes.
-    """
-    return state_direction.dot(setting)

@@ -31,6 +31,16 @@ REMOVED = [
     ("montecarlo", "_PAIR_OUTCOMES"),
     ("bell", "enumerate_classical_strategies"),
     ("grmass", "_Pchip"),
+    ("spin", "classical_projection"),
+    ("spin", "Angle.canonical"),
+    ("spin", "TWO_PI"),
+    ("spin", "UnitVector3.cross"),
+    ("spin", "UnitVector3.angle_to"),
+    ("bell", "JointDistribution.alice_marginal"),
+    ("bell", "JointDistribution.bob_marginal"),
+    ("bell", "BELL_LABELS"),
+    ("bell", "chsh_combination"),
+    ("montecarlo", "EmpiricalCHSH.__float__"),
 ]
 
 

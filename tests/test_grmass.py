@@ -223,6 +223,18 @@ class TestProfiles:
         with pytest.raises(ProfileError, match="line 3"):
             load_profile_csv(str(path))
 
+    def test_csv_path_may_be_path_like(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text("r,M\n0,0\n1.0,2.0\n")
+        assert load_profile_csv(path).mass == 2.0
+
+    # an int would be opened as a file descriptor, and closed after reading;
+    # 2**20 is one that no test process has open
+    @pytest.mark.parametrize("path", [2**20, None, 1.5, ["profile.csv"]], ids=repr)
+    def test_csv_path_must_be_a_path(self, path):
+        with pytest.raises(ProfileError, match="path"):
+            load_profile_csv(path)
+
     def test_csv_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

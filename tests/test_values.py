@@ -1,10 +1,11 @@
 """The value classes: the behaviour every one of them keeps (repr, equality,
 hashing, immutability, keyword construction, copy and pickle), and the
-contract of their numeric constructors: an instance holds its documented
-invariant, or the constructor raises a typed error."""
+contract of their numeric constructors and numeric functions: a result
+holds its documented invariant, or the call raises a typed error."""
 import copy
 import math
 import pickle
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +40,7 @@ from spinframes import (
     UndefinedConditionalError,
     UnitsConfig,
     UnitVector3,
+    flrw_metric_components,
 )
 
 NAN, INF = math.nan, math.inf
@@ -124,9 +126,15 @@ class TestValueClass:
     def test_copy_and_pickle(self, cls, kwargs, text, equality):
         obj = cls(**kwargs)
         assert repr(copy.copy(obj)) == text
-        if equality != "unhashable":  # a mappingproxy field cannot be pickled
-            assert repr(pickle.loads(pickle.dumps(obj))) == text
-            assert repr(copy.deepcopy(obj)) == text
+        assert repr(pickle.loads(pickle.dumps(obj))) == text
+        assert repr(copy.deepcopy(obj)) == text
+
+
+def test_unpickling_rechecks_the_fields():
+    # the pickle of Angle(0.5) with its float swapped for NaN, which no Angle may hold
+    data = pickle.dumps(Angle(0.5)).replace(struct.pack(">d", 0.5), struct.pack(">d", NAN))
+    with pytest.raises(DomainError, match="finite"):
+        pickle.loads(data)
 
 
 def test_defaults():
@@ -192,6 +200,11 @@ RAW_ERROR_CALLS = [
     (lambda: EmpiricalCHSH(2.0, 0.1, (1, 2, 3, 4), 0), DomainError, "four"),
     (lambda: EmpiricalCHSH(2.0, 0.1, (RUN,) * 4, -5), DomainError, "seed"),
     (lambda: EmpiricalCHSH(2.0, 0.1, (RUN,) * 4, 1.5), DomainError, "seed"),
+    (lambda: Angle.from_degrees("x"), DomainError, "angle"),
+    (lambda: UnitVector3.normalized("a", 0, 0), DomainError, "components"),
+    (lambda: flrw_metric_components(Angle(1.0), Angle(1.0), "2"), DomainError, "scale factor"),
+    (lambda: SymmetryPlane("a", 1, 2), DomainError, "plane axes"),
+    (lambda: ComplementaryTriad(1, 2, 3), DomainError, "triad axes"),
 ]
 
 
@@ -229,10 +242,21 @@ def _run_stats(r: RunStats) -> bool:
             and all(k in (1, -1) and -1.0 <= v <= 1.0 for k, v in r.conditional_means.items()))
 
 
-# constructor -> (number of arguments, the invariant of an instance)
+def _unit(v: UnitVector3) -> bool:
+    return _close(math.fsum(c * c for c in (v.x, v.y, v.z)), 1.0)
+
+
+def _metric(g) -> bool:
+    return len(g) == 4 and all(math.isfinite(x) for x in g) and g[0] < 0.0 < g[1] and min(g[2:]) >= 0.0
+
+
+# constructor or function -> (number of arguments, the invariant of its result)
 INVARIANTS = {
     Angle: (1, lambda a: math.isfinite(a.radians)),
-    UnitVector3: (3, lambda v: _close(math.fsum(c * c for c in (v.x, v.y, v.z)), 1.0)),
+    Angle.from_degrees: (1, lambda a: math.isfinite(a.radians)),
+    UnitVector3: (3, _unit),
+    UnitVector3.normalized: (3, _unit),
+    flrw_metric_components: (3, _metric),
     QubitState: (2, lambda q: _close(abs(q.amp_up) ** 2 + abs(q.amp_down) ** 2, 1.0)),
     OutcomeDistribution: (2, lambda d: _probabilities((d.p_up, d.p_down))),
     JointDistribution: (4, lambda d: _probabilities(d.probabilities())),
@@ -246,6 +270,8 @@ INVARIANTS = {
 }
 
 ARGUMENT = {
+    # object arguments are the package's own value types
+    flrw_metric_components: [st.builds(Angle, st.floats(-10.0, 10.0))] * 2 + [WILD],
     RunStats: [st.one_of(WILD, st.integers(1, 10)), WILD, WILD, st.one_of(WILD, st.integers(0, 5)),
                st.one_of(WILD, st.dictionaries(WILD, WILD, max_size=3))],
     EmpiricalCHSH: [WILD, WILD, st.one_of(WILD, st.just((RUN,) * 4), st.lists(st.just(RUN), max_size=5)),
@@ -253,7 +279,7 @@ ARGUMENT = {
 }
 
 
-@pytest.mark.parametrize("cls", list(INVARIANTS), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", list(INVARIANTS), ids=lambda c: c.__qualname__)
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_numeric_constructors_hold_their_invariant_or_raise_typed_errors(cls, data):
