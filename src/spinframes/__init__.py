@@ -9,60 +9,11 @@ the binding energy.
 """
 __version__ = "0.1.0"
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    ProfileError,
-    UndefinedConditionalError,
-)
-from .spin import (
-    Angle,
-    Outcome,
-    OutcomeDistribution,
-    QubitState,
-    UnitVector3,
-    X_AXIS,
-    Y_AXIS,
-    Z_AXIS,
-    expectation,
-    prepare_state,
-    projection_probabilities,
-)
-from .bell import (
-    ALL_BELL_STATES,
-    BellState,
-    CHSHSetting,
-    EnsembleTable,
-    JointDistribution,
-    JointSetting,
-    PHI_MINUS,
-    PHI_PLUS,
-    PSI_PLUS,
-    SINGLET,
-    SymmetryPlane,
-    TSIRELSON_BOUND,
-    XY_PLANE,
-    ZX_PLANE,
-    ZY_PLANE,
-    build_exact_ensemble,
-    chsh_classical_max,
-    chsh_quantum_max,
-    chsh_scan,
-    chsh_value,
-    conditional_average,
-    correlation,
-    joint_distribution,
-)
-from .grmass import (
-    JunctionConfig,
-    MassProfile,
-    MassRatioResult,
-    UnitsConfig,
-    flrw_mass_ratio,
-    flrw_metric_components,
-    load_profile_csv,
-    proper_mass_integral,
-)
+from . import bell, errors, grmass, spin
+from .errors import *
+from .spin import *
+from .bell import *
+from .grmass import *
 
 # frames and montecarlo names resolve on first use (see __getattr__):
 # montecarlo imports numpy, and no CLI command uses frames, so loading it
@@ -86,57 +37,8 @@ _MONTECARLO_NAMES = (
     "sample_single",
 )
 
-__all__ = [
-    "__version__",
-    "Angle",
-    "Outcome",
-    "OutcomeDistribution",
-    "QubitState",
-    "UnitVector3",
-    "X_AXIS",
-    "Y_AXIS",
-    "Z_AXIS",
-    "expectation",
-    "prepare_state",
-    "projection_probabilities",
-    *_FRAMES_NAMES,
-    "ALL_BELL_STATES",
-    "BellState",
-    "CHSHSetting",
-    "EnsembleTable",
-    "JointDistribution",
-    "JointSetting",
-    "PHI_MINUS",
-    "PHI_PLUS",
-    "PSI_PLUS",
-    "SINGLET",
-    "SymmetryPlane",
-    "TSIRELSON_BOUND",
-    "XY_PLANE",
-    "ZX_PLANE",
-    "ZY_PLANE",
-    "build_exact_ensemble",
-    "chsh_classical_max",
-    "chsh_quantum_max",
-    "chsh_scan",
-    "chsh_value",
-    "conditional_average",
-    "correlation",
-    "joint_distribution",
-    *_MONTECARLO_NAMES,
-    "JunctionConfig",
-    "MassProfile",
-    "MassRatioResult",
-    "UnitsConfig",
-    "flrw_mass_ratio",
-    "flrw_metric_components",
-    "load_profile_csv",
-    "proper_mass_integral",
-    "ConvergenceError",
-    "DomainError",
-    "ProfileError",
-    "UndefinedConditionalError",
-]
+__all__ = ["__version__", *spin.__all__, *_FRAMES_NAMES, *bell.__all__, *_MONTECARLO_NAMES,
+           *grmass.__all__, *errors.__all__]
 
 
 def __getattr__(name: str):

@@ -37,6 +37,32 @@ from .spin import (
 if TYPE_CHECKING:
     from fractions import Fraction
 
+__all__ = [
+    "ALL_BELL_STATES",
+    "BellState",
+    "CHSHSetting",
+    "EnsembleTable",
+    "JointDistribution",
+    "JointSetting",
+    "PHI_MINUS",
+    "PHI_PLUS",
+    "PSI_PLUS",
+    "SINGLET",
+    "SymmetryPlane",
+    "TSIRELSON_BOUND",
+    "XY_PLANE",
+    "ZX_PLANE",
+    "ZY_PLANE",
+    "build_exact_ensemble",
+    "chsh_classical_max",
+    "chsh_quantum_max",
+    "chsh_scan",
+    "chsh_value",
+    "conditional_average",
+    "correlation",
+    "joint_distribution",
+]
+
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 # Denominators above this have no practical exact-count ensemble.
@@ -183,6 +209,9 @@ class JointSetting(_Value):
     __slots__ = ("alice", "bob")
 
     def __init__(self, alice: UnitVector3, bob: UnitVector3):
+        for direction in (alice, bob):
+            if not isinstance(direction, UnitVector3):
+                raise DomainError(f"setting directions must be UnitVector3 values, got {direction!r}")
         _set(self, "alice", alice)
         _set(self, "bob", bob)
 
@@ -229,6 +258,11 @@ class CHSHSetting(_Value):
 
     def __init__(self, alice: Angle, alice_prime: Angle, bob: Angle, bob_prime: Angle,
                  plane: SymmetryPlane = ZX_PLANE):
+        for angle in (alice, alice_prime, bob, bob_prime):
+            if not isinstance(angle, Angle):
+                raise DomainError(f"setting angles must be Angle values, got {angle!r}")
+        if not isinstance(plane, SymmetryPlane):
+            raise DomainError(f"setting plane must be a SymmetryPlane, got {plane!r}")
         _set(self, "alice", alice)
         _set(self, "alice_prime", alice_prime)
         _set(self, "bob", bob)

@@ -1,5 +1,12 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "ConvergenceError",
+    "DomainError",
+    "ProfileError",
+    "UndefinedConditionalError",
+]
+
 
 class DomainError(ValueError):
     """Input lies outside an operation's mathematical domain."""

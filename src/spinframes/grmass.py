@@ -24,6 +24,17 @@ from .spin import NOT_A_NUMBER, Angle, _set, _Value
 if TYPE_CHECKING:
     import numpy as np
 
+__all__ = [
+    "JunctionConfig",
+    "MassProfile",
+    "MassRatioResult",
+    "UnitsConfig",
+    "flrw_mass_ratio",
+    "flrw_metric_components",
+    "load_profile_csv",
+    "proper_mass_integral",
+]
+
 # chi0 below this evaluates the ratio by its x^6 series, which is exact to
 # rounding there; the direct form loses digits to cancellation in 2x - sin 2x.
 SERIES_SWITCH = 0.02

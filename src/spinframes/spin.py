@@ -19,6 +19,20 @@ import operator
 
 from .errors import DomainError
 
+__all__ = [
+    "Angle",
+    "Outcome",
+    "OutcomeDistribution",
+    "QubitState",
+    "UnitVector3",
+    "X_AXIS",
+    "Y_AXIS",
+    "Z_AXIS",
+    "expectation",
+    "prepare_state",
+    "projection_probabilities",
+]
+
 # Tolerance ladder: constructed invariants hold to 1e-12, identities that
 # compose several operations are tested at 1e-10.
 NORM_TOL = 1e-12
@@ -115,6 +129,8 @@ class UnitVector3(_Value):
     def normalized(cls, x: float, y: float, z: float) -> "UnitVector3":
         try:
             n = math.sqrt(x * x + y * y + z * z)
+            if not 0.0 < n < math.inf:  # the squares may over- or underflow where the vector does not
+                n = math.hypot(x, y, z)
         except NOT_A_NUMBER:
             raise DomainError(f"components must be real numbers, got {(x, y, z)!r}") from None
         if not (n > 0.0) or not math.isfinite(n):

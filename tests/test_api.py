@@ -44,6 +44,34 @@ REMOVED = [
 ]
 
 
+# The package surface, in order: spin, frames, bell, montecarlo, grmass, errors.
+PUBLIC_NAMES = [
+    "__version__", "Angle", "Outcome", "OutcomeDistribution", "QubitState", "UnitVector3", "X_AXIS", "Y_AXIS",
+    "Z_AXIS", "expectation", "prepare_state", "projection_probabilities", "ComplementaryTriad",
+    "FrameRotation", "SpinRotation", "complementarity_check", "rotate_state", "rotate_triad", "so3_from_su2",
+    "su2_from_axis_angle", "ALL_BELL_STATES", "BellState", "CHSHSetting", "EnsembleTable",
+    "JointDistribution", "JointSetting", "PHI_MINUS", "PHI_PLUS", "PSI_PLUS", "SINGLET", "SymmetryPlane",
+    "TSIRELSON_BOUND", "XY_PLANE", "ZX_PLANE", "ZY_PLANE", "build_exact_ensemble", "chsh_classical_max",
+    "chsh_quantum_max", "chsh_scan", "chsh_value", "conditional_average", "correlation", "joint_distribution",
+    "EmpiricalCHSH", "RNG_DISCIPLINE", "RunStats", "empirical_chsh", "sample_joint", "sample_single",
+    "JunctionConfig", "MassProfile", "MassRatioResult", "UnitsConfig", "flrw_mass_ratio",
+    "flrw_metric_components", "load_profile_csv", "proper_mass_integral", "ConvergenceError", "DomainError",
+    "ProfileError", "UndefinedConditionalError",
+]
+
+
+def test_public_names_are_pinned():
+    assert spinframes.__all__ == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("module", ["errors", "spin", "bell", "grmass"])
+def test_star_import_binds_exactly_the_module_surface(module):
+    namespace = {}
+    exec(f"from spinframes.{module} import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(importlib.import_module(f"spinframes.{module}").__all__)
+
+
 def test_every_public_name_resolves():
     for name in spinframes.__all__:
         assert getattr(spinframes, name) is not None, name

@@ -48,6 +48,21 @@ class TestUnitVector:
         with pytest.raises(DomainError):
             UnitVector3.normalized(0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("components", [(math.inf, 0.0, 0.0), (math.nan, 0.0, 0.0)], ids=repr)
+    def test_non_finite_vector_rejected(self, components):
+        with pytest.raises(DomainError):
+            UnitVector3.normalized(*components)
+
+    @pytest.mark.parametrize("components, unit", [
+        ((1e200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((1e-170, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((5e-324, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((1e200, 1e200, 0.0), (math.sqrt(0.5), math.sqrt(0.5), 0.0)),
+    ], ids=repr)
+    def test_normalized_where_the_squares_over_or_underflow(self, components, unit):
+        v = UnitVector3.normalized(*components)
+        assert (v.x, v.y, v.z) == pytest.approx(unit, abs=1e-15)
+
     def test_non_unit_constructor_rejected(self):
         with pytest.raises(DomainError):
             UnitVector3(1.0, 1.0, 0.0)

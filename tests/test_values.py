@@ -205,6 +205,8 @@ RAW_ERROR_CALLS = [
     (lambda: flrw_metric_components(Angle(1.0), Angle(1.0), "2"), DomainError, "scale factor"),
     (lambda: SymmetryPlane("a", 1, 2), DomainError, "plane axes"),
     (lambda: ComplementaryTriad(1, 2, 3), DomainError, "triad axes"),
+    (lambda: JointSetting(1, 2), DomainError, "setting directions"),
+    (lambda: CHSHSetting(0.0, 1.0, 0.5, 1.5), DomainError, "setting angles"),
 ]
 
 
@@ -267,7 +269,13 @@ INVARIANTS = {
     RunStats: (5, _run_stats),
     EmpiricalCHSH: (4, lambda e: -4.0 <= e.value <= 4.0 and 0.0 <= e.stderr < INF and len(e.terms) == 4
                     and all(isinstance(t, RunStats) for t in e.terms) and _seed(e.seed)),
+    JointSetting: (2, lambda j: isinstance(j.alice, UnitVector3) and isinstance(j.bob, UnitVector3)),
+    CHSHSetting: (5, lambda c: all(isinstance(a, Angle) for a in (c.alice, c.alice_prime, c.bob, c.bob_prime))
+                  and isinstance(c.plane, SymmetryPlane)),
 }
+
+AXIS = st.one_of(WILD, st.sampled_from([X_AXIS, Y_AXIS, Z_AXIS]))
+ANGLE = st.one_of(WILD, st.builds(Angle, st.floats(-10.0, 10.0)))
 
 ARGUMENT = {
     # object arguments are the package's own value types
@@ -276,6 +284,8 @@ ARGUMENT = {
                st.one_of(WILD, st.dictionaries(WILD, WILD, max_size=3))],
     EmpiricalCHSH: [WILD, WILD, st.one_of(WILD, st.just((RUN,) * 4), st.lists(st.just(RUN), max_size=5)),
                     st.one_of(WILD, st.integers(0, 5))],
+    JointSetting: [AXIS, AXIS],
+    CHSHSetting: [ANGLE] * 4 + [st.one_of(WILD, st.sampled_from([XY_PLANE, ZX_PLANE]))],
 }
 
 
