@@ -403,8 +403,8 @@ def _chsh_combination(e_ab: float, e_ab_prime: float, e_a_prime_b: float, e_a_pr
 
 def chsh_value(state: BellState, s: CHSHSetting) -> float:
     """CHSH combination of the four Born-rule correlations."""
-    es = [correlation(state, JointSetting.in_plane(s.plane, a, b)) for a, b in s.pairs()]
-    return _chsh_combination(*es)
+    m = _plane_correlation_matrix(state, s.plane)
+    return _in_plane_s(m, s.alice.radians, s.alice_prime.radians, s.bob.radians, s.bob_prime.radians)
 
 
 def chsh_classical_max() -> float:
@@ -417,11 +417,28 @@ def chsh_classical_max() -> float:
     return 2.0
 
 
-def _plane_correlation_matrix(state: BellState) -> tuple[tuple[float, float], tuple[float, float]]:
-    """2x2 restriction M of the correlation tensor to the state's plane, so
+def _plane_correlation_matrix(
+    state: BellState, plane: SymmetryPlane
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """2x2 restriction M of the correlation tensor to `plane`, so
     E(alpha, beta) = [cos a, sin a] M [cos b, sin b]^T for in-plane angles."""
-    e = (state.plane.e1, state.plane.e2)
+    e = (plane.e1, plane.e2)
     return tuple(tuple(_form(state, u, v) for v in e) for u in e)
+
+
+def _in_plane_s(m, a: float, a_prime: float, b: float, b_prime: float) -> float:
+    """S = u(a)^T M (u(b) - u(b')) + u(a')^T M (u(b) + u(b')) with
+    u(x) = (cos x, sin x), which is E(a,b) - E(a,b') + E(a',b) + E(a',b').
+    Each form is summed term by term from +0.0 in the order (i, j) = (0,0),
+    (0,1), (1,0), (1,1), which is how numpy's einsum sums it: tests/test_bell.py
+    checks the scan against one bit for bit."""
+    (m00, m01), (m10, m11) = m
+    ca, sa, cap, sap = math.cos(a), math.sin(a), math.cos(a_prime), math.sin(a_prime)
+    cb, sb, cbp, sbp = math.cos(b), math.sin(b), math.cos(b_prime), math.sin(b_prime)
+    d0, d1, p0, p1 = cb - cbp, sb - sbp, cb + cbp, sb + sbp
+    minus = 0.0 + ca * m00 * d0 + ca * m01 * d1 + sa * m10 * d0 + sa * m11 * d1
+    plus = 0.0 + cap * m00 * p0 + cap * m01 * p1 + sap * m10 * p0 + sap * m11 * p1
+    return minus + plus
 
 
 def chsh_quantum_max(state: BellState) -> tuple[float, CHSHSetting]:
@@ -437,7 +454,7 @@ def chsh_quantum_max(state: BellState) -> tuple[float, CHSHSetting]:
     a' = phi, b = w - theta and b' = -w - theta with w = atan2(s2, s1),
     reported in [-pi, pi].
     """
-    (a, b), (c, d) = _plane_correlation_matrix(state)
+    (a, b), (c, d) = _plane_correlation_matrix(state, state.plane)
     q, r = math.hypot(a + d, c - b) / 2.0, math.hypot(a - d, c + b) / 2.0
     rho = math.atan2(c - b, a + d)
     # without a reflection part s1 = s2 and any phi will do: take phi = 0
@@ -463,11 +480,5 @@ def chsh_scan(state: BellState, step: Angle = Angle(math.radians(1.0))) -> list[
         raise DomainError(
             f"scan step of {step.degrees!r} degrees gives more than {MAX_SCAN_POINTS} points"
         )
-    import numpy as np
-
-    m = np.array(_plane_correlation_matrix(state))
-    t = np.arange(math.ceil(points)) * step.radians
-    a, a_prime, b, b_prime = (np.stack([np.cos(x), np.sin(x)]) for x in (0.0 * t, 2 * t, t, 3 * t))
-    # S = a^T M (b - b') + a'^T M (b + b'), one value per t
-    s = np.einsum("in,ij,jn->n", a, m, b - b_prime) + np.einsum("in,ij,jn->n", a_prime, m, b + b_prime)
-    return [(Angle(x), y) for x, y in zip(t.tolist(), s.tolist())]
+    h, m = step.radians, _plane_correlation_matrix(state, state.plane)
+    return [(Angle(t := i * h), _in_plane_s(m, 0.0, 2 * t, t, 3 * t)) for i in range(math.ceil(points))]

@@ -297,7 +297,7 @@ def cmd_grmass_curve(args: argparse.Namespace) -> _Output:
             f"grid must satisfy 0 < start < stop < pi, got [{args.start}, {args.stop}]"
         )
     step = (args.stop - args.start) / (args.points - 1)
-    grid = (args.start + i * step for i in range(args.points))
+    grid = (min(args.start + i * step, args.stop) for i in range(args.points))  # no rounding past stop
     points = [{"chi0": chi0, "ratio": flrw_mass_ratio(JunctionConfig(chi0)).ratio} for chi0 in grid]
     return _Output({"points": points}, points)
 

@@ -16,6 +16,7 @@ import cmath
 import enum
 import math
 import operator
+import sys
 
 from .errors import DomainError
 
@@ -128,9 +129,14 @@ class UnitVector3(_Value):
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "UnitVector3":
         try:
-            n = math.sqrt(x * x + y * y + z * z)
-            if not 0.0 < n < math.inf:  # the squares may over- or underflow where the vector does not
-                n = math.hypot(x, y, z)
+            n2 = x * x + y * y + z * z
+            # squares that overflow, or underflow below the smallest normal float
+            if not sys.float_info.min <= n2 < math.inf:
+                scale = max(abs(x), abs(y), abs(z))
+                if 0.0 < scale < math.inf:
+                    x, y, z = x / scale, y / scale, z / scale
+                    n2 = x * x + y * y + z * z
+            n = math.sqrt(n2)
         except NOT_A_NUMBER:
             raise DomainError(f"components must be real numbers, got {(x, y, z)!r}") from None
         if not (n > 0.0) or not math.isfinite(n):

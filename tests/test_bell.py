@@ -37,7 +37,13 @@ from spinframes import (
     joint_distribution,
     su2_from_axis_angle,
 )
-from spinframes.bell import MAX_ENSEMBLE_TRIALS, MAX_SCAN_POINTS, RATIONAL_TOL, _minimal_denominator_fraction
+from spinframes.bell import (
+    MAX_ENSEMBLE_TRIALS,
+    MAX_SCAN_POINTS,
+    RATIONAL_TOL,
+    _minimal_denominator_fraction,
+    _plane_correlation_matrix,
+)
 from conftest import random_direction
 
 TRIPLETS = (PSI_PLUS, PHI_PLUS, PHI_MINUS)
@@ -468,3 +474,69 @@ def test_chsh_value_never_beats_quantum_max(state_idx, angles):
     state = STATES_WITH_ROTATED[state_idx]
     setting = CHSHSetting(*(Angle(x) for x in angles), state.plane)
     assert chsh_value(state, setting) <= chsh_quantum_max(state)[0] + 1e-12
+
+
+# a plane off the coordinate axes: e1 along (1, 2, 3), e2 along (2, -1, 0)
+TILTED_PLANE = SymmetryPlane(
+    "tilted", UnitVector3.normalized(1.0, 2.0, 3.0), UnitVector3.normalized(2.0, -1.0, 0.0)
+)
+PLANES = (XY_PLANE, ZX_PLANE, ZY_PLANE, TILTED_PLANE)
+# each Bell state rebuilt in each coordinate plane, its own included
+STATES_IN_EVERY_PLANE = tuple(BellState(s.label, s.psi, p) for s in ALL_BELL_STATES for p in PLANES[:3])
+SCAN_STEPS_DEG = (0.01, 0.37, 1.0, 7.0, 45.0, 90.0, 400.0, *np.random.default_rng(18).uniform(0.01, 10.0, 40).tolist())
+
+
+def einsum_scan(state: BellState, step: Angle) -> list[tuple[float, float]]:
+    """(t, S) along chsh_scan's family a=0, b=t, a'=2t, b'=3t, as two numpy
+    einsums S = a^T M (b - b') + a'^T M (b + b') over every t at once."""
+    m = np.array(_plane_correlation_matrix(state, state.plane))
+    t = np.arange(math.ceil((2.0 * math.pi - 1e-12) / step.radians)) * step.radians
+    a, a_prime, b, b_prime = (np.stack([np.cos(x), np.sin(x)]) for x in (0.0 * t, 2 * t, t, 3 * t))
+    s = np.einsum("in,ij,jn->n", a, m, b - b_prime) + np.einsum("in,ij,jn->n", a_prime, m, b + b_prime)
+    return list(zip(t.tolist(), s.tolist()))
+
+
+def vector_chsh_value(state: BellState, s: CHSHSetting) -> float:
+    """S from the four 3-vector correlations E(a, b) = a^T T b."""
+    e = [correlation(state, JointSetting.in_plane(s.plane, a, b)) for a, b in s.pairs()]
+    return e[0] - e[1] + e[2] + e[3]
+
+
+@pytest.mark.parametrize("state", STATES_IN_EVERY_PLANE + (ROTATED,), ids=lambda s: f"{s.label}-{s.plane.name}")
+def test_scan_matches_the_einsum_bit_for_bit(state):
+    for deg in SCAN_STEPS_DEG:
+        step = Angle.from_degrees(deg)
+        got = [(a.radians.hex(), s.hex()) for a, s in chsh_scan(state, step)]  # hex keeps the sign of zero
+        assert got == [(t.hex(), s.hex()) for t, s in einsum_scan(state, step)], deg
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    state=st.sampled_from(STATES_WITH_ROTATED),
+    plane=st.sampled_from(PLANES),
+    angles=st.lists(st.floats(-20.0, 20.0), min_size=4, max_size=4),
+)
+def test_chsh_value_matches_the_vector_form(state, plane, angles):
+    setting = CHSHSetting(*(Angle(x) for x in angles), plane)
+    assert abs(chsh_value(state, setting) - vector_chsh_value(state, setting)) <= 1e-14
+
+
+FINITE_ANGLE = st.builds(Angle, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    state=st.sampled_from(STATES_IN_EVERY_PLANE + (ROTATED,)),
+    plane=st.sampled_from(PLANES),
+    angles=st.lists(FINITE_ANGLE, min_size=4, max_size=4),
+    # a step of at least 0.01 rad gives at most 629 points
+    step=st.builds(Angle, st.one_of(st.floats(0.01, 1e300), st.floats(-1e300, 0.0))),
+)
+def test_chsh_stays_within_tsirelson_or_raises_typed_errors(state, plane, angles, step):
+    for compute in (lambda: [chsh_value(state, CHSHSetting(*angles, plane))],
+                    lambda: [s for _, s in chsh_scan(state, step)]):
+        try:
+            got = compute()
+        except DomainError:
+            continue
+        assert all(abs(s) <= TSIRELSON_BOUND + 1e-12 for s in got), got

@@ -213,6 +213,18 @@ class TestGrmass:
         assert len(ratios) == 30
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
+    def test_ratio_curve_ends_at_stop(self, capsys):
+        # start + 825 * step rounds to pi, just past this stop
+        stop = "3.1415926535897927"
+        rc, out, _ = run_cli(
+            capsys, "--format", "csv", "grmass", "ratio-curve",
+            "--start", "1.4169560036426874", "--stop", stop, "--points", "826",
+        )
+        assert rc == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 826
+        assert float(rows[-1][0]) == float(stop)
+
     def test_ratio_curve_points_over_limit(self, capsys):
         rc, out, err = run_cli(
             capsys, "grmass", "ratio-curve", "--points", str(MAX_CURVE_POINTS + 1),
@@ -498,11 +510,11 @@ def test_array_libraries_load_only_where_needed(tmp_path):
     array_commands = [
         ["spin", "--theta-deg", "60", "--n", "100"],
         ["bell", "--theta-deg", "60", "--n", "100"],
-        ["chsh", "--mode", "scan", "--resolution-deg", "10"],
         ["chsh", "--mode", "empirical", "--n", "100"],
         ["grmass", "binding", "--profile", str(profile), "--geometrized"],
     ]
-    scalar = [argv for argv in SCALAR_COMMANDS if argv[0] != "ensemble"]
+    scan = ["chsh", "--mode", "scan", "--resolution-deg", "10"]
+    scalar = [argv for argv in SCALAR_COMMANDS if argv[0] != "ensemble"] + [scan]
     ensemble = [argv for argv in SCALAR_COMMANDS if argv[0] == "ensemble"]
     # the commands are spliced in as literals: the child must not import json
     code = (
@@ -543,6 +555,23 @@ def test_array_libraries_load_only_where_needed(tmp_path):
         code = f"import sys, spinframes\nspinframes.{name}\nassert 'spinframes.{other}' not in sys.modules"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_scan_gives_the_golden_bytes_without_numpy():
+    argv, _, json_sha, csv_sha, _ = next(g for g in GOLDEN if g[0].startswith("chsh --mode scan"))
+    code = (
+        "import contextlib, hashlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"  # any import of numpy now raises
+        "from spinframes.cli import main\n"
+        "for fmt in ('json', 'csv'):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        f"        assert main(['--format', fmt, *{argv.split()!r}]) == 0, fmt\n"
+        "    print(hashlib.sha256(out.getvalue().encode()).hexdigest()[:16])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == [json_sha, csv_sha]
 
 
 def test_closed_stdout_exits_2_without_traceback():

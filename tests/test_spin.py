@@ -58,10 +58,20 @@ class TestUnitVector:
         ((1e-170, 0.0, 0.0), (1.0, 0.0, 0.0)),
         ((5e-324, 0.0, 0.0), (1.0, 0.0, 0.0)),
         ((1e200, 1e200, 0.0), (math.sqrt(0.5), math.sqrt(0.5), 0.0)),
+        # squared norms below the smallest normal float
+        ((1e-160, 1e-160, 0.0), (math.sqrt(0.5), math.sqrt(0.5), 0.0)),
+        ((3e-158, 1e-159, 2e-160), tuple(c / math.sqrt(90104.0) for c in (300.0, 10.0, 2.0))),
+        ((5e-324, 5e-324, 0.0), (math.sqrt(0.5), math.sqrt(0.5), 0.0)),
     ], ids=repr)
     def test_normalized_where_the_squares_over_or_underflow(self, components, unit):
         v = UnitVector3.normalized(*components)
         assert (v.x, v.y, v.z) == pytest.approx(unit, abs=1e-15)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3).filter(any))
+    def test_a_finite_nonzero_vector_at_any_scale_normalizes(self, components):
+        v = UnitVector3.normalized(*components)
+        assert all(c * u >= 0.0 for c, u in zip(components, (v.x, v.y, v.z)))  # along the input
 
     def test_non_unit_constructor_rejected(self):
         with pytest.raises(DomainError):
