@@ -5,14 +5,13 @@ is a stable header row plus data rows. Anything seeded is byte-identical
 across runs with the same arguments (the manifest timestamp is null
 unless --timestamp is passed, keeping full-stream determinism).
 
-Exit codes: 0 success, 2 usage error, unreadable input file or closed
-stdout, 3 domain error, 4 convergence error.
+Exit codes: 0 success, 2 usage error, unreadable input file or stdout
+that cannot be written, 3 domain error, 4 convergence error.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
@@ -56,10 +55,6 @@ SCHEMA_VERSION = 1
 # Largest grid one `grmass ratio-curve` call may ask for.
 MAX_CURVE_POINTS = 10**6
 
-# JSON encoder chunks joined into one write: a write per chunk costs more
-# than the encoding, and a batch stays small, so bulk output still streams.
-JSON_WRITE_BATCH = 1024
-
 # jsonschema for every JSON envelope this tool prints
 OUTPUT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -88,8 +83,8 @@ OUTPUT_SCHEMA = {
 _PLANES = {"xy": XY_PLANE, "zx": ZX_PLANE, "zy": ZY_PLANE}
 
 
-def _add_angle_flags(parser: argparse.ArgumentParser, prefix: str = "theta", required: bool = True):
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_angle_flags(parser: argparse.ArgumentParser, prefix: str = "theta"):
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument(f"--{prefix}-deg", type=float, default=None, metavar="DEG")
     group.add_argument(f"--{prefix}-rad", type=float, default=None, metavar="RAD")
 
@@ -393,16 +388,27 @@ def _emit(args: argparse.Namespace, out: _Output, stream) -> None:
     if args.format == "json":
         import json
 
-        envelope = {
-            "schema_version": SCHEMA_VERSION,
-            "manifest": _manifest(args, out),
-            "data": out.data,
-        }
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(envelope)
-        # every chunk is a non-empty token, so only the end gives an empty batch
-        while batch := "".join(itertools.islice(chunks, JSON_WRITE_BATCH)):
-            stream.write(batch)
-        stream.write("\n")
+        # a list in `data` is a table of flat rows: json writes the rest, and
+        # each row is one item from a template, so bulk output streams
+        key = next((k for k, v in out.data.items() if isinstance(v, list)), None)
+        data = {**out.data, key: None} if key else out.data
+        envelope = {"schema_version": SCHEMA_VERSION, "manifest": _manifest(args, out), "data": data}
+        text = json.dumps(envelope, indent=2, sort_keys=True)
+        if key:
+            # the first `"<key>": null` is the table's: `data` sorts first in
+            # the envelope and holds no other null; the table sits directly
+            # under `data`, so its rows are indented 6 spaces
+            head, text = text.split(f'"{key}": null', 1)
+            rows = iter(out.data[key])
+            first = next(rows)  # every table is non-empty
+            # repr is how json writes ints and floats; the only strings, +1 and -1, need no escaping
+            fields = (f'"{k}": "{{{k}}}"' if isinstance(v, str) else f'"{k}": {{{k}!r}}'
+                      for k, v in sorted(first.items()))
+            row = "      {{\n        " + ",\n        ".join(fields) + "\n      }}"
+            stream.write(f'{head}"{key}": [\n{row.format_map(first)}')
+            stream.writelines(",\n" + row.format_map(r) for r in rows)
+            text = "\n    ]" + text
+        stream.write(text + "\n")
     else:
         import csv
 
@@ -438,12 +444,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _emit(args, out, sys.stdout)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader went away; point stdout at devnull so the flush at
-        # interpreter shutdown does not raise a second time
+    except OSError as exc:
+        # the reader went away or the device is full; point stdout at devnull
+        # so the flush at interpreter shutdown does not raise a second time
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -194,7 +194,8 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def load_profile_csv(path: str) -> MassProfile:
     """Read a profile from CSV with header exactly ``r,M``.
 
-    Errors carry 1-based line numbers of the offending row.
+    The file is UTF-8 and may start with a byte-order mark, as spreadsheet
+    exports do. Errors carry 1-based line numbers of the offending row.
     """
     import csv
 
@@ -204,24 +205,26 @@ def load_profile_csv(path: str) -> MassProfile:
         raise ProfileError(f"profile path must be a str or path-like object, got {path!r}") from None
     rs: list[float] = []
     ms: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ProfileError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ["r", "M"]:
-            raise ProfileError(f"{path}: line 1: header must be exactly 'r,M'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ProfileError(f"{path}: line {line_no}: expected 2 columns, got {len(row)}")
-            try:
-                rs.append(float(row[0]))
-                ms.append(float(row[1]))
-            except ValueError:
-                raise ProfileError(f"{path}: line {line_no}: non-numeric value") from None
+            header = next(reader, None)
+            if header is None:
+                raise ProfileError(f"{path}: empty file")
+            if [h.strip() for h in header] != ["r", "M"]:
+                raise ProfileError(f"{path}: line 1: header must be exactly 'r,M'")
+            for line_no, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 2:
+                    raise ProfileError(f"{path}: line {line_no}: expected 2 columns, got {len(row)}")
+                try:
+                    rs.append(float(row[0]))
+                    ms.append(float(row[1]))
+                except ValueError:
+                    raise ProfileError(f"{path}: line {line_no}: non-numeric value") from None
+        except csv.Error as exc:  # such as a field longer than csv's limit of 131072 characters
+            raise ProfileError(f"{path}: line {reader.line_num}: {exc}") from None
     try:
         return MassProfile.from_table(rs, ms)
     except ProfileError as exc:

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import jsonschema
@@ -307,6 +308,13 @@ class TestGrmass:
         assert rc == 3
         assert "line 1" in err
 
+    def test_binding_field_over_the_csv_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("r,M\n" + "1" * 200_000 + ",0\n1,0.2\n")
+        rc, out, err = run_cli(capsys, "grmass", "binding", "--profile", str(path))
+        assert (rc, out) == (3, "")
+        assert err.startswith("error:") and "line 2" in err
+
     def test_binding_flag_validation(self, capsys):
         rc, _, _ = run_cli(capsys, "grmass", "binding", "--uniform", "--mass", "1")
         assert rc == 3
@@ -417,6 +425,85 @@ def test_golden_bytes(tmp_path, monkeypatch, argv, rc, json_sha, csv_sha, err_sh
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             got_rc = main(["--format", fmt, *argv.split()])
         assert (got_rc, _sha(out.getvalue()), _sha(err.getvalue())) == (rc, want, err_sha), fmt
+
+
+def test_profile_with_a_byte_order_mark_gives_the_golden_bytes(tmp_path, monkeypatch):
+    # spreadsheet "CSV UTF-8" exports start with a BOM; this is the profile
+    # test_golden_bytes writes, with one
+    (tmp_path / "profile.csv").write_bytes(b"\xef\xbb\xbfr,M\n0,0\n0.5,0.025\n1,0.2\n")
+    monkeypatch.chdir(tmp_path)
+    argv, rc, json_sha, csv_sha, err_sha = next(g for g in GOLDEN if "--profile" in g[0])
+    for fmt, want in (("json", json_sha), ("csv", csv_sha)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            got_rc = main(["--format", fmt, *argv.split()])
+        assert (got_rc, _sha(out.getvalue()), _sha(err.getvalue())) == (rc, want, err_sha), fmt
+
+
+# sha256 (first 16 hex digits) of stdout in JSON and in CSV for the three
+# bulk commands at 10 and 5000 rows, and in JSON at 10**6 rows: the rows of
+# a JSON table are written apart from the rest of the envelope, and must
+# keep every byte json gives
+BULK = [
+    ("ensemble --theta-deg 90 --n 10", "2c488952f07e4c87", "869a828d6dfe0ce3"),
+    ("chsh --mode scan --state psi+ --resolution-deg 36", "ae6083a4d3523db1", "14f598197e839e61"),
+    ("grmass ratio-curve --points 10", "6177b9794ac8d36d", "e20fe4f5a43db361"),
+    ("ensemble --theta-deg 90 --n 5000", "f6a2435ec0b082be", "1b672ca49e79cd6a"),
+    ("chsh --mode scan --state psi+ --resolution-deg 0.072", "b90d5dff3b82a52e", "e848dbd3e05f48f6"),
+    ("grmass ratio-curve --points 5000", "c07e0c24a0c8854b", "c11798bf2575388e"),
+]
+MILLION_ROWS = [
+    ("ensemble --theta-deg 90 --n 1000000", "aa7a8d434307cec8"),
+    ("chsh --mode scan --state psi+ --resolution-deg 0.00036", "1b6db6e3d7a8334f"),
+    ("grmass ratio-curve --points 1000000", "071820975a4e6a07"),
+]
+# One json.dumps of a whole 10**6-row envelope peaked near 990 MB; written
+# row by row, these commands peak at 245-390 MB.
+MILLION_ROW_PEAK_MB = 450
+
+
+@pytest.mark.parametrize("argv, json_sha, csv_sha", BULK, ids=[b[0] for b in BULK])
+def test_bulk_bytes(argv, json_sha, csv_sha):
+    for fmt, want in (("json", json_sha), ("csv", csv_sha)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["--format", fmt, *argv.split()]) == 0, fmt
+        assert _sha(out.getvalue()) == want, fmt
+
+
+def test_million_row_json_keeps_its_bytes_and_streams():
+    # stdout is hashed as it is written, so the child holds no copy of it;
+    # the peak after each run is the process's so far, so it bounds that run
+    code = textwrap.dedent(f"""
+        import contextlib, hashlib, resource
+        from spinframes.cli import main
+
+        class Sha256Stream:
+            def __init__(self):
+                self.sha = hashlib.sha256()
+
+            def write(self, text):
+                self.sha.update(text.encode())
+
+            def writelines(self, lines):
+                for text in lines:
+                    self.write(text)
+
+            def flush(self):
+                pass
+
+        for argv in {[argv for argv, _ in MILLION_ROWS]!r}:
+            out = Sha256Stream()
+            with contextlib.redirect_stdout(out):
+                assert main(argv.split()) == 0, argv
+            print(out.sha.hexdigest()[:16], resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    lines = [line.split() for line in proc.stdout.decode().splitlines()]
+    assert [sha for sha, _ in lines] == [sha for _, sha in MILLION_ROWS]
+    for (argv, _), (_, peak_mb) in zip(MILLION_ROWS, lines):
+        assert int(peak_mb) <= MILLION_ROW_PEAK_MB, (argv, peak_mb)
 
 
 def test_one_parser_serves_every_call(capsys):
@@ -589,6 +676,24 @@ def test_closed_stdout_exits_2_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert b"Traceback" not in err and b"Exception" not in err, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["grmass", "ratio", "--chi0", "1"],
+    ["--format", "csv", "grmass", "ratio-curve", "--points", "5000"],
+], ids=" ".join)
+def test_unwritable_stdout_exits_2_without_traceback(argv, unbuffered):
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinframes.cli", *argv], stdout=full, stderr=subprocess.PIPE,
+            env=dict(_subprocess_env(), PYTHONUNBUFFERED=unbuffered), timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error:") and proc.stderr.count(b"\n") == 1, proc.stderr
+    assert b"Traceback" not in proc.stderr and b"Exception" not in proc.stderr, proc.stderr
 
 
 # floats at the edges of the double range, written as the CLI reads them

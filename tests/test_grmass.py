@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
@@ -21,6 +22,15 @@ from spinframes import (
 )
 
 GEOM = UnitsConfig.geometrized()
+
+# pieces of profile text: numbers and their letters, separators, quotes,
+# line ends, NUL, a byte-order mark, and now and then a field longer than
+# csv's limit of 131072 characters
+CSV_PIECES = st.one_of(
+    st.text(alphabet="0123456789.eE+-", max_size=8),
+    st.sampled_from([",", '"', "\r", "\n", "\r\n", "\x00", "\ufeff", "nan", "inf", "-inf", "0,0\n",
+                     "0.5,0.25\n", "1,1\n", "1" * 131_073]),
+)
 
 
 def uniform_sphere_ratio_oracle(compactness: float) -> float:
@@ -240,6 +250,17 @@ class TestProfiles:
         path.write_text("")
         with pytest.raises(ProfileError, match="empty"):
             load_profile_csv(str(path))
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(head=st.sampled_from(["", "r,M\n", "\ufeffr,M\r\n0,0\r\n"]), pieces=st.lists(CSV_PIECES, max_size=16))
+    def test_csv_of_any_text_gives_a_profile_or_a_typed_error(self, tmp_path, head, pieces):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes((head + "".join(pieces)).encode())
+        try:
+            profile = load_profile_csv(path)
+        except (ProfileError, UnicodeDecodeError, OSError):
+            return
+        assert isinstance(profile, MassProfile)
 
 
 # (r, M) tables for the special cases of the PCHIP slopes
