@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from functools import cache
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, ProfileError
@@ -45,11 +44,26 @@ QUAD_MAX_SEGMENTS = 2**16  # live segments beyond the table's pieces: bounds the
 _HORIZON = "horizon inside the matter: 1 - 2GM(r)/(c^2 r) <= 0 at r = {!r}"
 
 
-@cache
-def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
-    return np.polynomial.legendre.leggauss(points)
+# (node, weight) pairs of the Gauss-Legendre rules on [-1, 1]: the 10-point
+# rule, which gives a segment's value, then the 5-point rule, which gives its
+# error estimate. Each equals numpy.polynomial.legendre's rule bit for bit.
+_NODES, _WEIGHTS = zip(*((float.fromhex(x), float.fromhex(w)) for x, w in (
+    ("-0x1.f2a3e062af2d8p-1", "0x1.1115f8b62dc1fp-4"),
+    ("-0x1.bae995e9cb2f3p-1", "0x1.32138c878efdep-3"),
+    ("-0x1.5bdb9228de198p-1", "0x1.c0b059d00bc30p-3"),
+    ("-0x1.bbcc009016adcp-2", "0x1.13baa7a559c01p-2"),
+    ("-0x1.30e507891e27ap-3", "0x1.2e9de7014d6eep-2"),
+    ("0x1.30e507891e27ap-3", "0x1.2e9de7014d6eep-2"),
+    ("0x1.bbcc009016adcp-2", "0x1.13baa7a559c01p-2"),
+    ("0x1.5bdb9228de198p-1", "0x1.c0b059d00bc30p-3"),
+    ("0x1.bae995e9cb2f3p-1", "0x1.32138c878efdep-3"),
+    ("0x1.f2a3e062af2d8p-1", "0x1.1115f8b62dc1fp-4"),
+    ("-0x1.cff6ce0533a69p-1", "0x1.e539ec36e0393p-3"),
+    ("-0x1.13b23fd99b705p-1", "0x1.ea1da25ae4158p-2"),
+    ("0x0.0p+0", "0x1.23456789abcddp-1"),
+    ("0x1.13b23fd99b705p-1", "0x1.ea1da25ae4158p-2"),
+    ("0x1.cff6ce0533a69p-1", "0x1.e539ec36e0393p-3"),
+)))
 
 
 class UnitsConfig(_Value):
@@ -146,9 +160,9 @@ class MassProfile(_Value):
         if not (np.isfinite(r).all() and np.isfinite(m).all()):
             raise ProfileError("profile table contains non-finite values")
         if r[0] != 0.0:
-            raise ProfileError(f"first radius must be 0, got {r[0]!r}")
+            raise ProfileError(f"first radius must be 0, got {float(r[0])!r}")
         if m[0] != 0.0:
-            raise ProfileError(f"mass at r = 0 must be 0, got {m[0]!r}")
+            raise ProfileError(f"mass at r = 0 must be 0, got {float(m[0])!r}")
         # compare neighbours: np.diff overflows for opposite signs near the largest float
         if not (r[1:] > r[:-1]).all():
             i = int(np.argmin(r[1:] > r[:-1])) + 1
@@ -195,7 +209,8 @@ def load_profile_csv(path: str) -> MassProfile:
     """Read a profile from CSV with header exactly ``r,M``.
 
     The file is UTF-8 and may start with a byte-order mark, as spreadsheet
-    exports do. Errors carry 1-based line numbers of the offending row.
+    exports do. Errors carry the 1-based number of the physical line on which
+    the offending row ends, which a quoted field may carry over line ends.
     """
     import csv
 
@@ -212,17 +227,17 @@ def load_profile_csv(path: str) -> MassProfile:
             if header is None:
                 raise ProfileError(f"{path}: empty file")
             if [h.strip() for h in header] != ["r", "M"]:
-                raise ProfileError(f"{path}: line 1: header must be exactly 'r,M'")
-            for line_no, row in enumerate(reader, start=2):
+                raise ProfileError(f"{path}: line {reader.line_num}: header must be exactly 'r,M'")
+            for row in reader:
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if len(row) != 2:
-                    raise ProfileError(f"{path}: line {line_no}: expected 2 columns, got {len(row)}")
+                    raise ProfileError(f"{path}: line {reader.line_num}: expected 2 columns, got {len(row)}")
                 try:
                     rs.append(float(row[0]))
                     ms.append(float(row[1]))
                 except ValueError:
-                    raise ProfileError(f"{path}: line {line_no}: non-numeric value") from None
+                    raise ProfileError(f"{path}: line {reader.line_num}: non-numeric value") from None
         except csv.Error as exc:  # such as a field longer than csv's limit of 131072 characters
             raise ProfileError(f"{path}: line {reader.line_num}: {exc}") from None
     try:
@@ -318,7 +333,9 @@ def proper_mass_integral(profile: MassProfile, units: UnitsConfig = UnitsConfig(
     their value for at most QUAD_MAX_ROUNDS rounds and QUAD_MAX_SEGMENTS
     live segments, or ConvergenceError is raised. A horizon inside the
     matter raises DomainError naming its radius; so does a proper mass
-    too large for a float, with the mass.
+    too large for a float, with the mass. A table's result is clamped to at
+    least M: where the binding energy is below one ulp of M, as in SI units
+    at everyday compactness, the quadrature rounds to either side of M.
     """
     k = 2.0 * units.G / units.c**2
     if profile.spline is None:
@@ -327,7 +344,7 @@ def proper_mass_integral(profile: MassProfile, units: UnitsConfig = UnitsConfig(
             raise DomainError(_HORIZON.format(profile.radius))
         proper = profile.mass * _ratio_of(math.asin(math.sqrt(compactness)))
     else:
-        proper = _integrate_table(*profile.spline, k)
+        proper = max(_integrate_table(*profile.spline, k), profile.mass)  # nan stays nan
     if not math.isfinite(proper):
         raise DomainError(f"proper mass of a profile of mass {profile.mass!r} overflows a float")
     return proper
@@ -341,30 +358,31 @@ def _integrate_table(x: np.ndarray, c: np.ndarray, k: float) -> float:
     # their piece i, which keeps u exact on thin pieces far from r = 0
     piece, start, width = np.arange(len(x) - 1), np.zeros(len(x) - 1), np.diff(x)
     value = spent = 0.0  # sums over the accepted segments
-
-    def rule(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        u = start[:, None] + 0.5 * width[:, None] * (nodes + 1.0)
-        cp = c[:, piece, None]
-        dm = (3.0 * cp[0] * u + 2.0 * cp[1]) * u + cp[2]
-        return 0.5 * width * ((dm / np.sqrt(1.0 - k * _cubic(cp, u) / (x[piece, None] + u))) @ weights)
-
-    # Gauss-Legendre rules: 10 points give a segment's value and 5 its error estimate
+    nodes, weights = np.array(_NODES)[:, None] + 1.0, np.array(_WEIGHTS)[:, None]
     with np.errstate(all="ignore"):  # a value that is not finite is never done: no warning
-        for _ in range(QUAD_MAX_ROUNDS):
-            high = rule(*_gauss_legendre(10))
-            err = np.abs(high - rule(*_gauss_legendre(5)))
-            total = value + float(high.sum())
-            if spent + float(err.sum()) <= QUAD_REL_TOL * total:
-                return total
-            done = err <= QUAD_REL_TOL * np.abs(high)
-            value, spent = value + float(high[done].sum()), spent + float(err[done].sum())
-            piece, start, width = piece[~done], start[~done], 0.5 * width[~done]
-            piece, start, width = np.tile(piece, 2), np.concatenate([start, start + width]), np.tile(width, 2)
-            if len(piece) > len(x) - 1 + QUAD_MAX_SEGMENTS:  # segments never done double each round
-                break
-    raise ConvergenceError(
-        f"quadrature error {spent + float(err.sum())!r} exceeds {QUAD_REL_TOL} relative", best=total
-    )
+        try:
+            for _ in range(QUAD_MAX_ROUNDS):
+                # all 15 nodes at once, row j for node j; each rule sums its terms left to right
+                u = start + 0.5 * width * nodes
+                cp = c[:, piece]
+                dm = (3.0 * cp[0] * u + 2.0 * cp[1]) * u + cp[2]
+                terms = dm / np.sqrt(1.0 - k * _cubic(cp, u) / (x[piece] + u)) * weights
+                high = 0.5 * width * sum(terms[:10])
+                err = np.abs(high - 0.5 * width * sum(terms[10:]))
+                total = value + math.fsum(high.tolist())
+                if spent + math.fsum(err.tolist()) <= QUAD_REL_TOL * total:
+                    return total
+                done = err <= QUAD_REL_TOL * np.abs(high)
+                value, spent = value + math.fsum(high[done].tolist()), spent + math.fsum(err[done].tolist())
+                piece, start, width = piece[~done], start[~done], 0.5 * width[~done]
+                piece, start, width = np.tile(piece, 2), np.concatenate([start, start + width]), np.tile(width, 2)
+                if len(piece) > len(x) - 1 + QUAD_MAX_SEGMENTS:  # segments never done double each round
+                    break
+            raise ConvergenceError(
+                f"quadrature error {spent + math.fsum(err.tolist())!r} exceeds {QUAD_REL_TOL} relative", best=total
+            )
+        except OverflowError:  # fsum of finite segment values whose exact sum passes the largest float
+            return math.inf
 
 
 def flrw_metric_components(

@@ -308,6 +308,17 @@ class TestGrmass:
         assert rc == 3
         assert "line 1" in err
 
+    @pytest.mark.parametrize("table, message", [
+        ("1,0\n2,1\n", "first radius must be 0, got 1.0"),
+        ("0,0.5\n2,1\n", "mass at r = 0 must be 0, got 0.5"),
+    ])
+    def test_binding_table_errors_print_plain_floats(self, capsys, tmp_path, table, message):
+        path = tmp_path / "p.csv"
+        path.write_text("r,M\n" + table)
+        rc, out, err = run_cli(capsys, "grmass", "binding", "--profile", str(path))
+        assert (rc, out) == (3, "")
+        assert err == f"error: {path}: {message}\n"
+
     def test_binding_field_over_the_csv_limit(self, capsys, tmp_path):
         path = tmp_path / "long.csv"
         path.write_text("r,M\n" + "1" * 200_000 + ",0\n1,0.2\n")
@@ -634,6 +645,7 @@ def test_array_libraries_load_only_where_needed(tmp_path):
         "for argv in array:\n"
         "    run(argv)\n"
         "assert loaded('numpy') and not loaded('scipy')\n"
+        "assert 'numpy.polynomial' not in sys.modules, 'the quadrature rules are constants'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
@@ -20,6 +20,7 @@ from spinframes import (
     load_profile_csv,
     proper_mass_integral,
 )
+from spinframes.grmass import _NODES, _WEIGHTS, QUAD_MAX_ROUNDS, QUAD_REL_TOL
 
 GEOM = UnitsConfig.geometrized()
 
@@ -68,6 +69,42 @@ def dust_cap_series_ratio(chi0: float) -> float:
         if abs(term) <= 1e-20 * abs(total):
             return 3.0 * total / (4.0 * math.sin(chi0) ** 3)
         k += 1
+
+
+def table_quadrature_oracle(profile: MassProfile, units: UnitsConfig) -> float:
+    """The proper mass of a table in plain Python: numpy's Gauss-Legendre
+    rules, the same node order and per-term order, each rule's terms summed
+    left to right, the same bisection, and each round's sums by math.fsum.
+    The spline is taken as given and not checked for a horizon."""
+    x, c = (a.tolist() for a in profile.spline)
+    k = 2.0 * units.G / units.c**2
+    rules = [list(zip(*np.polynomial.legendre.leggauss(n))) for n in (10, 5)]
+    segments = [(i, 0.0, x[i + 1] - x[i]) for i in range(len(x) - 1)]
+    value = spent = 0.0
+    for _ in range(QUAD_MAX_ROUNDS):
+        highs, errs = [], []
+        for i, start, width in segments:
+            c0, c1, c2, c3 = (row[i] for row in c)
+            sums = []
+            for rule in rules:
+                weighted = 0.0
+                for node, weight in rule:
+                    u = start + 0.5 * width * (float(node) + 1.0)
+                    dm = (3.0 * c0 * u + 2.0 * c1) * u + c2
+                    mass = ((c0 * u + c1) * u + c2) * u + c3
+                    weighted += dm / math.sqrt(1.0 - k * mass / (x[i] + u)) * float(weight)
+                sums.append(0.5 * width * weighted)
+            highs.append(sums[0])
+            errs.append(abs(sums[0] - sums[1]))
+        total = value + math.fsum(highs)
+        if spent + math.fsum(errs) <= QUAD_REL_TOL * total:
+            return max(total, profile.mass)
+        done = [e <= QUAD_REL_TOL * abs(h) for h, e in zip(highs, errs)]
+        value += math.fsum(h for h, d in zip(highs, done) if d)
+        spent += math.fsum(e for e, d in zip(errs, done) if d)
+        kept = [(i, start, 0.5 * width) for (i, start, width), d in zip(segments, done) if not d]
+        segments = kept + [(i, start + width, width) for i, start, width in kept]
+    raise AssertionError("the oracle did not converge")
 
 
 def step_profile(jump: float) -> MassProfile:
@@ -233,6 +270,18 @@ class TestProfiles:
         with pytest.raises(ProfileError, match="line 3"):
             load_profile_csv(str(path))
 
+    @pytest.mark.parametrize("text, line", [
+        ('r,M\n"0\n",0\n1,x\n', 4),
+        ('r,M\n"0\n",0\n1\n', 4),
+        ('r,M\n0,"0\n\n"\n\n1,1,1\n', 6),
+    ])
+    def test_csv_errors_count_physical_lines(self, tmp_path, text, line):
+        # a quoted field may hold line ends; the error names the line its row ends on
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ProfileError, match=f": line {line}: "):
+            load_profile_csv(str(path))
+
     def test_csv_path_may_be_path_like(self, tmp_path):
         path = tmp_path / "profile.csv"
         path.write_text("r,M\n0,0\n1.0,2.0\n")
@@ -327,6 +376,28 @@ class TestBindingQuadrature:
             units = UnitsConfig(G=0.05, c=1.0)
             assert proper_mass_integral(profile, units) > profile.mass
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(st.tuples(st.floats(1e-3, 1e3), st.just(0.0) | st.floats(1e-3, 1e3)), min_size=1, max_size=40),
+        r_scale=st.floats(-3.0, 3.0),
+        geometrized=st.booleans(),
+        size=st.floats(1e-6, 1.0),
+    )
+    def test_table_proper_mass_is_at_least_dynamic_mass(self, steps, r_scale, geometrized, size):
+        r = np.cumsum([0.0] + [dr for dr, _ in steps]) * 10.0**r_scale
+        m = np.cumsum([0.0] + [dm for _, dm in steps])
+        assume(m[-1] > 0.0)
+        if geometrized:  # compactness 2M/R up to 0.9
+            units, m = GEOM, m * (0.45 * size * r[-1] / m[-1])
+        else:  # 1e-3 to 1e35 kg: the binding energy is far below one ulp of M
+            units, m = UnitsConfig(), m * 10.0 ** (38.0 * size - 3.0) / m[-1]
+        profile = MassProfile.from_table(r, m)
+        try:
+            proper = proper_mass_integral(profile, units)
+        except (DomainError, ConvergenceError):  # a horizon inside the matter, or a stalled quadrature
+            return
+        assert proper >= profile.mass
+
     def test_weak_gravity_limit_recovers_dynamic_mass(self):
         profile = MassProfile.uniform(1.0, 1.0)
         weak = UnitsConfig(G=1e-30, c=1.0)
@@ -365,6 +436,12 @@ class TestBindingQuadrature:
         profile = MassProfile.uniform(mass, 2.0 * units.G * mass / (units.c**2 * 1e-9))
         with pytest.raises(DomainError, match="overflows"):
             proper_mass_integral(profile, units)
+        # a table whose segment values are finite but whose sum is not
+        mass, radius = 1.5e308, 1e10
+        r = np.linspace(0.0, radius, 20)
+        table = MassProfile.from_table(r, mass * (r / radius) ** 3)
+        with pytest.raises(DomainError, match="overflows"):
+            proper_mass_integral(table, UnitsConfig(G=0.25 * radius / mass, c=1.0))
 
     def test_ball_tables_match_arcsin_form(self):
         x = 0.1
@@ -376,6 +453,31 @@ class TestBindingQuadrature:
                 warnings.simplefilter("error")
                 got = proper_mass_integral(profile, GEOM)
             assert abs(got - UNIFORM_RATIO[x]) / UNIFORM_RATIO[x] <= 1e-6
+
+
+class TestQuadratureOracle:
+    """The numerical route behind the rule constants, kept as an oracle."""
+
+    def test_rules_equal_numpy_gauss_legendre(self):
+        for points, nodes, weights in ((10, _NODES[:10], _WEIGHTS[:10]), (5, _NODES[10:], _WEIGHTS[10:])):
+            want_nodes, want_weights = np.polynomial.legendre.leggauss(points)
+            assert [v.hex() for v in nodes] == [float(v).hex() for v in want_nodes]
+            assert [v.hex() for v in weights] == [float(v).hex() for v in want_weights]
+
+    def test_plain_python_quadrature_gives_the_same_bits(self, rng):
+        tables = [step_profile(0.4), step_profile(0.49)]
+        tables += [MassProfile.from_table(*PCHIP_TABLES[name]) for name in sorted(PCHIP_TABLES)]
+        tables += [MassProfile.from_table(r, m) for r, m in random_monotone_tables(rng, 60)]
+        checked = 0
+        for profile in tables:
+            for units in (UnitsConfig(), UnitsConfig(G=rng.uniform(0.01, 0.3) * profile.radius / profile.mass, c=1.0)):
+                try:
+                    got = proper_mass_integral(profile, units)
+                except DomainError:  # a horizon inside the matter
+                    continue
+                assert got.hex() == table_quadrature_oracle(profile, units).hex()
+                checked += 1
+        assert checked >= 100
 
 
 class TestMetric:
