@@ -41,6 +41,7 @@ from .grmass import (
     load_profile_csv,
     proper_mass_integral,
 )
+from .montecarlo import RNG_DISCIPLINE, empirical_chsh, sample_joint, sample_single
 from .spin import (
     Angle,
     Outcome,
@@ -204,8 +205,6 @@ def cmd_spin(args: argparse.Namespace) -> _Output:
            "expectation": expectation(dist)}
     if args.n == 0:
         return _one_row(row)
-    from .montecarlo import sample_single
-
     _, stats = sample_single(state, setting, args.n, args.seed, keep_records=False)
     return _with_mc(row, stats)
 
@@ -228,8 +227,6 @@ def cmd_bell(args: argparse.Namespace) -> _Output:
     }
     if args.n == 0:
         return _one_row(row)
-    from .montecarlo import sample_joint
-
     _, stats = sample_joint(state, setting, args.n, args.seed, keep_records=False)
     means = {str(k): v for k, v in stats.conditional_means.items()}
     return _with_mc(row, stats, conditional_means=means)
@@ -269,8 +266,6 @@ def cmd_chsh(args: argparse.Namespace) -> _Output:
         data = {"mode": args.mode, "state": state.label, "plane": state.plane.name, "points": points}
         return _Output(data, points)
     # empirical
-    from .montecarlo import empirical_chsh
-
     setting = CHSHSetting(*map(Angle.from_degrees, (0.0, 90.0, 45.0, 135.0)), state.plane)
     est = empirical_chsh(state, setting, args.n, args.seed)
     row = {"mode": args.mode, "state": state.label, "value": est.value, "stderr": est.stderr,
@@ -317,7 +312,7 @@ def cmd_grmass_binding(args: argparse.Namespace) -> _Output:
         "kind": profile.kind,
         "mass": profile.mass,
         "radius": profile.radius,
-        "compactness": 2.0 * units.G * profile.mass / (units.c**2 * profile.radius),
+        "compactness": 2.0 * units.G / units.c**2 * profile.mass / profile.radius,  # c^2 R may overflow
         "proper_mass": proper,
         "ratio": proper / profile.mass,
     }
@@ -366,9 +361,7 @@ def _manifest(args: argparse.Namespace, out: _Output) -> dict:
     command = args.command
     if getattr(args, "gr_command", None):
         command = f"{args.command} {args.gr_command}"
-    rng = timestamp = None
-    if out.seed is not None:  # only Monte Carlo runs are seeded, and they loaded numpy already
-        from .montecarlo import RNG_DISCIPLINE as rng
+    timestamp = None
     if args.timestamp:
         from datetime import datetime, timezone
 
@@ -378,7 +371,7 @@ def _manifest(args: argparse.Namespace, out: _Output) -> dict:
         "parameters": _parameters(args),
         "seed": out.seed,
         "version": __version__,
-        "rng": rng,
+        "rng": RNG_DISCIPLINE if out.seed is not None else None,  # only Monte Carlo runs are seeded
         "timestamp": timestamp,
     }
 

@@ -30,6 +30,17 @@ from .spin import (
     projection_probabilities,
 )
 
+__all__ = [
+    "ComplementaryTriad",
+    "FrameRotation",
+    "SpinRotation",
+    "complementarity_check",
+    "rotate_state",
+    "rotate_triad",
+    "so3_from_su2",
+    "su2_from_axis_angle",
+]
+
 
 def _rows(matrix, n: int, kind: type, what: str) -> tuple[tuple, ...]:
     """The rows of an n x n matrix as tuples of `kind` (complex or float)."""

@@ -170,8 +170,6 @@ class MassProfile(_Value):
         if not (m[1:] >= m[:-1]).all():
             i = int(np.argmin(m[1:] >= m[:-1])) + 1
             raise ProfileError(f"mass must be nondecreasing (row {i + 1})")
-        if m[-1] <= 0:
-            raise ProfileError("total mass must be positive")
         with np.errstate(over="ignore", invalid="ignore"):  # caught just below
             c = _pchip_coefficients(r, m)
         if not np.isfinite(c).all():
@@ -307,12 +305,12 @@ def _check_no_horizon(x: np.ndarray, c: np.ndarray, k: float) -> None:
     """Raise DomainError where 1 - k M(r)/r <= 0, M the cubic spline (x, c)."""
     import numpy as np
 
-    if k * c[2, 0] >= 1.0:  # k M(r)/r tends to k M'(0) at r = 0
-        raise DomainError(_HORIZON.format(0.0))
-    # r - k M(r) is a cubic in u = r - x_i on piece i, so its minimum is at
-    # a knot or at a real root of its derivative 1 - k M'(r)
-    a, b, q = 3.0 * k * c[0], 2.0 * k * c[1], k * c[2] - 1.0
     with np.errstate(all="ignore"):  # an overflowing root is dropped, an overflowing k M(r) is a horizon
+        if k * c[2, 0] >= 1.0:  # k M(r)/r tends to k M'(0) at r = 0
+            raise DomainError(_HORIZON.format(0.0))
+        # r - k M(r) is a cubic in u = r - x_i on piece i, so its minimum is at
+        # a knot or at a real root of its derivative 1 - k M'(r)
+        a, b, q = 3.0 * k * c[0], 2.0 * k * c[1], k * c[2] - 1.0
         s = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * q), b))
         u = np.concatenate([np.diff(x), s / a, q / s])
         piece = np.tile(np.arange(len(x) - 1), 3)

@@ -16,13 +16,23 @@ from __future__ import annotations
 import itertools
 import math
 from types import MappingProxyType
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .bell import BellState, CHSHSetting, JointSetting, _chsh_combination, joint_distribution
 from .errors import DomainError
 from .spin import NOT_A_NUMBER, QubitState, UnitVector3, _check_integer, _set, _Value, projection_probabilities
+
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = [
+    "EmpiricalCHSH",
+    "RNG_DISCIPLINE",
+    "RunStats",
+    "empirical_chsh",
+    "sample_joint",
+    "sample_single",
+]
 
 RNG_DISCIPLINE = "philox:seedsequence:multinomial-counts"
 
@@ -102,6 +112,8 @@ def _ranked_positions(labels: np.ndarray, label: int, have: int, ranks: np.ndarr
     trial order. The index is built over the label's own trials or, when
     they are the larger part, over the other trials, so it takes at most
     16/3 bytes per trial."""
+    import numpy as np
+
     if 3 * have <= 2 * labels.size:
         return np.flatnonzero(labels == label)[ranks]
     others = np.flatnonzero(labels != label)
@@ -111,6 +123,8 @@ def _ranked_positions(labels: np.ndarray, label: int, have: int, ranks: np.ndarr
 
 def _arrange(gen: np.random.Generator, counts: list[int]) -> np.ndarray:
     """A uniformly random int8 sequence holding counts[i] copies of label i."""
+    import numpy as np
+
     n = sum(counts)
     # Python ints, so that the cuts cannot overflow
     cuts = [(c << _LABEL_BITS) // n for c in itertools.accumulate(counts[:-1])]
@@ -139,6 +153,8 @@ def _arrange(gen: np.random.Generator, counts: list[int]) -> np.ndarray:
 def _draw(pvals, n: int, seed: int, keep_records: bool) -> tuple[list[int], np.ndarray]:
     """Counts of each label (index into `pvals`) over n trials, and the
     labels: the counted labels in a seeded random order, or none unless kept."""
+    import numpy as np
+
     n = _check_integer(n, "n")
     if not 1 <= n <= _MAX_TRIALS:
         raise DomainError(f"n must lie in [1, {_MAX_TRIALS}], got {n}")
@@ -191,6 +207,8 @@ def sample_joint(
     (n, 2) of (Alice, Bob) outcomes in trial order, empty (0, 2) when
     keep_records=False.
     """
+    import numpy as np
+
     dist = joint_distribution(state, setting)
     (pp, pm, mp, mm), labels = _draw(dist.probabilities(), n, seed, keep_records)
     # label (a << 1) | b holds the outcomes 1 - 2a for Alice and 1 - 2b for Bob
@@ -232,6 +250,8 @@ def empirical_chsh(
 ) -> EmpiricalCHSH:
     """Estimate S by sampling each of the four correlations with its own
     sub-seed derived from `seed`; same inputs, same estimate."""
+    import numpy as np
+
     seed = _check_seed(seed)
     term_seeds = np.random.SeedSequence(seed).spawn(4)
     stats = []

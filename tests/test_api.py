@@ -5,7 +5,7 @@ import pytest
 import spinframes
 
 # Names deleted from the library, each with the module that defined it.
-# `np` checks that frames no longer imports numpy at module level.
+# `np` checks that frames and montecarlo import no numpy at module level.
 REMOVED = [
     ("frames", "np"),
     ("frames", "SIGMA_X"),
@@ -41,6 +41,7 @@ REMOVED = [
     ("bell", "BELL_LABELS"),
     ("bell", "chsh_combination"),
     ("montecarlo", "EmpiricalCHSH.__float__"),
+    ("montecarlo", "np"),
 ]
 
 
@@ -64,7 +65,7 @@ def test_public_names_are_pinned():
     assert spinframes.__all__ == PUBLIC_NAMES
 
 
-@pytest.mark.parametrize("module", ["errors", "spin", "bell", "grmass"])
+@pytest.mark.parametrize("module", ["errors", "spin", "frames", "bell", "montecarlo", "grmass"])
 def test_star_import_binds_exactly_the_module_surface(module):
     namespace = {}
     exec(f"from spinframes.{module} import *", namespace)

@@ -311,6 +311,7 @@ class TestGrmass:
     @pytest.mark.parametrize("table, message", [
         ("1,0\n2,1\n", "first radius must be 0, got 1.0"),
         ("0,0.5\n2,1\n", "mass at r = 0 must be 0, got 0.5"),
+        ("0,0\n1,0\n2,0\n", "total mass must be positive, got 0.0"),
     ])
     def test_binding_table_errors_print_plain_floats(self, capsys, tmp_path, table, message):
         path = tmp_path / "p.csv"
@@ -325,6 +326,13 @@ class TestGrmass:
         rc, out, err = run_cli(capsys, "grmass", "binding", "--profile", str(path))
         assert (rc, out) == (3, "")
         assert err.startswith("error:") and "line 2" in err
+
+    def test_binding_compactness_of_a_ball_whose_c2_r_overflows(self, capsys):
+        # c^2 R = 9e316 overflows, but 2GM/(c^2 R) is the 1.485e-27 the library tests against 1
+        rc, out, _ = run_cli(capsys, "--format", "csv", "grmass", "binding", "--uniform", "--mass", "1e300",
+                             "--radius", "1e300")
+        assert rc == 0
+        assert out.splitlines()[1].split(",")[3] == repr(2.0 * 6.67430e-11 / 299792458.0**2)
 
     def test_binding_flag_validation(self, capsys):
         rc, _, _ = run_cli(capsys, "grmass", "binding", "--uniform", "--mass", "1")
@@ -649,11 +657,17 @@ def test_array_libraries_load_only_where_needed(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
-    # a lazy package name loads only the module that defines it
-    for name, other in (("sample_joint", "frames"), ("so3_from_su2", "montecarlo")):
-        code = f"import sys, spinframes\nspinframes.{name}\nassert 'spinframes.{other}' not in sys.modules"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60)
-        assert proc.returncode == 0, proc.stderr.decode()
+    # montecarlo imports numpy at its first draw, not when it is loaded
+    code = (
+        "import sys\n"
+        "from spinframes.montecarlo import sample_single\n"
+        "from spinframes.spin import X_AXIS, Z_AXIS, prepare_state\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "sample_single(prepare_state(Z_AXIS), X_AXIS, 10, 1, keep_records=False)\n"
+        "assert 'numpy' in sys.modules, 'draw'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_scan_gives_the_golden_bytes_without_numpy():

@@ -430,6 +430,12 @@ class TestBindingQuadrature:
         with pytest.raises(DomainError, match="r = 0.0"):
             proper_mass_integral(profile, GEOM)
 
+    def test_horizon_whose_products_overflow_is_rejected_without_a_warning(self):
+        # k = 2e300, so k M'(0) = 2e310 overflows a float
+        profile = MassProfile.from_table(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1e10, 2e10]))
+        with pytest.raises(DomainError, match="r = 0.0"):
+            proper_mass_integral(profile, UnitsConfig(G=1e300, c=1.0))
+
     def test_proper_mass_overflow_rejected(self):
         mass = 1.7976931348623157e308
         units = UnitsConfig()

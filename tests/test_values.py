@@ -6,9 +6,10 @@ import copy
 import math
 import pickle
 import struct
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinframes import (
     SINGLET,
@@ -41,6 +42,7 @@ from spinframes import (
     UnitsConfig,
     UnitVector3,
     flrw_metric_components,
+    proper_mass_integral,
 )
 
 NAN, INF = math.nan, math.inf
@@ -301,3 +303,53 @@ def test_numeric_constructors_hold_their_invariant_or_raise_typed_errors(cls, da
         return
     assert invariant(obj), (args, obj)
 
+
+MAX = sys.float_info.max
+POSITIVE = st.floats(5e-324, MAX)
+# G and c across the float range, c only where c^2 is a normal float as UnitsConfig needs
+UNITS = st.tuples(POSITIVE, st.floats(math.sqrt(sys.float_info.min), math.sqrt(MAX)))
+
+
+@st.composite
+def _tables(draw):
+    """(radii, masses) of a table of at most 8 rows, increasing from 0 and
+    nondecreasing from 0, with values across the float range."""
+    value = st.one_of(POSITIVE, st.floats(0.01, 100.0))  # most wide rows overflow the cubic
+    radii = sorted(draw(st.sets(value, min_size=1, max_size=7)))
+    masses = sorted(draw(st.lists(st.one_of(st.just(0.0), value), min_size=len(radii), max_size=len(radii))))
+    return [0.0, *radii], [0.0, *masses]
+
+
+# (mass, radius) of a uniform ball, or (radii, masses) of a table
+PROFILES = st.one_of(st.tuples(POSITIVE, POSITIVE), _tables())
+
+
+# warnings are errors in this suite, so an overflow warned about fails these tests
+@settings(max_examples=300, deadline=None)
+@given(spec=PROFILES, units=UNITS)
+@example(spec=([0.0, 1.0, 2.0], [0.0, 1e10, 2e10]), units=(1e300, 1.0))  # overflowed k M'(0) outside errstate
+@example(spec=(1e300, 1e300), units=(6.67430e-11, 299792458.0))  # c^2 R overflows: the CLI printed compactness 0.0
+def test_proper_mass_is_at_least_the_mass_or_raises_typed_errors(spec, units):
+    try:
+        profile = (MassProfile.uniform if isinstance(spec[0], float) else MassProfile.from_table)(*spec)
+        proper = proper_mass_integral(profile, UnitsConfig(*units))
+    except TYPED_ERRORS:
+        return
+    assert profile.mass <= proper < INF, (spec, units, proper)
+
+
+def _square(value: float, x: float) -> bool:
+    return abs(value - x * x) <= math.ulp(x * x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chi=st.floats(-10.0, 10.0), theta=st.floats(-10.0, 10.0), a=POSITIVE, units=UNITS)
+def test_flrw_metric_holds_its_invariant_in_any_units_or_raises_typed_errors(chi, theta, a, units):
+    try:
+        units = UnitsConfig(*units)
+        g = flrw_metric_components(Angle(chi), Angle(theta), a, units)
+    except TYPED_ERRORS:
+        return
+    # x**2 calls the C library's pow, which may round x^2 one ulp away from x * x
+    assert _square(-g[0], units.c) and _square(g[1], a), (chi, theta, a, units, g)
+    assert 0.0 <= g[2] <= g[1] and 0.0 <= g[3] <= g[1], (chi, theta, a, units, g)
