@@ -56,6 +56,10 @@ SCHEMA_VERSION = 1
 # Largest grid one `grmass ratio-curve` call may ask for.
 MAX_CURVE_POINTS = 10**6
 
+# a Monte Carlo run: its trial count, its average of +/-1 values and that average's stderr
+_AVERAGE = {"type": "number", "minimum": -1, "maximum": 1}
+_RUN = {"n": {"type": "integer", "minimum": 1}, "mean": _AVERAGE, "stderr": {"type": "number", "minimum": 0}}
+
 # jsonschema for every JSON envelope this tool prints
 OUTPUT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -77,7 +81,21 @@ OUTPUT_SCHEMA = {
                 "timestamp": {"type": ["string", "null"]},
             },
         },
-        "data": {"type": ["object", "array"]},
+        "data": {
+            "type": ["object", "array"],
+            "properties": {  # the Monte Carlo blocks of `spin`, `bell` and `chsh --mode empirical`
+                "mc": {
+                    "type": "object", "required": [*_RUN], "additionalProperties": False,
+                    "properties": {**_RUN, "conditional_means": {
+                        "type": "object", "propertyNames": {"enum": ["1", "-1"]}, "additionalProperties": _AVERAGE,
+                    }},
+                },
+                "terms": {
+                    "type": "array", "minItems": 4, "maxItems": 4,
+                    "items": {"type": "object", "required": [*_RUN], "additionalProperties": False, "properties": _RUN},
+                },
+            },
+        },
     },
 }
 
@@ -182,12 +200,12 @@ def _one_row(row: dict, **extras) -> _Output:
     return _Output({**row, **extras}, [row])
 
 
-def _with_mc(row: dict, stats, **mc_extras) -> _Output:
-    """A one-row table with a Monte Carlo estimate: nested under "mc" in
-    JSON, flattened to mc_n, mc_mean and mc_stderr in CSV."""
+def _with_mc(row: dict, stats, seed: int, **mc_extras) -> _Output:
+    """A one-row table with a Monte Carlo estimate drawn at `seed`: nested
+    under "mc" in JSON, flattened to mc_n, mc_mean and mc_stderr in CSV."""
     mc = {"n": stats.n, "mean": stats.mean, "stderr": stats.stderr}
     flat = {f"mc_{k}": v for k, v in mc.items()}
-    return _Output({**row, "mc": {**mc, **mc_extras}}, [{**row, **flat}], stats.seed)
+    return _Output({**row, "mc": {**mc, **mc_extras}}, [{**row, **flat}], seed)
 
 
 def _check_trials(n: int) -> None:
@@ -206,7 +224,7 @@ def cmd_spin(args: argparse.Namespace) -> _Output:
     if args.n == 0:
         return _one_row(row)
     _, stats = sample_single(state, setting, args.n, args.seed, keep_records=False)
-    return _with_mc(row, stats)
+    return _with_mc(row, stats, args.seed)
 
 
 def cmd_bell(args: argparse.Namespace) -> _Output:
@@ -229,7 +247,7 @@ def cmd_bell(args: argparse.Namespace) -> _Output:
         return _one_row(row)
     _, stats = sample_joint(state, setting, args.n, args.seed, keep_records=False)
     means = {str(k): v for k, v in stats.conditional_means.items()}
-    return _with_mc(row, stats, conditional_means=means)
+    return _with_mc(row, stats, args.seed, conditional_means=means)
 
 
 def cmd_ensemble(args: argparse.Namespace) -> _Output:
@@ -271,7 +289,7 @@ def cmd_chsh(args: argparse.Namespace) -> _Output:
     row = {"mode": args.mode, "state": state.label, "value": est.value, "stderr": est.stderr,
            "n_per_pair": args.n}
     terms = [{"mean": t.mean, "stderr": t.stderr, "n": t.n} for t in est.terms]
-    return _Output({**row, "plane": state.plane.name, "terms": terms}, [row], est.seed)
+    return _Output({**row, "plane": state.plane.name, "terms": terms}, [row], args.seed)
 
 
 def cmd_grmass_ratio(args: argparse.Namespace) -> _Output:
@@ -305,14 +323,14 @@ def cmd_grmass_binding(args: argparse.Namespace) -> _Output:
         if radius is None:
             if not 0.0 < args.compactness < 1.0:
                 raise DomainError(f"compactness must lie in (0, 1), got {args.compactness}")
-            radius = 2.0 * units.G * args.mass / (units.c**2 * args.compactness)
+            radius = 2.0 * units.G * args.mass / (units.c * units.c * args.compactness)
         profile = MassProfile.uniform(args.mass, radius)
     proper = proper_mass_integral(profile, units)
     row = {
         "kind": profile.kind,
         "mass": profile.mass,
         "radius": profile.radius,
-        "compactness": 2.0 * units.G / units.c**2 * profile.mass / profile.radius,  # c^2 R may overflow
+        "compactness": 2.0 * units.G / (units.c * units.c) * profile.mass / profile.radius,  # c^2 R may overflow
         "proper_mass": proper,
         "ratio": proper / profile.mass,
     }

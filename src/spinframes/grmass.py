@@ -335,7 +335,7 @@ def proper_mass_integral(profile: MassProfile, units: UnitsConfig = UnitsConfig(
     least M: where the binding energy is below one ulp of M, as in SI units
     at everyday compactness, the quadrature rounds to either side of M.
     """
-    k = 2.0 * units.G / units.c**2
+    k = 2.0 * units.G / (units.c * units.c)
     if profile.spline is None:
         compactness = k * profile.mass / profile.radius
         if compactness >= 1.0:
@@ -395,18 +395,17 @@ def flrw_metric_components(
         positive = False
     if not positive:
         raise DomainError(f"scale factor must be positive, got {a!r}")
-    try:
-        a2 = a**2
-    except OverflowError:
-        raise DomainError(f"scale factor {a!r} is too large: its square overflows a float") from None
+    a2 = a * a
+    if a2 == math.inf:
+        raise DomainError(f"scale factor {a!r} is too large: its square overflows a float")
     if a2 < sys.float_info.min:
         raise DomainError(f"scale factor {a!r} is too small: its square underflows a normal float")
     s_chi = math.sin(chi.radians)
     s_theta = math.sin(theta.radians)
     return (
-        -units.c**2,
+        -(units.c * units.c),
         a2,
-        a2 * s_chi**2,
-        a2 * s_chi**2 * s_theta**2,
+        a2 * (s_chi * s_chi),
+        a2 * (s_chi * s_chi) * (s_theta * s_theta),
     )
 

@@ -1,7 +1,7 @@
 """Monte Carlo sampling of single and joint measurement outcomes.
 
 Every draw is +/-1; only the averages reproduce the smooth cos(theta)
-curves, so a run's statistics depend only on its outcome counts.
+curves, so a run is held as its outcome counts, which fix its statistics.
 Sampling is deterministic for a given seed: one Philox stream seeded by
 SeedSequence(seed) draws the counts with a single multinomial call and,
 when records are kept, then arranges the counted outcomes in a uniformly
@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from .bell import BellState, CHSHSetting, JointSetting, _chsh_combination, joint_distribution
 from .errors import DomainError
-from .spin import NOT_A_NUMBER, QubitState, UnitVector3, _check_integer, _set, _Value, projection_probabilities
+from .spin import QubitState, UnitVector3, _check_integer, _set, _Value, projection_probabilities
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,59 +51,55 @@ def _check_seed(seed: int) -> int:
     return value
 
 
-def _check_estimate(value: float, bound: float, stderr: float, what: str) -> None:
-    """Raise DomainError unless value lies in [-bound, bound] and stderr is
-    finite and >= 0; both comparisons are False for NaN."""
-    inside = spread = False
-    try:
-        inside = -bound <= value <= bound
-        spread = 0.0 <= stderr < math.inf
-    except NOT_A_NUMBER:  # the first argument that is no real number fails its check
-        pass
-    if not inside:
-        raise DomainError(f"{what} must lie in [{-bound:g}, {bound:g}], got {value!r}")
-    if not spread:
-        raise DomainError(f"stderr must be finite and >= 0, got {stderr!r}")
-
-
-_NO_MEANS = MappingProxyType({})
-_OUTCOMES = frozenset((1, -1))
-
-
 class RunStats(_Value):
-    """Summary of a sampled run of +/-1 outcomes.
+    """A sampled run of +/-1 outcomes, held as its outcome counts: (up,
+    down) for a single-qubit run, or (pp, pm, mp, mm) for a joint run with
+    Alice's outcome first. `mean` averages the per-trial value (the
+    outcome, or for joint runs the outcome product), and `stderr` is the
+    sample standard deviation of that value over sqrt(n).
+    `conditional_means` maps Alice's outcome (+1 or -1) to Bob's average
+    over the matching trials; it is empty for single-qubit runs and omits
+    outcomes Alice never produced."""
 
-    `mean` averages the per-trial value (the outcome for single runs,
-    the outcome product for joint runs). `conditional_means` maps
-    Alice's outcome (+1 or -1) to Bob's average over the matching
-    trials, in [-1, 1]; it is empty for single-qubit runs and omits
-    outcomes Alice never produced.
-    """
+    __slots__ = ("counts",)
 
-    __slots__ = ("n", "mean", "stderr", "seed", "conditional_means")
-
-    def __init__(self, n: int, mean: float, stderr: float, seed: int,
-                 conditional_means: Mapping[int, float] = _NO_MEANS):
-        n = _check_integer(n, "n")
-        if n < 1:
-            raise DomainError(f"n must be positive, got {n}")
-        _check_estimate(mean, 1.0, stderr, "mean of +/-1 outcomes")
+    def __init__(self, counts: tuple[int, ...]):
         try:
-            means = dict(conditional_means)
-            averages = (means.keys() <= _OUTCOMES and -1.0 <= means.get(1, 0.0) <= 1.0
-                        and -1.0 <= means.get(-1, 0.0) <= 1.0)
-        except NOT_A_NUMBER:
-            averages = False
-        if not averages:
-            raise DomainError(f"conditional means must map +1 and -1 to values in [-1, 1], got {conditional_means!r}")
-        _set(self, "n", n)
-        _set(self, "mean", mean)
-        _set(self, "stderr", stderr)
-        _set(self, "seed", _check_seed(seed))
-        _set(self, "conditional_means", MappingProxyType(means))
+            checked = tuple(_check_integer(c, "count") for c in counts)
+        except TypeError:  # not iterable
+            checked = ()
+        if len(checked) not in (2, 4) or min(checked) < 0 or not sum(checked):
+            raise DomainError(f"counts must be 2 or 4 integers >= 0 with a positive sum, got {counts!r}")
+        _set(self, "counts", checked)
 
-    def __reduce__(self):  # a mappingproxy cannot be pickled
-        return RunStats, (self.n, self.mean, self.stderr, self.seed, dict(self.conditional_means))
+    def _plus_minus(self) -> tuple[int, int]:  # trials whose per-trial value is +1, and -1
+        if len(self.counts) == 2:
+            return self.counts
+        pp, pm, mp, mm = self.counts
+        return pp + mm, pm + mp
+
+    @property
+    def n(self) -> int:
+        return sum(self.counts)
+
+    @property
+    def mean(self) -> float:
+        plus, minus = self._plus_minus()
+        return (plus - minus) / (plus + minus)
+
+    @property
+    def stderr(self) -> float:
+        plus, minus = self._plus_minus()
+        n = plus + minus
+        return math.sqrt(4 * plus * minus / (n * n * (n - 1))) if n > 1 else 0.0
+
+    @property
+    def conditional_means(self) -> dict[int, float]:
+        if len(self.counts) == 2:
+            return {}
+        pp, pm, mp, mm = self.counts
+        bob = ((1, pp, pm), (-1, mp, mm))  # (Alice's outcome, Bob's up and down counts)
+        return {sign: (up - down) / (up + down) for sign, up, down in bob if up + down}
 
 
 def _ranked_positions(labels: np.ndarray, label: int, have: int, ranks: np.ndarray) -> np.ndarray:
@@ -164,14 +159,6 @@ def _draw(pvals, n: int, seed: int, keep_records: bool) -> tuple[list[int], np.n
     return counts, labels
 
 
-def _run_stats(seed: int, plus: int, minus: int, conditional=None) -> RunStats:
-    """Stats of a run with `plus` values of +1 and `minus` values of -1;
-    the stderr is the sample standard deviation over sqrt(n)."""
-    n = plus + minus
-    stderr = math.sqrt(4 * plus * minus / (n * n * (n - 1))) if n > 1 else 0.0
-    return RunStats(n, (plus - minus) / n, stderr, seed, conditional_means=conditional or {})
-
-
 def sample_single(
     state: QubitState,
     setting: UnitVector3,
@@ -187,9 +174,9 @@ def sample_single(
     array instead (the statistics are unchanged).
     """
     dist = projection_probabilities(state, setting)
-    (up, down), labels = _draw([dist.p_up, dist.p_down], n, seed, keep_records)
+    counts, labels = _draw([dist.p_up, dist.p_down], n, seed, keep_records)
     records = 1 - 2 * labels if keep_records else labels
-    return records, _run_stats(seed, up, down)
+    return records, RunStats(counts)
 
 
 def sample_joint(
@@ -210,36 +197,36 @@ def sample_joint(
     import numpy as np
 
     dist = joint_distribution(state, setting)
-    (pp, pm, mp, mm), labels = _draw(dist.probabilities(), n, seed, keep_records)
+    counts, labels = _draw(dist.probabilities(), n, seed, keep_records)
     # label (a << 1) | b holds the outcomes 1 - 2a for Alice and 1 - 2b for Bob
     records = 1 - 2 * np.stack((labels >> 1, labels & 1), axis=1) if keep_records else labels.reshape(0, 2)
-    conditional = {
-        sign: (bob_up - bob_down) / (bob_up + bob_down)
-        for sign, bob_up, bob_down in ((1, pp, pm), (-1, mp, mm))
-        if bob_up + bob_down
-    }
-    return records, _run_stats(seed, pp + mm, pm + mp, conditional)
+    return records, RunStats(counts)
 
 
 class EmpiricalCHSH(_Value):
-    """CHSH estimate from four independently sampled correlations: S in
-    [-4, 4], as each correlation lies in [-1, 1]."""
+    """CHSH estimate from four independently sampled correlations, one
+    run per pair of `CHSHSetting.pairs`. `value` is S of the term means,
+    in [-4, 4] as each mean lies in [-1, 1]; `stderr` adds the terms'
+    standard errors in quadrature."""
 
-    __slots__ = ("value", "stderr", "terms", "seed")
+    __slots__ = ("terms",)
 
-    def __init__(self, value: float, stderr: float, terms: tuple[RunStats, RunStats, RunStats, RunStats],
-                 seed: int):
-        _check_estimate(value, 4.0, stderr, "CHSH estimate")
+    def __init__(self, terms: tuple[RunStats, RunStats, RunStats, RunStats]):
         try:
             terms = tuple(terms)
         except TypeError:
             terms = ()
         if len(terms) != 4 or not all(isinstance(t, RunStats) for t in terms):
             raise DomainError(f"a CHSH estimate needs four RunStats terms, got {terms!r}")
-        _set(self, "value", value)
-        _set(self, "stderr", stderr)
         _set(self, "terms", terms)
-        _set(self, "seed", _check_seed(seed))
+
+    @property
+    def value(self) -> float:
+        return _chsh_combination(*(t.mean for t in self.terms))
+
+    @property
+    def stderr(self) -> float:
+        return math.sqrt(sum(t.stderr * t.stderr for t in self.terms))
 
 
 def empirical_chsh(
@@ -252,14 +239,9 @@ def empirical_chsh(
     sub-seed derived from `seed`; same inputs, same estimate."""
     import numpy as np
 
-    seed = _check_seed(seed)
-    term_seeds = np.random.SeedSequence(seed).spawn(4)
-    stats = []
-    for (a, b), child in zip(setting.pairs(), term_seeds):
+    terms = []
+    for (a, b), child in zip(setting.pairs(), np.random.SeedSequence(_check_seed(seed)).spawn(4)):
         js = JointSetting.in_plane(setting.plane, a, b)
         term_seed = int(child.generate_state(1, dtype=np.uint64)[0])
-        _, run = sample_joint(state, js, n_per_pair, term_seed, keep_records=False)
-        stats.append(run)
-    value = _chsh_combination(*(s.mean for s in stats))
-    stderr = math.sqrt(sum(s.stderr**2 for s in stats))
-    return EmpiricalCHSH(value, stderr, tuple(stats), seed)
+        terms.append(sample_joint(state, js, n_per_pair, term_seed, keep_records=False)[1])
+    return EmpiricalCHSH(terms)

@@ -42,6 +42,10 @@ REMOVED = [
     ("bell", "chsh_combination"),
     ("montecarlo", "EmpiricalCHSH.__float__"),
     ("montecarlo", "np"),
+    ("montecarlo", "RunStats.seed"),
+    ("montecarlo", "EmpiricalCHSH.seed"),
+    ("montecarlo", "_run_stats"),
+    ("montecarlo", "_check_estimate"),
 ]
 
 

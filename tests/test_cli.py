@@ -585,6 +585,24 @@ class TestEnvelope:
         run_json(capsys, "grmass", "ratio", "--chi0", "0.5")
         run_json(capsys, "grmass", "metric", "--chi-rad", "1.0", "--theta-rad", "1.0")
 
+    @pytest.mark.parametrize("argv, spoil", [
+        (["spin", "--theta-deg", "60", "--n", "100"], lambda d: d["mc"].update(mean=1.5)),
+        (["spin", "--theta-deg", "60", "--n", "100"], lambda d: d["mc"].update(n=0)),
+        (["spin", "--theta-deg", "60", "--n", "100"], lambda d: d["mc"].update(stderr=-0.1)),
+        (["spin", "--theta-deg", "60", "--n", "100"], lambda d: d["mc"].update(seed=3)),
+        (["bell", "--theta-deg", "60", "--n", "100"], lambda d: d["mc"]["conditional_means"].update({"0": 0.5})),
+        (["bell", "--theta-deg", "60", "--n", "100"], lambda d: d["mc"]["conditional_means"].update({"1": -1.5})),
+        (["chsh", "--mode", "empirical", "--n", "100"], lambda d: d["terms"].pop()),
+        (["chsh", "--mode", "empirical", "--n", "100"], lambda d: d["terms"][0].pop("stderr")),
+        (["chsh", "--mode", "empirical", "--n", "100"], lambda d: d["terms"][1].update(mean=-2.0)),
+    ], ids=["mean", "n", "stderr", "extra-key", "outcome-key", "conditional-mean", "three-terms",
+            "term-without-stderr", "term-mean"])
+    def test_schema_rejects_monte_carlo_blocks_no_run_produces(self, capsys, argv, spoil):
+        payload = run_json(capsys, *argv)
+        spoil(payload["data"])
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, OUTPUT_SCHEMA)
+
     def test_grmass_manifest_command_names_subcommand(self, capsys):
         payload = run_json(capsys, "grmass", "ratio", "--chi0", "0.5")
         assert payload["manifest"]["command"] == "grmass ratio"

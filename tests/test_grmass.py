@@ -236,6 +236,14 @@ class TestProfiles:
         with pytest.raises(ProfileError, match="nondecreasing"):
             MassProfile.from_table(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.7, 0.6]))
 
+    @pytest.mark.parametrize("r, m", [
+        ([0.0, 1.0, 2.0], [0.0, 1.0]),
+        ([[0.0, 1.0], [0.0, 2.0]], [[0.0, 1.0], [0.0, 1.0]]),
+    ], ids=["unequal-lengths", "two-dimensional"])
+    def test_table_must_be_one_dimensional_with_equal_lengths(self, r, m):
+        with pytest.raises(ProfileError, match="one-dimensional and the same length"):
+            MassProfile.from_table(r, m)
+
     @pytest.mark.parametrize("r, m", [(["0", "1"], ["0", "x"]), ([[0.0, 1.0], [2.0]], [0.0, 1.0])])
     def test_table_must_hold_numbers(self, r, m):
         with pytest.raises(ProfileError, match="numbers"):

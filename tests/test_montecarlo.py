@@ -13,6 +13,7 @@ from spinframes import (
     Angle,
     CHSHSetting,
     DomainError,
+    EmpiricalCHSH,
     EnsembleTable,
     JointSetting,
     PHI_PLUS,
@@ -141,6 +142,8 @@ class TestDeterminism:
             Angle.from_degrees(135.0), ZX_PLANE,
         )
         est = empirical_chsh(SINGLET, setting, 2000, seed=11)
+        e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime = (t.mean for t in est.terms)
+        assert est.value == e_ab - e_ab_prime + e_a_prime_b + e_a_prime_b_prime
         children = np.random.SeedSequence(11).spawn(4)
         for term, (a, b), child in zip(est.terms, setting.pairs(), children):
             term_seed = int(child.generate_state(1, dtype=np.uint64)[0])
@@ -274,23 +277,58 @@ class TestRunStats:
         assert "philox" in RNG_DISCIPLINE
 
     def test_mean_range_enforced(self):
+        # the counts fix the mean, so it lies in [-1, 1]; a run needs a trial
+        assert RunStats((10, 0)).mean == 1.0 and RunStats((0, 10)).mean == -1.0
+        assert RunStats((0, 5, 5, 0)).mean == -1.0
         with pytest.raises(DomainError):
-            RunStats(n=10, mean=1.5, stderr=0.0, seed=0)
+            RunStats((0, 0))
         with pytest.raises(DomainError):
-            RunStats(n=0, mean=0.0, stderr=0.0, seed=0)
+            RunStats((0, 0, 0, 0))
 
-    @pytest.mark.parametrize("fields", [
-        {"n": 2.5}, {"n": True}, {"seed": "abc"}, {"seed": -5}, {"seed": 2**64},
-        {"stderr": -1.0}, {"stderr": math.inf}, {"stderr": math.nan},
-    ], ids=["n-float", "n-bool", "seed-str", "seed-negative", "seed-too-large",
-            "stderr-negative", "stderr-inf", "stderr-nan"])
-    def test_rejects_values_no_run_produces(self, fields):
+    @pytest.mark.parametrize("call", [
+        lambda: RunStats((2.5, 1)),
+        lambda: RunStats((True, 1)),
+        # a run stores no seed: the sampling functions check it
+        lambda: empirical_chsh(SINGLET, CHSH_SETTING, 10, seed="abc"),
+        lambda: empirical_chsh(SINGLET, CHSH_SETTING, 10, seed=-5),
+        lambda: empirical_chsh(SINGLET, CHSH_SETTING, 10, seed=2**64),
+        lambda: RunStats((-1, 3)),
+        lambda: RunStats((1, -2, 0, 4)),
+        lambda: RunStats((math.nan, 1)),
+        lambda: RunStats((1, 2, 3)),
+        lambda: RunStats((5,)),
+        lambda: RunStats((1, 1, 1, 1, 1)),
+        lambda: RunStats("ab"),
+        lambda: RunStats(5),
+        lambda: RunStats(None),
+    ], ids=["n-float", "n-bool", "seed-str", "seed-negative", "seed-too-large", "count-negative",
+            "joint-count-negative", "count-nan", "three-counts", "one-count", "five-counts", "string", "int", "none"])
+    def test_rejects_values_no_run_produces(self, call):
         with pytest.raises(DomainError):
-            RunStats(**{"n": 10, "mean": 0.0, "stderr": 0.1, "seed": 0, **fields})
+            call()
 
     def test_integer_fields_become_ints(self):
-        stats = RunStats(n=np.int64(10), mean=0.0, stderr=0.1, seed=np.uint64(3))
-        assert (stats.n, stats.seed) == (10, 3) and type(stats.n) is type(stats.seed) is int
+        stats = RunStats((np.int64(3), np.uint64(1)))
+        assert stats.counts == (3, 1) and all(type(c) is int for c in stats.counts)
+        assert stats.n == 4 and type(stats.n) is int
+
+    def test_counts_fix_the_statistics(self):
+        run = RunStats((3, 1))
+        assert run.counts == (3, 1) and run.n == 4 and run.mean == 0.5
+        assert run.stderr == math.sqrt(4 * 3 * 1 / (4 * 4 * 3)) and run.conditional_means == {}
+        joint = RunStats((2, 1, 0, 3))  # products of +1 in pp and mm, -1 in pm and mp
+        assert joint.n == 6 and joint.mean == (5 - 1) / 6
+        assert joint.conditional_means == {1: 1 / 3, -1: -1.0}
+        assert RunStats((0, 0, 4, 1)).conditional_means == {-1: 3 / 5}  # Alice never drew +1
+        assert RunStats((1, 0)).stderr == 0.0
+
+    def test_empirical_chsh_value_is_s_of_its_terms(self):
+        terms = (RunStats((3, 1)), RunStats((1, 1, 1, 4)), RunStats((7, 2)), RunStats((0, 5)))
+        est = EmpiricalCHSH(terms)
+        e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime = (t.mean for t in terms)
+        assert est.terms == terms
+        assert est.value == e_ab - e_ab_prime + e_a_prime_b + e_a_prime_b_prime
+        assert est.stderr == math.sqrt(sum(t.stderr * t.stderr for t in terms))
 
 
 def assert_stats_match_values(stats, values: np.ndarray):
@@ -299,6 +337,26 @@ def assert_stats_match_values(stats, values: np.ndarray):
     assert stats.mean == pytest.approx(values.mean(), abs=1e-15)
     stderr = values.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
     assert stats.stderr == pytest.approx(stderr, abs=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.one_of(*(st.lists(st.integers(0, 600), min_size=k, max_size=k) for k in (2, 4))).filter(sum))
+def test_stats_are_those_of_the_counts_spelled_out_as_a_sample(counts):
+    # the +/-1 sample the counts stand for, outcomes in label order
+    if len(counts) == 2:
+        alice = bob = None
+        values = np.repeat([1.0, -1.0], counts)
+    else:
+        alice, bob = np.repeat([1.0, 1.0, -1.0, -1.0], counts), np.repeat([1.0, -1.0, 1.0, -1.0], counts)
+        values = alice * bob
+    stats = RunStats(counts)
+    assert stats.counts == tuple(counts)
+    assert_stats_match_values(stats, values)
+    expected = {} if alice is None else {
+        sign: bob[alice == sign].mean() for sign in (1, -1) if (alice == sign).any()}
+    assert stats.conditional_means.keys() == expected.keys()
+    for sign, mean in stats.conditional_means.items():
+        assert mean == pytest.approx(expected[sign], abs=1e-15)
 
 
 @settings(max_examples=150, deadline=None)

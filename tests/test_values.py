@@ -46,8 +46,8 @@ from spinframes import (
 )
 
 NAN, INF = math.nan, math.inf
-RUN = RunStats(10, 0.2, 0.1, 7, {1: 0.5})
-RUN_REPR = "RunStats(n=10, mean=0.2, stderr=0.1, seed=7, conditional_means=mappingproxy({1: 0.5}))"
+RUN = RunStats((6, 4))
+RUN_REPR = "RunStats(counts=(6, 4))"
 XY_REPR = ("SymmetryPlane(name='xy', e1=UnitVector3(x=1.0, y=0.0, z=0.0), "
            "e2=UnitVector3(x=0.0, y=1.0, z=0.0))")
 
@@ -85,11 +85,9 @@ CASES = [
      "identity"),
     (JunctionConfig, {"chi0": 1.0, "scale_factor": 2.0}, "JunctionConfig(chi0=1.0, scale_factor=2.0)", "value"),
     (MassRatioResult, {"ratio": 1.5}, "MassRatioResult(ratio=1.5)", "value"),
-    (RunStats, {"n": 10, "mean": 0.2, "stderr": 0.1, "seed": 7, "conditional_means": {1: 0.5}}, RUN_REPR,
-     "unhashable"),
-    (EmpiricalCHSH, {"value": 2.0, "stderr": 0.1, "terms": (RUN,) * 4, "seed": 3},
-     f"EmpiricalCHSH(value=2.0, stderr=0.1, terms=({RUN_REPR}, {RUN_REPR}, {RUN_REPR}, {RUN_REPR}), seed=3)",
-     "unhashable"),
+    (RunStats, {"counts": (6, 4)}, RUN_REPR, "value"),
+    (EmpiricalCHSH, {"terms": (RUN,) * 4}, f"EmpiricalCHSH(terms=({RUN_REPR}, {RUN_REPR}, {RUN_REPR}, {RUN_REPR}))",
+     "value"),
 ]
 
 
@@ -110,7 +108,7 @@ class TestValueClass:
             assert a == b
             if equality == "value":
                 assert hash(a) == hash(b)
-            else:  # a custom __eq__, or a field that cannot be hashed
+            else:  # a custom __eq__
                 with pytest.raises(TypeError):
                     hash(a)
         if equality == "custom":
@@ -143,7 +141,7 @@ def test_defaults():
     assert UnitsConfig() == UnitsConfig(6.67430e-11, 299792458.0)
     assert JunctionConfig(chi0=1.0).scale_factor == 1.0
     assert CHSHSetting(Angle(0.0), Angle(1.0), Angle(0.5), Angle(1.5)).plane is ZX_PLANE
-    assert RunStats(10, 0.2, 0.1, 7).conditional_means == {}
+    assert RunStats((6, 4)).conditional_means == {}
     assert MassProfile(1.0, 2.0).spline is None
     t = SINGLET.correlation_tensor
     assert all(abs(t[i][j] + (i == j)) <= 1e-12 for i in range(3) for j in range(3))
@@ -157,18 +155,10 @@ def test_custom_equality():
 
 # --- constructor contract ------------------------------------------------------
 
-@pytest.mark.parametrize("means", [
-    {1: 5.0}, {-1: -1.5}, {7: 0.5}, {0: 0.0}, {1: NAN}, {-1: INF}, {1: "0.5"}, {1: None}, {1: 1j},
-    "x", (1.0,), None,
-], ids=repr)
-def test_run_stats_conditional_means_are_outcome_averages(means):
-    with pytest.raises(DomainError):
-        RunStats(10, 0.5, 0.1, 0, conditional_means=means)
-
-
 def test_run_stats_accepts_outcome_averages():
-    run = RunStats(10, 0.5, 0.1, 0, conditional_means={1: 1.0, -1: -1.0})
-    assert run.conditional_means == {1: 1.0, -1: -1.0}
+    # Bob's average over the trials of each outcome Alice drew
+    assert RunStats((2, 0, 0, 3)).conditional_means == {1: 1.0, -1: -1.0}
+    assert RunStats((1, 3, 0, 0)).conditional_means == {1: -0.5}
 
 
 # (call, typed error, a word of its message that names the failing argument)
@@ -184,24 +174,24 @@ RAW_ERROR_CALLS = [
     (lambda: UnitsConfig(1.0, "1"), DomainError, "c must"),
     (lambda: OutcomeDistribution("a", "b"), DomainError, "p_up"),
     (lambda: JointDistribution(None, 0, 0, 1), DomainError, "p_pp"),
-    (lambda: RunStats(n=10, mean="0.5", stderr=0.1, seed=0), DomainError, "mean"),
-    (lambda: RunStats(n=10, mean=0.5, stderr="0.1", seed=0), DomainError, "stderr"),
+    (lambda: RunStats("x"), DomainError, "count"),
+    (lambda: RunStats((1.5, 2)), DomainError, "count must be an integer"),
     (lambda: MassRatioResult("2"), DomainError, "M_p/M"),
     (lambda: MassRatioResult(NAN), DomainError, "M_p/M"),
     (lambda: QubitState("x", 0), DomainError, "amplitudes"),
     (lambda: QubitState(1e308, 0), DomainError, "amplitudes"),
     (lambda: BellState("x", (1e308, 0, 0, 1e308), ZX_PLANE), DomainError, "normalized"),
     (lambda: SpinRotation(((1e308, 0), (0, 1e308))), DomainError, "spin rotation"),
-    (lambda: EmpiricalCHSH(NAN, -1.0, (), -5), DomainError, "CHSH estimate"),
-    (lambda: EmpiricalCHSH("2", 0.1, (RUN,) * 4, 0), DomainError, "CHSH estimate"),
-    (lambda: EmpiricalCHSH(4.5, 0.1, (RUN,) * 4, 0), DomainError, "CHSH estimate"),
-    (lambda: EmpiricalCHSH(2.0, INF, (RUN,) * 4, 0), DomainError, "stderr"),
-    (lambda: EmpiricalCHSH(2.0, -0.1, (RUN,) * 4, 0), DomainError, "stderr"),
-    (lambda: EmpiricalCHSH(2.0, "0.1", (RUN,) * 4, 0), DomainError, "stderr"),
-    (lambda: EmpiricalCHSH(2.0, 0.1, (RUN,) * 3, 0), DomainError, "four"),
-    (lambda: EmpiricalCHSH(2.0, 0.1, (1, 2, 3, 4), 0), DomainError, "four"),
-    (lambda: EmpiricalCHSH(2.0, 0.1, (RUN,) * 4, -5), DomainError, "seed"),
-    (lambda: EmpiricalCHSH(2.0, 0.1, (RUN,) * 4, 1.5), DomainError, "seed"),
+    (lambda: EmpiricalCHSH(()), DomainError, "four"),
+    (lambda: EmpiricalCHSH(2.0), DomainError, "four"),
+    (lambda: EmpiricalCHSH((RUN,) * 5), DomainError, "four"),
+    (lambda: RunStats((1, 2, 3)), DomainError, "2 or 4"),
+    (lambda: RunStats((-1, 2)), DomainError, ">= 0"),
+    (lambda: RunStats((0, 0)), DomainError, "positive sum"),
+    (lambda: EmpiricalCHSH((RUN,) * 3), DomainError, "four"),
+    (lambda: EmpiricalCHSH((1, 2, 3, 4)), DomainError, "four"),
+    (lambda: RunStats((0, 0, 0, 0)), DomainError, "positive sum"),
+    (lambda: RunStats((True, 1)), DomainError, "count must be an integer"),
     (lambda: Angle.from_degrees("x"), DomainError, "angle"),
     (lambda: UnitVector3.normalized("a", 0, 0), DomainError, "components"),
     (lambda: flrw_metric_components(Angle(1.0), Angle(1.0), "2"), DomainError, "scale factor"),
@@ -237,13 +227,13 @@ def _probabilities(ps) -> bool:
     return all(0.0 <= p <= 1.0 for p in ps) and _close(sum(ps), 1.0)
 
 
-def _seed(seed) -> bool:
-    return type(seed) is int and 0 <= seed < 2**64
+def _round_trips(value) -> bool:
+    return copy.copy(value) == copy.deepcopy(value) == pickle.loads(pickle.dumps(value)) == value
 
 
 def _run_stats(r: RunStats) -> bool:
-    return (type(r.n) is int and r.n >= 1 and -1.0 <= r.mean <= 1.0 and 0.0 <= r.stderr < INF and _seed(r.seed)
-            and all(k in (1, -1) and -1.0 <= v <= 1.0 for k, v in r.conditional_means.items()))
+    return (type(r.n) is int and r.n == sum(r.counts) >= 1 and -1.0 <= r.mean <= 1.0 and 0.0 <= r.stderr < INF
+            and all(k in (1, -1) and -1.0 <= v <= 1.0 for k, v in r.conditional_means.items()) and _round_trips(r))
 
 
 def _unit(v: UnitVector3) -> bool:
@@ -268,24 +258,28 @@ INVARIANTS = {
     MassProfile: (2, lambda p: 0.0 < p.mass < INF and 0.0 < p.radius < INF),
     JunctionConfig: (2, lambda j: 0.0 < j.chi0 < math.pi and 0.0 < j.scale_factor < INF),
     MassRatioResult: (1, lambda r: r.ratio >= 1.0),
-    RunStats: (5, _run_stats),
-    EmpiricalCHSH: (4, lambda e: -4.0 <= e.value <= 4.0 and 0.0 <= e.stderr < INF and len(e.terms) == 4
-                    and all(isinstance(t, RunStats) for t in e.terms) and _seed(e.seed)),
+    RunStats: (1, _run_stats),
+    EmpiricalCHSH: (1, lambda e: -4.0 <= e.value <= 4.0 and 0.0 <= e.stderr < INF and len(e.terms) == 4
+                    and all(map(_run_stats, e.terms)) and _round_trips(e)),
     JointSetting: (2, lambda j: isinstance(j.alice, UnitVector3) and isinstance(j.bob, UnitVector3)),
     CHSHSetting: (5, lambda c: all(isinstance(a, Angle) for a in (c.alice, c.alice_prime, c.bob, c.bob_prime))
                   and isinstance(c.plane, SymmetryPlane)),
 }
 
 AXIS = st.one_of(WILD, st.sampled_from([X_AXIS, Y_AXIS, Z_AXIS]))
+# outcome counts of any type, length and sign, up to the largest run a draw allows
+COUNT = st.one_of(WILD, st.integers(-2, 2**63 - 1), st.integers(0, 3))
+COUNTS = st.one_of(WILD, st.lists(COUNT, max_size=5), st.lists(COUNT, max_size=5).map(tuple))
+RUNS = st.one_of(st.just(RUN), st.builds(RunStats, st.lists(st.integers(0, 2**63 - 1), min_size=4, max_size=4)
+                                         .filter(sum)))
 ANGLE = st.one_of(WILD, st.builds(Angle, st.floats(-10.0, 10.0)))
 
 ARGUMENT = {
     # object arguments are the package's own value types
     flrw_metric_components: [st.builds(Angle, st.floats(-10.0, 10.0))] * 2 + [WILD],
-    RunStats: [st.one_of(WILD, st.integers(1, 10)), WILD, WILD, st.one_of(WILD, st.integers(0, 5)),
-               st.one_of(WILD, st.dictionaries(WILD, WILD, max_size=3))],
-    EmpiricalCHSH: [WILD, WILD, st.one_of(WILD, st.just((RUN,) * 4), st.lists(st.just(RUN), max_size=5)),
-                    st.one_of(WILD, st.integers(0, 5))],
+    RunStats: [COUNTS],
+    EmpiricalCHSH: [st.one_of(WILD, st.lists(RUNS, min_size=4, max_size=4),
+                              st.lists(st.one_of(RUNS, WILD), max_size=5))],
     JointSetting: [AXIS, AXIS],
     CHSHSetting: [ANGLE] * 4 + [st.one_of(WILD, st.sampled_from([XY_PLANE, ZX_PLANE]))],
 }
@@ -338,18 +332,15 @@ def test_proper_mass_is_at_least_the_mass_or_raises_typed_errors(spec, units):
     assert profile.mass <= proper < INF, (spec, units, proper)
 
 
-def _square(value: float, x: float) -> bool:
-    return abs(value - x * x) <= math.ulp(x * x)
-
-
 @settings(max_examples=300, deadline=None)
 @given(chi=st.floats(-10.0, 10.0), theta=st.floats(-10.0, 10.0), a=POSITIVE, units=UNITS)
+@example(chi=1.0, theta=1.0, a=5.413098667800913e16, units=(1.0, 5.413098667800913e16))  # x**2 != x * x here
 def test_flrw_metric_holds_its_invariant_in_any_units_or_raises_typed_errors(chi, theta, a, units):
     try:
         units = UnitsConfig(*units)
         g = flrw_metric_components(Angle(chi), Angle(theta), a, units)
     except TYPED_ERRORS:
         return
-    # x**2 calls the C library's pow, which may round x^2 one ulp away from x * x
-    assert _square(-g[0], units.c) and _square(g[1], a), (chi, theta, a, units, g)
+    # squares are products: x**2 calls the C library's pow, which may round one ulp away
+    assert -g[0] == units.c * units.c and g[1] == a * a, (chi, theta, a, units, g)
     assert 0.0 <= g[2] <= g[1] and 0.0 <= g[3] <= g[1], (chi, theta, a, units, g)
