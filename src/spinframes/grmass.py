@@ -18,7 +18,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, ProfileError
-from .spin import NOT_A_NUMBER, Angle, _set, _Value
+from .spin import NOT_A_NUMBER, Angle, _numpy_loaded, _set, _sqrt, _Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -99,12 +99,21 @@ class MassProfile(_Value):
     coefficients c of the cubic ((c[0] u + c[1]) u + c[2]) u + c[3] in
     u = r - x[i] on piece i. A uniform ball has no spline. Equality is
     identity.
+
+    The spline keeps the type of the route that built it. `from_table`
+    builds numpy arrays (x, and c of shape (4, pieces)) when numpy is
+    loaded, as in any process that passes it arrays. In a process that has
+    not loaded numpy, such as a CLI run, a table given as lists or tuples of
+    ints and floats is built in plain floats, and the spline holds tuples
+    (x, and c as four rows). `mass_within` and `proper_mass_integral` follow
+    the spline's type. Both routes give the same numbers and the same
+    errors, bit for bit.
     """
 
     __slots__ = ("mass", "radius", "spline")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, mass: float, radius: float, spline: tuple[np.ndarray, np.ndarray] | None = None):
+    def __init__(self, mass: float, radius: float, spline: tuple | None = None):
         positive_mass = positive_radius = False
         try:
             positive_mass = 0.0 < mass < math.inf  # False for NaN
@@ -126,6 +135,11 @@ class MassProfile(_Value):
         if self.spline is None:
             return float(self.mass * (r / self.radius) ** 3)
         x, c = self.spline
+        if isinstance(x, tuple):
+            import bisect
+
+            i = min(bisect.bisect_right(x, r) - 1, len(x) - 2)
+            return float(_cubic([row[i] for row in c], r - x[i]))
         i = min(int(x.searchsorted(r, "right")) - 1, len(x) - 2)
         return float(_cubic(c[:, i], r - x[i]))
 
@@ -146,6 +160,8 @@ class MassProfile(_Value):
         Needs r strictly increasing from 0, M nondecreasing from 0, and
         a positive final mass.
         """
+        if not _numpy_loaded() and _plain_column(r) and _plain_column(m):
+            return cls._from_floats(r, m)
         import numpy as np
 
         try:
@@ -153,12 +169,14 @@ class MassProfile(_Value):
             m = np.asarray(m, dtype=float)
         except (TypeError, ValueError):
             raise ProfileError("r and M must be sequences of numbers") from None
+        except OverflowError:  # an int beyond the float range
+            raise ProfileError(_NON_FINITE) from None
         if r.ndim != 1 or r.shape != m.shape:
             raise ProfileError("r and M must be one-dimensional and the same length")
         if len(r) < 2:
             raise ProfileError("profile table needs at least two rows")
         if not (np.isfinite(r).all() and np.isfinite(m).all()):
-            raise ProfileError("profile table contains non-finite values")
+            raise ProfileError(_NON_FINITE)
         if r[0] != 0.0:
             raise ProfileError(f"first radius must be 0, got {float(r[0])!r}")
         if m[0] != 0.0:
@@ -173,8 +191,52 @@ class MassProfile(_Value):
         with np.errstate(over="ignore", invalid="ignore"):  # caught just below
             c = _pchip_coefficients(r, m)
         if not np.isfinite(c).all():
-            raise ProfileError("the cubic through the table overflows a float")
+            raise ProfileError(_OVERFLOWING_CUBIC)
         return cls(float(m[-1]), float(r[-1]), (r, c))
+
+    @classmethod
+    def _from_floats(cls, r, m) -> "MassProfile":
+        """`from_table` in plain floats: the same checks in the same order."""
+        try:
+            r, m = [float(v) for v in r], [float(v) for v in m]
+        except OverflowError:  # an int beyond the float range
+            raise ProfileError(_NON_FINITE) from None
+        if len(r) != len(m):
+            raise ProfileError("r and M must be one-dimensional and the same length")
+        if len(r) < 2:
+            raise ProfileError("profile table needs at least two rows")
+        if not all(map(math.isfinite, r + m)):
+            raise ProfileError(_NON_FINITE)
+        if r[0] != 0.0:
+            raise ProfileError(f"first radius must be 0, got {r[0]!r}")
+        if m[0] != 0.0:
+            raise ProfileError(f"mass at r = 0 must be 0, got {m[0]!r}")
+        i = next((i for i in range(1, len(r)) if not r[i] > r[i - 1]), 0)
+        if i:
+            raise ProfileError(f"radii must be strictly increasing (row {i + 1})")
+        i = next((i for i in range(1, len(m)) if not m[i] >= m[i - 1]), 0)
+        if i:
+            raise ProfileError(f"mass must be nondecreasing (row {i + 1})")
+        c = _pchip_floats(r, m)
+        if not all(math.isfinite(v) for row in c for v in row):
+            raise ProfileError(_OVERFLOWING_CUBIC)
+        return cls(m[-1], r[-1], (tuple(r), c))
+
+
+_NON_FINITE = "profile table contains non-finite values"
+_OVERFLOWING_CUBIC = "the cubic through the table overflows a float"
+
+
+def _plain_column(values) -> bool:
+    """Whether `values` is a list or tuple of ints and floats, which the plain-float route reads."""
+    return type(values) in (list, tuple) and all(type(v) in (float, int) for v in values)
+
+
+def _div(a: float, b: float) -> float:
+    """a / b as IEEE arithmetic gives it, where Python raises for b == 0."""
+    if b:
+        return a / b
+    return math.copysign(math.inf, a) * math.copysign(1.0, b) if a and a == a else math.nan
 
 
 def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -201,6 +263,29 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             d[end] = max(((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1), 0.0)
     t = (d[:-1] + d[1:] - 2 * m) / h
     return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+def _pchip_floats(x: list[float], y: list[float]) -> tuple[tuple[float, ...], ...]:
+    """`_pchip_coefficients` in plain floats, element by element in the same order."""
+    h = [b - a for a, b in zip(x, x[1:])]  # positive: x strictly increases
+    m = [(b - a) / w for a, b, w in zip(y, y[1:], h)]
+    if len(x) == 2:
+        d = [m[0], m[0]]
+    else:
+        d = [0.0] * len(x)
+        for i in range(1, len(x) - 1):
+            if m[i] != 0 and m[i - 1] != 0:
+                w1, w2 = 2 * h[i] + h[i - 1], h[i] + 2 * h[i - 1]
+                d[i] = _div(1.0, (w1 / m[i - 1] + w2 / m[i]) / (w1 + w2))
+        for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]), (-1, h[-1], h[-2], m[-1], m[-2])):
+            d[end] = max(((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1), 0.0)
+    t = [(d[i] + d[i + 1] - 2 * m[i]) / h[i] for i in range(len(h))]
+    return (
+        tuple(t[i] / h[i] for i in range(len(h))),
+        tuple((m[i] - d[i]) / h[i] - t[i] for i in range(len(h))),
+        tuple(d[:-1]),
+        tuple(y[:-1]),
+    )
 
 
 def load_profile_csv(path: str) -> MassProfile:
@@ -297,7 +382,7 @@ def flrw_mass_ratio(cfg: JunctionConfig) -> MassRatioResult:
     return MassRatioResult(_ratio_of(cfg.chi0))
 
 
-def _cubic(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _cubic(c, u):
     return ((c[0] * u + c[1]) * u + c[2]) * u + c[3]
 
 
@@ -319,6 +404,22 @@ def _check_no_horizon(x: np.ndarray, c: np.ndarray, k: float) -> None:
         bad = x[piece] + u - k * _cubic(c[:, piece], u) <= 0.0
     if bad.any():
         raise DomainError(_HORIZON.format(float((x[piece] + u)[bad].min())))
+
+
+def _check_no_horizon_floats(x: tuple[float, ...], c: tuple[tuple[float, ...], ...], k: float) -> None:
+    """`_check_no_horizon` in plain floats, with numpy's inf and nan results."""
+    if k * c[2][0] >= 1.0:
+        raise DomainError(_HORIZON.format(0.0))
+    bad = []
+    for i, cp in enumerate(zip(*c)):
+        width = x[i + 1] - x[i]
+        a, b, q = 3.0 * k * cp[0], 2.0 * k * cp[1], k * cp[2] - 1.0
+        s = -0.5 * (b + math.copysign(_sqrt(b * b - 4.0 * a * q), b))
+        for u in (width, _div(s, a), _div(q, s)):
+            if 0.0 < u <= width and x[i] + u - k * _cubic(cp, u) <= 0.0:
+                bad.append(x[i] + u)
+    if bad:
+        raise DomainError(_HORIZON.format(min(bad)))
 
 
 def proper_mass_integral(profile: MassProfile, units: UnitsConfig = UnitsConfig()) -> float:
@@ -348,7 +449,9 @@ def proper_mass_integral(profile: MassProfile, units: UnitsConfig = UnitsConfig(
     return proper
 
 
-def _integrate_table(x: np.ndarray, c: np.ndarray, k: float) -> float:
+def _integrate_table(x, c, k: float) -> float:
+    if isinstance(x, tuple):
+        return _integrate_floats(x, c, k)
     import numpy as np
 
     _check_no_horizon(x, c, k)
@@ -383,6 +486,53 @@ def _integrate_table(x: np.ndarray, c: np.ndarray, k: float) -> float:
             return math.inf
 
 
+def _integrate_floats(x: tuple[float, ...], c: tuple[tuple[float, ...], ...], k: float) -> float:
+    """`_integrate_table` in plain floats: the same terms in the same order,
+    each rule summed left to right, and numpy's inf and nan results."""
+    k = float(k)  # G and c may be numpy floats, whose division by zero warns where a float's raises
+    _check_no_horizon_floats(x, c, k)
+    pieces = list(zip(*c))
+    rules = [[(node + 1.0, weight) for node, weight in zip(_NODES[a:b], _WEIGHTS[a:b])] for a, b in ((0, 10), (10, 15))]
+    segments = [(i, 0.0, x[i + 1] - x[i]) for i in range(len(x) - 1)]  # (piece, start, width) as above
+    value = spent = 0.0
+    sqrt = math.sqrt
+    try:
+        for _ in range(QUAD_MAX_ROUNDS):
+            high, err = [], []
+            for i, start, width in segments:
+                c0, c1, c2, c3 = pieces[i]
+                xi, half = x[i], 0.5 * width
+                sums = []
+                for rule in rules:  # the 10-point rule, then the 5-point one, each summed left to right
+                    acc = 0.0
+                    for node, weight in rule:
+                        u = start + half * node
+                        dm = (3.0 * c0 * u + 2.0 * c1) * u + c2
+                        mass = ((c0 * u + c1) * u + c2) * u + c3
+                        try:
+                            acc += dm / sqrt(1.0 - k * mass / (xi + u)) * weight
+                        except (ZeroDivisionError, ValueError):
+                            acc += _div(dm, _sqrt(1.0 - _div(k * mass, xi + u))) * weight
+                    sums.append(half * acc)
+                high.append(sums[0])
+                err.append(abs(sums[0] - sums[1]))
+            total = value + math.fsum(high)
+            if spent + math.fsum(err) <= QUAD_REL_TOL * total:
+                return total
+            done = [e <= QUAD_REL_TOL * abs(h) for h, e in zip(high, err)]
+            value += math.fsum(h for h, ok in zip(high, done) if ok)
+            spent += math.fsum(e for e, ok in zip(err, done) if ok)
+            kept = [(i, start, 0.5 * width) for (i, start, width), ok in zip(segments, done) if not ok]
+            segments = kept + [(i, start + width, width) for i, start, width in kept]
+            if len(segments) > len(x) - 1 + QUAD_MAX_SEGMENTS:
+                break
+        raise ConvergenceError(
+            f"quadrature error {spent + math.fsum(err)!r} exceeds {QUAD_REL_TOL} relative", best=total
+        )
+    except OverflowError:
+        return math.inf
+
+
 def flrw_metric_components(
     chi: Angle, theta: Angle, a: float, units: UnitsConfig = UnitsConfig()
 ) -> tuple[float, float, float, float]:
@@ -390,12 +540,16 @@ def flrw_metric_components(
     of a closed constant-curvature space of scale factor a:
     (-c^2, a^2, a^2 sin^2 chi, a^2 sin^2 chi sin^2 theta)."""
     try:
-        positive = math.isfinite(a) and a > 0
+        positive = 0 < a < math.inf  # False for NaN; exact for an int beyond the float range
     except NOT_A_NUMBER:
         positive = False
     if not positive:
         raise DomainError(f"scale factor must be positive, got {a!r}")
-    a2 = a * a
+    try:
+        scale = float(a)  # an int would give int components, or overflow in the products
+    except OverflowError:  # an int beyond the float range
+        scale = math.inf
+    a2 = scale * scale
     if a2 == math.inf:
         raise DomainError(f"scale factor {a!r} is too large: its square overflows a float")
     if a2 < sys.float_info.min:

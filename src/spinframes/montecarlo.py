@@ -10,6 +10,14 @@ the counted shares; a few trials of each over-filled outcome, chosen at
 random, then take the missing outcomes in a random order. Every step
 treats all trials alike, so the order is exchangeable, and an
 exchangeable order with fixed counts is uniform.
+
+The counts come by one of two routes with the same result, bit for bit.
+A process that has not loaded numpy (a CLI process) draws them with a
+plain-Python port of numpy's SeedSequence, Philox and multinomial, in
+the private `_philox` module, when records are off and n <= 2**53, so it
+never imports numpy. Otherwise they come from numpy's Generator, which
+records always need for the stream that follows the multinomial. The
+route moves time, never bytes.
 """
 from __future__ import annotations
 
@@ -19,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from .bell import BellState, CHSHSetting, JointSetting, _chsh_combination, joint_distribution
 from .errors import DomainError
-from .spin import QubitState, UnitVector3, _check_integer, _set, _Value, projection_probabilities
+from .spin import QubitState, UnitVector3, _check_integer, _numpy_loaded, _set, _Value, projection_probabilities
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,6 +47,9 @@ _MAX_SEED = 2**64 - 1
 
 # Generator.multinomial takes n as a C long
 _MAX_TRIALS = 2**63 - 1
+
+# largest n the plain-Python route draws: every n it converts to a float converts exactly
+_MAX_PLAIN_TRIALS = 2**53
 
 # resolution of the per-trial labels that _arrange cuts at the counted shares
 _LABEL_BITS = 16
@@ -145,18 +156,22 @@ def _arrange(gen: np.random.Generator, counts: list[int]) -> np.ndarray:
     return labels
 
 
-def _draw(pvals, n: int, seed: int, keep_records: bool) -> tuple[list[int], np.ndarray]:
+def _draw(pvals, n: int, seed: int, keep_records: bool) -> tuple[list[int], np.ndarray | None]:
     """Counts of each label (index into `pvals`) over n trials, and the
-    labels: the counted labels in a seeded random order, or none unless kept."""
-    import numpy as np
-
+    labels: the counted labels in a seeded random order, or None unless kept."""
     n = _check_integer(n, "n")
     if not 1 <= n <= _MAX_TRIALS:
         raise DomainError(f"n must lie in [1, {_MAX_TRIALS}], got {n}")
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(_check_seed(seed))))
+    seed = _check_seed(seed)
+    if not keep_records and n <= _MAX_PLAIN_TRIALS and not _numpy_loaded():
+        from ._philox import multinomial
+
+        return multinomial(n, pvals, seed), None
+    import numpy as np
+
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     counts = gen.multinomial(n, pvals).tolist()
-    labels = _arrange(gen, counts) if keep_records else np.zeros(0, dtype=np.int8)
-    return counts, labels
+    return counts, _arrange(gen, counts) if keep_records else None
 
 
 def sample_single(
@@ -165,18 +180,19 @@ def sample_single(
     n: int,
     seed: int,
     keep_records: bool = True,
-) -> tuple[np.ndarray, RunStats]:
+) -> tuple[np.ndarray | None, RunStats]:
     """Sample n projections of `state` onto `setting`.
 
     Outcomes are +/-1 with p_up from the Born rule; the mean converges
     to cos(theta). Records are an int8 array of shape (n,) holding the
-    outcomes in trial order; pass keep_records=False to get an empty
-    array instead (the statistics are unchanged).
+    outcomes in trial order; pass keep_records=False to get None instead
+    (the statistics are unchanged). Kept records need numpy; without
+    them a process that has not loaded numpy draws the same counts
+    without it (see the module docstring).
     """
     dist = projection_probabilities(state, setting)
     counts, labels = _draw([dist.p_up, dist.p_down], n, seed, keep_records)
-    records = 1 - 2 * labels if keep_records else labels
-    return records, RunStats(counts)
+    return (None if labels is None else 1 - 2 * labels), RunStats(counts)
 
 
 def sample_joint(
@@ -185,22 +201,24 @@ def sample_joint(
     n: int,
     seed: int,
     keep_records: bool = True,
-) -> tuple[np.ndarray, RunStats]:
+) -> tuple[np.ndarray | None, RunStats]:
     """Sample n joint trials of `state` at the given pair of settings.
 
     The run mean is the empirical correlation (the product of the two
     +/-1 outcomes per trial); conditional means give Bob's average for
     each value of Alice's outcome. Records are an int8 array of shape
-    (n, 2) of (Alice, Bob) outcomes in trial order, empty (0, 2) when
-    keep_records=False.
+    (n, 2) of (Alice, Bob) outcomes in trial order, or None when
+    keep_records=False; the counts are drawn by either route of the
+    module docstring, with the same result.
     """
-    import numpy as np
-
     dist = joint_distribution(state, setting)
     counts, labels = _draw(dist.probabilities(), n, seed, keep_records)
+    if labels is None:
+        return None, RunStats(counts)
+    import numpy as np
+
     # label (a << 1) | b holds the outcomes 1 - 2a for Alice and 1 - 2b for Bob
-    records = 1 - 2 * np.stack((labels >> 1, labels & 1), axis=1) if keep_records else labels.reshape(0, 2)
-    return records, RunStats(counts)
+    return 1 - 2 * np.stack((labels >> 1, labels & 1), axis=1), RunStats(counts)
 
 
 class EmpiricalCHSH(_Value):
@@ -236,12 +254,20 @@ def empirical_chsh(
     seed: int,
 ) -> EmpiricalCHSH:
     """Estimate S by sampling each of the four correlations with its own
-    sub-seed derived from `seed`; same inputs, same estimate."""
-    import numpy as np
+    sub-seed: the first uint64 of the state of each of
+    SeedSequence(seed).spawn(4). Same inputs, same estimate, on either route."""
+    seed = _check_seed(seed)
+    if _numpy_loaded():
+        import numpy as np
 
+        children = np.random.SeedSequence(seed).spawn(4)
+        term_seeds = [int(child.generate_state(1, dtype=np.uint64)[0]) for child in children]
+    else:
+        from ._philox import spawned_seeds
+
+        term_seeds = spawned_seeds(seed, 4)
     terms = []
-    for (a, b), child in zip(setting.pairs(), np.random.SeedSequence(_check_seed(seed)).spawn(4)):
+    for (a, b), term_seed in zip(setting.pairs(), term_seeds):
         js = JointSetting.in_plane(setting.plane, a, b)
-        term_seed = int(child.generate_state(1, dtype=np.uint64)[0])
         terms.append(sample_joint(state, js, n_per_pair, term_seed, keep_records=False)[1])
     return EmpiricalCHSH(terms)

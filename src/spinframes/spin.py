@@ -237,6 +237,19 @@ def _set_probabilities(dist: _Value, values: tuple) -> None:
         raise DomainError(f"probabilities must sum to 1, got {total!r}")
 
 
+def _numpy_loaded() -> bool:
+    """Whether this process has loaded numpy. The Monte Carlo counts and the
+    table quadrature compute in plain floats when it has not, with the same
+    bits, so that a CLI process never pays for the import; a None entry in
+    sys.modules blocks the import, as in a process without numpy."""
+    return sys.modules.get("numpy") is not None
+
+
+def _sqrt(v: float) -> float:
+    """The square root as IEEE arithmetic gives it: nan for a negative v or nan, where math.sqrt raises."""
+    return math.sqrt(v) if v >= 0.0 else math.nan
+
+
 def _check_integer(value, name: str) -> int:
     """`value` as an int; it must be an int or a numpy integer, never a bool."""
     if type(value) is int:  # the common case, without the slow ABC check below

@@ -403,7 +403,8 @@ def test_n_bounded_by_the_multinomial_draw(capsys, command):
 
 # sha256 (first 16 hex digits) of stdout in JSON and in CSV, and of stderr,
 # for each argv: a change to how the CLI builds its tables must keep every
-# byte and exit code. The seeded runs also pin numpy's Philox stream.
+# byte and exit code. The seeded runs also pin numpy's Philox stream, which
+# a process without numpy reproduces in plain Python.
 EMPTY = "e3b0c44298fc1c14"
 GOLDEN = [
     ("spin --theta-deg 60", 0, "6ea08527dc57dbd9", "ecd35dd69e57c350", EMPTY),
@@ -614,7 +615,7 @@ def _subprocess_env() -> dict:
 
 
 # commands whose result is a handful of closed-form numbers: they must run
-# without importing numpy
+# without importing numpy, as every other command does
 SCALAR_COMMANDS = [
     ["spin", "--theta-deg", "60"],
     ["bell", "--state", "phi+", "--theta-deg", "30"],
@@ -638,7 +639,8 @@ def test_array_libraries_load_only_where_needed(tmp_path):
         ["grmass", "binding", "--profile", str(profile), "--geometrized"],
     ]
     scan = ["chsh", "--mode", "scan", "--resolution-deg", "10"]
-    scalar = [argv for argv in SCALAR_COMMANDS if argv[0] != "ensemble"] + [scan]
+    # seeded counts and table quadrature compute in plain floats when numpy is not loaded
+    scalar = [argv for argv in SCALAR_COMMANDS if argv[0] != "ensemble"] + [scan] + array_commands
     ensemble = [argv for argv in SCALAR_COMMANDS if argv[0] == "ensemble"]
     # the commands are spliced in as literals: the child must not import json
     code = (
@@ -655,7 +657,7 @@ def test_array_libraries_load_only_where_needed(tmp_path):
         "r = spinframes.so3_from_su2(u.compose(-u))\n"
         "spinframes.rotate_state(spinframes.prepare_state(r.apply(spinframes.X_AXIS)), u)\n"
         "assert not loaded('numpy', *STDLIB), 'frames'\n"
-        f"scalar, ensemble, array = {scalar!r}, {ensemble!r}, {array_commands!r}\n"
+        f"scalar, ensemble = {scalar!r}, {ensemble!r}\n"
         "for fmt in ('csv', 'json'):\n"
         "    gated = ('numpy', *STDLIB, *(['json'] if fmt == 'csv' else []))\n"
         "    for argv in scalar:\n"
@@ -668,41 +670,53 @@ def test_array_libraries_load_only_where_needed(tmp_path):
         "assert loaded('fractions') == ['fractions'], 'ensemble computes its average as a Fraction'\n"
         "run(['--timestamp', *scalar[0]])\n"
         "assert loaded('datetime') == ['datetime'], 'timestamp'\n"
-        "for argv in array:\n"
-        "    run(argv)\n"
-        "assert loaded('numpy') and not loaded('scipy')\n"
-        "assert 'numpy.polynomial' not in sys.modules, 'the quadrature rules are constants'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
-    # montecarlo imports numpy at its first draw, not when it is loaded
+    # montecarlo draws without numpy unless records are kept or n passes 2**53,
+    # and numpy's stream then draws the counts
     code = (
         "import sys\n"
-        "from spinframes.montecarlo import sample_single\n"
-        "from spinframes.spin import X_AXIS, Z_AXIS, prepare_state\n"
+        "import spinframes as sf\n"
+        "state, setting = sf.prepare_state(sf.Z_AXIS), sf.X_AXIS\n"
         "assert 'numpy' not in sys.modules, 'import'\n"
-        "sample_single(prepare_state(Z_AXIS), X_AXIS, 10, 1, keep_records=False)\n"
-        "assert 'numpy' in sys.modules, 'draw'\n"
+        "assert sf.sample_single(state, setting, 2**53, 1, keep_records=False)[0] is None\n"
+        "sf.empirical_chsh(sf.SINGLET, sf.CHSHSetting(*map(sf.Angle, (0.0, 1.6, 0.8, 2.4))), 10, 1)\n"
+        "assert 'numpy' not in sys.modules, 'draw'\n"
+        "if sys.argv[1] == 'records':\n"
+        "    sf.sample_single(state, setting, 10, 1)\n"
+        "else:\n"
+        "    sf.sample_single(state, setting, 2**53 + 1, 1, keep_records=False)\n"
+        "assert 'numpy' in sys.modules, sys.argv[1]\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60)
-    assert proc.returncode == 0, proc.stderr.decode()
+    for numpy_draw in ("records", "n"):
+        proc = subprocess.run([sys.executable, "-c", code, numpy_draw], capture_output=True, env=_subprocess_env(),
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
 
 
-def test_scan_gives_the_golden_bytes_without_numpy():
-    argv, _, json_sha, csv_sha, _ = next(g for g in GOLDEN if g[0].startswith("chsh --mode scan"))
+def test_golden_bytes_without_numpy(tmp_path):
+    # every pinned command, in a process where any import of numpy raises
+    (tmp_path / "profile.csv").write_text("r,M\n0,0\n0.5,0.025\n1,0.2\n")
     code = (
         "import contextlib, hashlib, io, sys\n"
-        "sys.modules['numpy'] = None\n"  # any import of numpy now raises
+        "sys.modules['numpy'] = None\n"
         "from spinframes.cli import main\n"
-        "for fmt in ('json', 'csv'):\n"
-        "    out = io.StringIO()\n"
-        "    with contextlib.redirect_stdout(out):\n"
-        f"        assert main(['--format', fmt, *{argv.split()!r}]) == 0, fmt\n"
-        "    print(hashlib.sha256(out.getvalue().encode()).hexdigest()[:16])\n"
+        "def sha(text):\n"
+        "    return hashlib.sha256(text.encode()).hexdigest()[:16]\n"
+        f"for argv in {[g[0] for g in GOLDEN]!r}:\n"
+        "    for fmt in ('json', 'csv'):\n"
+        "        out, err = io.StringIO(), io.StringIO()\n"
+        "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "            rc = main(['--format', fmt, *argv.split()])\n"
+        "        print(rc, sha(out.getvalue()), sha(err.getvalue()))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), cwd=tmp_path,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().split() == [json_sha, csv_sha]
+    got = [line.split() for line in proc.stdout.decode().splitlines()]
+    want = [[str(rc), sha, err_sha] for _, rc, json_sha, csv_sha, err_sha in GOLDEN for sha in (json_sha, csv_sha)]
+    assert got == want
 
 
 def test_closed_stdout_exits_2_without_traceback():

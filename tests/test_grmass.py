@@ -20,6 +20,7 @@ from spinframes import (
     load_profile_csv,
     proper_mass_integral,
 )
+from spinframes import grmass
 from spinframes.grmass import _NODES, _WEIGHTS, QUAD_MAX_ROUNDS, QUAD_REL_TOL
 
 GEOM = UnitsConfig.geometrized()
@@ -77,7 +78,7 @@ def table_quadrature_oracle(profile: MassProfile, units: UnitsConfig) -> float:
     left to right, the same bisection, and each round's sums by math.fsum.
     The spline is taken as given and not checked for a horizon."""
     x, c = (a.tolist() for a in profile.spline)
-    k = 2.0 * units.G / units.c**2
+    k = 2.0 * units.G / (units.c * units.c)  # as the library computes it; c**2 calls pow
     rules = [list(zip(*np.polynomial.legendre.leggauss(n))) for n in (10, 5)]
     segments = [(i, 0.0, x[i + 1] - x[i]) for i in range(len(x) - 1)]
     value = spent = 0.0
@@ -494,6 +495,76 @@ class TestQuadratureOracle:
         assert checked >= 100
 
 
+def table_outcome(r, m, units: UnitsConfig, plain: bool):
+    """What a table gives on one route: its proper mass and M(r) at a few
+    radii as hex, or the type and message of the error it raises."""
+    with pytest.MonkeyPatch.context() as patch:
+        if plain:
+            patch.setattr(grmass, "_numpy_loaded", lambda: False)
+        try:
+            profile = MassProfile.from_table(r, m)
+            assert isinstance(profile.spline[0], tuple) == plain
+            within = [profile.mass_within(profile.radius * f).hex() for f in (0.0, 0.3, 0.77, 1.0)]
+            return proper_mass_integral(profile, units).hex(), within
+        except (ProfileError, DomainError, ConvergenceError) as exc:
+            return type(exc).__name__, str(exc)
+
+
+# tables whose cubic overflows, and tables with a horizon at the centre, at a
+# knot or inside a segment, or whose horizon products overflow
+EDGE_TABLES = [
+    ([0.0, 5e299, 1e300], [0.0, 1.08e308, 1.79e308]),
+    ([0.0, 1e-300], [0.0, 1e10]),
+    ([0.0, 1.0, 2.0], [0.0, 0.49, 0.5]),
+    ([0.0, 1.0, 1.0 + 1e-7, 2.0], [0.0, 0.0, 0.5 + 6e-8, 0.5 + 6e-8]),
+    ([0.0, 1.0, 1.0 + 1e-7, 1.5], [0.0, 0.0, 0.466, 0.699]),
+    ([0.0, 1.0, 2.0], [0.0, 1e10, 2e10]),
+    ([0.0, 0.5, 0.5], [0.0, 0.5, 1.0]),
+    ([0.0, 0.5, 1.0], [0.0, 0.7, 0.6]),
+    ([0.0, 1.0], [0.5, 1.0]),
+    ([0.0, 1.0], [0.0, 0.0]),
+    ([0.0, 1.0, 2.0], [0.0, 1.0]),
+    ([0.0, math.inf], [0.0, 1.0]),
+    ([0, 10**400], [0, 1]),
+    (np.linspace(0.0, 1e10, 20).tolist(), (1.5e308 * np.linspace(0.0, 1.0, 20) ** 3).tolist()),
+]
+
+
+class TestPlainFloatRoute:
+    """A process without numpy builds and integrates tables in plain floats,
+    with the numpy route's bits and errors."""
+
+    @pytest.mark.parametrize("table", [*sorted(PCHIP_TABLES.values()), *EDGE_TABLES], ids=repr)
+    @pytest.mark.parametrize("units", [
+        GEOM, UnitsConfig(G=1e300, c=1.0), UnitsConfig(), UnitsConfig(G=0.25e10 / 1.5e308, c=1.0),
+    ], ids=["geometrized", "huge-G", "SI", "overflowing-mass"])
+    def test_named_tables(self, table, units):
+        r, m = table
+        assert table_outcome(r, m, units, plain=True) == table_outcome(r, m, units, plain=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(st.tuples(st.floats(1e-3, 1e3), st.just(0.0) | st.floats(1e-3, 1e3)), min_size=1, max_size=40),
+        r_scale=st.floats(-3.0, 3.0),
+        compactness=st.just(0.0) | st.floats(1e-3, 1.5),
+    )
+    def test_random_tables(self, steps, r_scale, compactness):
+        # 2GM/R = compactness, horizons included, or SI units
+        r = (np.cumsum([0.0] + [dr for dr, _ in steps]) * 10.0**r_scale).tolist()
+        m = np.cumsum([0.0] + [dm for _, dm in steps]).tolist()
+        units = UnitsConfig(G=0.5 * compactness * r[-1] / m[-1], c=1.0) if m[-1] and compactness else UnitsConfig()
+        assert table_outcome(r, m, units, plain=True) == table_outcome(r, m, units, plain=False)
+
+    def test_numpy_columns_take_the_numpy_route(self, monkeypatch):
+        monkeypatch.setattr(grmass, "_numpy_loaded", lambda: False)
+        for r, m in [(np.array([0.0, 1.0]), [0.0, 1.0]), ([0.0, True], [0.0, 1.0]), ([[0.0, 1.0]], [[0.0, 1.0]])]:
+            try:
+                profile = MassProfile.from_table(r, m)
+            except ProfileError:
+                continue
+            assert isinstance(profile.spline[0], np.ndarray)
+
+
 class TestMetric:
     def test_equatorial_unit_sphere(self):
         g = flrw_metric_components(Angle(math.pi / 2), Angle(math.pi / 2), 1.0, GEOM)
@@ -517,6 +588,14 @@ class TestMetric:
             flrw_metric_components(Angle(0.5), Angle(0.5), 1e200, GEOM)
         g = flrw_metric_components(Angle(math.pi / 2), Angle(math.pi / 2), 1e154, GEOM)
         assert g[1] == g[2] == g[3] == pytest.approx(1e308, rel=1e-15)
+
+    def test_int_scale_factor_gives_floats_or_the_overflow_error(self):
+        g = flrw_metric_components(Angle(0.5), Angle(0.5), 2, GEOM)
+        assert g == flrw_metric_components(Angle(0.5), Angle(0.5), 2.0, GEOM)
+        assert all(type(v) is float for v in g)
+        for a in (10**200, 10**400):
+            with pytest.raises(DomainError, match="too large"):
+                flrw_metric_components(Angle(0.5), Angle(0.5), a, GEOM)
 
     def test_scale_factor_whose_square_underflows(self):
         ten = Angle.from_degrees(10.0)

@@ -31,6 +31,8 @@ from spinframes import (
     sample_joint,
     sample_single,
 )
+from spinframes import montecarlo
+from spinframes._philox import multinomial, spawned_seeds
 from spinframes.montecarlo import _arrange, _ranked_positions
 
 UP_STATE = prepare_state(Z_AXIS)
@@ -125,7 +127,7 @@ class TestDeterminism:
         records, s1 = sample_joint(PHI_PLUS, setting, 1000, seed=3, keep_records=True)
         empty, s2 = sample_joint(PHI_PLUS, setting, 1000, seed=3, keep_records=False)
         assert s1 == s2
-        assert records.shape == (1000, 2) and empty.shape == (0, 2)
+        assert records.shape == (1000, 2) and empty is None
 
     def test_empirical_chsh_reproducible(self):
         setting = CHSHSetting(
@@ -486,3 +488,48 @@ def test_records_call_memory_per_trial(case):
             tracemalloc.stop()
         assert records.shape[0] == N_GUARD
         assert peak / N_GUARD <= 10.0, (seed, peak / N_GUARD)
+
+
+@st.composite
+def multinomial_draws(draw):
+    """(n, pvals, seed) with n up to 2**53, where the plain-Python route
+    draws, and the first binomial's min(p, 1 - p) n mostly on both sides of
+    30, where numpy moves from inversion to BTPE, or far above it."""
+    n = draw(st.one_of(st.integers(1, 100), st.integers(1, 2**53), st.just(2**53)))
+    p = min(draw(st.one_of(st.floats(0.0, 60.0), st.floats(0.0, 3000.0))) / n, 1.0)
+    if draw(st.booleans()):
+        p = draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        p = 1.0 - p
+    rest = [draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))) for _ in range(draw(st.sampled_from([1, 3])))]
+    total = sum(rest)
+    pvals = [p, *(w / total * (1.0 - p) if total else 1.0 - p if i == 0 else 0.0 for i, w in enumerate(rest))]
+    return n, pvals, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw=multinomial_draws())
+def test_plain_python_counts_equal_numpy_counts(draw):
+    n, pvals, seed = draw
+    assert multinomial(n, pvals, seed) == philox(seed).multinomial(n, pvals).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_plain_python_child_seeds_equal_numpy_spawn(seed):
+    want = [int(child.generate_state(1, dtype=np.uint64)[0]) for child in np.random.SeedSequence(seed).spawn(4)]
+    assert spawned_seeds(seed, 4) == want
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32, 2**64 - 1])
+def test_both_routes_give_the_same_runs(monkeypatch, seed):
+    setting = JointSetting.in_plane(PHI_PLUS.plane, Angle(0.0), SIXTY)
+    calls = [
+        lambda: sample_single(UP_STATE, tilted(60.0), 10**6, seed, keep_records=False),
+        lambda: sample_joint(PHI_PLUS, setting, 1000, seed, keep_records=False),
+        lambda: empirical_chsh(SINGLET, CHSH_SETTING, 250_000, seed),
+    ]
+    with_numpy = [call() for call in calls]
+    monkeypatch.setattr(montecarlo, "_numpy_loaded", lambda: False)
+    monkeypatch.setattr(np.random, "Generator", None)  # the plain route must not reach it
+    assert [call() for call in calls] == with_numpy
