@@ -541,7 +541,7 @@ def flrw_metric_components(
     (-c^2, a^2, a^2 sin^2 chi, a^2 sin^2 chi sin^2 theta)."""
     try:
         positive = 0 < a < math.inf  # False for NaN; exact for an int beyond the float range
-    except NOT_A_NUMBER:
+    except (*NOT_A_NUMBER, ArithmeticError):  # a Decimal NaN does not compare
         positive = False
     if not positive:
         raise DomainError(f"scale factor must be positive, got {a!r}")

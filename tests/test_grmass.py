@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -593,8 +594,11 @@ class TestMetric:
         g = flrw_metric_components(Angle(0.5), Angle(0.5), 2, GEOM)
         assert g == flrw_metric_components(Angle(0.5), Angle(0.5), 2.0, GEOM)
         assert all(type(v) is float for v in g)
-        for a in (10**200, 10**400):
+        for a in (10**200, 10**400, Decimal("1e400")):
             with pytest.raises(DomainError, match="too large"):
+                flrw_metric_components(Angle(0.5), Angle(0.5), a, GEOM)
+        for a in (Decimal("NaN"), Decimal("sNaN")):
+            with pytest.raises(DomainError, match="must be positive"):
                 flrw_metric_components(Angle(0.5), Angle(0.5), a, GEOM)
 
     def test_scale_factor_whose_square_underflows(self):
