@@ -280,9 +280,13 @@ class CHSHSetting(_Value):
 
 
 def _form(state: BellState, a: UnitVector3, b: UnitVector3) -> float:
-    """a^T T b, summed term by term."""
-    t, u, v = state.correlation_tensor, (a.x, a.y, a.z), (b.x, b.y, b.z)
-    return sum(u[i] * t[i][j] * v[j] for i in range(3) for j in range(3))
+    """a^T T b: the nine terms a_i T_ij b_j added left to right from +0.0 in the
+    order (i, j) = (0,0), (0,1), ..., (2,2), as sum() over them did up to Python 3.11."""
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = state.correlation_tensor
+    ax, ay, az, bx, by, bz = a.x, a.y, a.z, b.x, b.y, b.z
+    return (0.0 + ax * t00 * bx + ax * t01 * by + ax * t02 * bz
+            + ay * t10 * bx + ay * t11 * by + ay * t12 * bz
+            + az * t20 * bx + az * t21 * by + az * t22 * bz)
 
 
 def correlation(state: BellState, setting: JointSetting) -> float:
@@ -349,22 +353,22 @@ class EnsembleTable(_Value):
         return Fraction(self.bob_up_given_alice_up - self.bob_down_given_alice_up, self.n)
 
 
-def _minimal_denominator_fraction(value: float, tol: float) -> Fraction:
-    """Smallest-denominator fraction within `tol` of `value` >= 0, exactly:
-    the first node of the Stern-Brocot tree in [value - tol, value + tol]
-    (Graham, Knuth and Patashnik, Concrete Mathematics, 4.5). While no
-    integer lies in the interval, take off its integer part a and invert
-    it, which swaps its ends; h/k and h_prev/k_prev are the last two
-    convergents."""
-    from fractions import Fraction
-
-    lo, hi = Fraction(value) - Fraction(tol), Fraction(value) + Fraction(tol)
-    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+def _minimal_denominator_fraction(value: float, tol: float) -> tuple[int, int]:
+    """Smallest-denominator fraction within `tol` of `value` >= 0, exactly, as
+    (numerator, denominator): the first node of the Stern-Brocot tree in
+    [value - tol, value + tol] (Graham, Knuth and Patashnik, Concrete
+    Mathematics, 4.5). The ends are unreduced ratios of ints with positive
+    denominators. While no integer lies in the interval, take off its integer
+    part a and invert it, which swaps its ends; h/k and h_prev/k_prev are the
+    last two convergents, with h k_prev - h_prev k = +/-1, so the pair returned
+    is in lowest terms."""
+    (vn, vd), (tn, td) = value.as_integer_ratio(), tol.as_integer_ratio()
+    (ln, ld), (hn, hd) = (vn * td - tn * vd, vd * td), (vn * td + tn * vd, vd * td)
     h, h_prev, k, k_prev = 1, 0, 0, 1
     while True:
         t = -(-ln // ld)  # the least integer >= lo
         if t * hd <= hn:
-            return Fraction(t * h + h_prev, t * k + k_prev)
+            return t * h + h_prev, t * k + k_prev
         a = t - 1
         h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
         (ln, ld), (hn, hd) = (hd, hn - a * hd), (ld, ln - a * ld)
@@ -382,17 +386,16 @@ def build_exact_ensemble(theta: Angle, n: int) -> EnsembleTable:
     if not 0 < n <= MAX_ENSEMBLE_TRIALS:
         raise DomainError(f"n must lie in [1, {MAX_ENSEMBLE_TRIALS}], got {n}")
     c = math.cos(theta.radians / 2.0) ** 2
-    frac = _minimal_denominator_fraction(c, RATIONAL_TOL)
-    if frac.denominator > MAX_ENSEMBLE_DENOMINATOR:
+    p, q = _minimal_denominator_fraction(c, RATIONAL_TOL)
+    if q > MAX_ENSEMBLE_DENOMINATOR:
         raise DomainError(
             f"cos^2(theta/2) = {c!r} has no rational form with denominator "
             f"<= {MAX_ENSEMBLE_DENOMINATOR}; pick an angle with a small "
             "rational up-probability"
         )
-    q = frac.denominator
     if n % q != 0:
         raise DomainError(f"n must be a multiple of {q} (got n = {n})")
-    ups = (n // q) * frac.numerator
+    ups = (n // q) * p
     return EnsembleTable(ups, n - ups)
 
 
@@ -404,7 +407,9 @@ def _chsh_combination(e_ab: float, e_ab_prime: float, e_a_prime_b: float, e_a_pr
 def chsh_value(state: BellState, s: CHSHSetting) -> float:
     """CHSH combination of the four Born-rule correlations."""
     m = _plane_correlation_matrix(state, s.plane)
-    return _in_plane_s(m, s.alice.radians, s.alice_prime.radians, s.bob.radians, s.bob_prime.radians)
+    a, a_prime, b, b_prime = s.alice.radians, s.alice_prime.radians, s.bob.radians, s.bob_prime.radians
+    return _in_plane_s(m, math.cos(a), math.sin(a), math.cos(a_prime), math.sin(a_prime),
+                       math.cos(b), math.sin(b), math.cos(b_prime), math.sin(b_prime))
 
 
 def chsh_classical_max() -> float:
@@ -422,19 +427,19 @@ def _plane_correlation_matrix(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """2x2 restriction M of the correlation tensor to `plane`, so
     E(alpha, beta) = [cos a, sin a] M [cos b, sin b]^T for in-plane angles."""
-    e = (plane.e1, plane.e2)
-    return tuple(tuple(_form(state, u, v) for v in e) for u in e)
+    e1, e2 = plane.e1, plane.e2
+    return (_form(state, e1, e1), _form(state, e1, e2)), (_form(state, e2, e1), _form(state, e2, e2))
 
 
-def _in_plane_s(m, a: float, a_prime: float, b: float, b_prime: float) -> float:
+def _in_plane_s(m, ca: float, sa: float, cap: float, sap: float,
+                cb: float, sb: float, cbp: float, sbp: float) -> float:
     """S = u(a)^T M (u(b) - u(b')) + u(a')^T M (u(b) + u(b')) with
-    u(x) = (cos x, sin x), which is E(a,b) - E(a,b') + E(a',b) + E(a',b').
-    Each form is summed term by term from +0.0 in the order (i, j) = (0,0),
-    (0,1), (1,0), (1,1), which is how numpy's einsum sums it: tests/test_bell.py
-    checks the scan against one bit for bit."""
+    u(x) = (cos x, sin x), given as ca, sa = cos a, sin a and so on for a',
+    b and b'; that is E(a,b) - E(a,b') + E(a',b) + E(a',b'). Each form is
+    summed term by term from +0.0 in the order (i, j) = (0,0), (0,1), (1,0),
+    (1,1), which is how numpy's einsum sums it: tests/test_bell.py checks
+    the scan against one bit for bit."""
     (m00, m01), (m10, m11) = m
-    ca, sa, cap, sap = math.cos(a), math.sin(a), math.cos(a_prime), math.sin(a_prime)
-    cb, sb, cbp, sbp = math.cos(b), math.sin(b), math.cos(b_prime), math.sin(b_prime)
     d0, d1, p0, p1 = cb - cbp, sb - sbp, cb + cbp, sb + sbp
     minus = 0.0 + ca * m00 * d0 + ca * m01 * d1 + sa * m10 * d0 + sa * m11 * d1
     plus = 0.0 + cap * m00 * p0 + cap * m01 * p1 + sap * m10 * p0 + sap * m11 * p1
@@ -481,4 +486,8 @@ def chsh_scan(state: BellState, step: Angle = Angle(math.radians(1.0))) -> list[
             f"scan step of {step.degrees!r} degrees gives more than {MAX_SCAN_POINTS} points"
         )
     h, m = step.radians, _plane_correlation_matrix(state, state.plane)
-    return [(Angle(t := i * h), _in_plane_s(m, 0.0, 2 * t, t, 3 * t)) for i in range(math.ceil(points))]
+    cos, sin = math.cos, math.sin
+    # a = 0 at every point, and cos 0.0 = 1.0, sin 0.0 = 0.0
+    return [(Angle(t := i * h),
+             _in_plane_s(m, 1.0, 0.0, cos(u := 2 * t), sin(u), cos(t), sin(t), cos(w := 3 * t), sin(w)))
+            for i in range(math.ceil(points))]

@@ -45,8 +45,8 @@ __all__ = [
 def _rows(matrix, n: int, kind: type, what: str) -> tuple[tuple, ...]:
     """The rows of an n x n matrix as tuples of `kind` (complex or float)."""
     try:
-        rows = tuple(tuple(kind(x) for x in row) for row in matrix)
-    except (TypeError, ValueError):
+        rows = tuple([tuple(map(kind, row)) for row in matrix])
+    except NOT_A_NUMBER:  # also an int beyond the float range
         rows = ()
     if len(rows) != n or any(len(row) != n for row in rows):
         raise DomainError(f"{what} must be {n}x{n} with {kind.__name__} entries")
@@ -104,9 +104,9 @@ class FrameRotation(_Value):
         m = _rows(matrix, 3, float, "frame rotation")
         (a, b, c), (d, e, f), (g, h, k) = m
         # the entries of M M^T - I; every comparison is False for NaN
-        gram = (a * a + b * b + c * c - 1.0, d * d + e * e + f * f - 1.0, g * g + h * h + k * k - 1.0,
-                a * d + b * e + c * f, a * g + b * h + c * k, d * g + e * h + f * k)
-        if not all(abs(x) <= NORM_TOL for x in gram):
+        if not (abs(a * a + b * b + c * c - 1.0) <= NORM_TOL and abs(d * d + e * e + f * f - 1.0) <= NORM_TOL
+                and abs(g * g + h * h + k * k - 1.0) <= NORM_TOL and abs(a * d + b * e + c * f) <= NORM_TOL
+                and abs(a * g + b * h + c * k) <= NORM_TOL and abs(d * g + e * h + f * k) <= NORM_TOL):
             raise DomainError("frame rotation must be orthogonal")
         det = a * (e * k - f * h) + b * (f * g - d * k) + c * (d * h - e * g)
         if not abs(det - 1.0) <= NORM_TOL:

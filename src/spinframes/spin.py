@@ -38,6 +38,8 @@ __all__ = [
 # compose several operations are tested at 1e-10.
 NORM_TOL = 1e-12
 STATE_EQ_TOL = 1e-10
+# The range a probability may take before it is clamped into [0, 1].
+_P_LOW, _P_HIGH = -NORM_TOL, 1.0 + NORM_TOL
 
 # What arithmetic and comparisons raise for an argument that is no real
 # number: a string, None, a complex or a tuple, or an overflowing power.
@@ -225,12 +227,12 @@ def _set_probabilities(dist: _Value, values: tuple) -> None:
     total = 0.0
     for name, p in zip(dist.__slots__, values):
         try:
-            inside = -NORM_TOL <= p <= 1.0 + NORM_TOL  # False for NaN and infinity
+            inside = _P_LOW <= p <= _P_HIGH  # False for NaN and infinity
         except NOT_A_NUMBER:
             inside = False
         if not inside:
             raise DomainError(f"{name} must lie in [0, 1], got {p!r}")
-        p = min(max(p, 0.0), 1.0)
+        p = 0.0 if 0.0 > p else 1.0 if 1.0 < p else p  # min(max(p, 0.0), 1.0), comparison for comparison
         _set(dist, name, p)
         total += p
     if abs(total - 1.0) > NORM_TOL:

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,8 @@ from spinframes import (
     UnitVector3,
     X_AXIS,
     XY_PLANE,
+    Y_AXIS,
+    Z_AXIS,
     ZX_PLANE,
     ZY_PLANE,
     build_exact_ensemble,
@@ -266,6 +270,73 @@ class TestCorrelations:
                 assert abs(got - math.cos(theta.radians)) <= 1e-12
 
 
+# The generic forms bell once evaluated, kept as oracles for its straight-line
+# code, which must give the same bits.
+def sum_form(state: BellState, a: UnitVector3, b: UnitVector3) -> float:
+    """a^T T b as sum(u[i] * t[i][j] * v[j] for i in range(3) for j in range(3)).
+    Written with reduce, which adds as sum did up to Python 3.11 (from the int
+    0, left to right); from 3.12 sum compensates float rounding."""
+    t, u, v = state.correlation_tensor, (a.x, a.y, a.z), (b.x, b.y, b.z)
+    return functools.reduce(operator.add, (u[i] * t[i][j] * v[j] for i in range(3) for j in range(3)), 0)
+
+
+def sum_form_probabilities(state: BellState, a: UnitVector3, b: UnitVector3) -> tuple[float, ...]:
+    e = sum_form(state, a, b)
+    same, differ = (1.0 + e) / 4.0, (1.0 - e) / 4.0
+    return tuple(min(max(p, 0.0), 1.0) for p in (same, differ, differ, same))
+
+
+def sum_form_chsh_value(state: BellState, s: CHSHSetting) -> float:
+    """chsh_value through the generic plane matrix, with the cosines and sines
+    taken inside the in-plane evaluator."""
+    e = (s.plane.e1, s.plane.e2)
+    (m00, m01), (m10, m11) = [[sum_form(state, u, v) for v in e] for u in e]
+    a, a_prime, b, b_prime = (x.radians for x in (s.alice, s.alice_prime, s.bob, s.bob_prime))
+    ca, sa, cap, sap = math.cos(a), math.sin(a), math.cos(a_prime), math.sin(a_prime)
+    cb, sb, cbp, sbp = math.cos(b), math.sin(b), math.cos(b_prime), math.sin(b_prime)
+    d0, d1, p0, p1 = cb - cbp, sb - sbp, cb + cbp, sb + sbp
+    minus = 0.0 + ca * m00 * d0 + ca * m01 * d1 + sa * m10 * d0 + sa * m11 * d1
+    plus = 0.0 + cap * m00 * p0 + cap * m01 * p1 + sap * m10 * p0 + sap * m11 * p1
+    return minus + plus
+
+
+# the six axes carry signed zeros, which a sum that starts from -0.0 or
+# adds in another order would keep or lose differently
+SIGNED_AXES = (X_AXIS, Y_AXIS, Z_AXIS, -X_AXIS, -Y_AXIS, -Z_AXIS, UnitVector3(-0.0, 1.0, -0.0))
+DIRECTION = st.one_of(
+    st.sampled_from(SIGNED_AXES),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(any).map(lambda v: UnitVector3.normalized(*v)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(state=st.sampled_from(STATES_WITH_ROTATED), a=DIRECTION, b=DIRECTION)
+def test_form_matches_the_generic_sum_bit_for_bit(state, a, b):
+    setting = JointSetting(a, b)
+    assert correlation(state, setting).hex() == sum_form(state, a, b).hex()
+    got = joint_distribution(state, setting).probabilities()
+    assert [p.hex() for p in got] == [p.hex() for p in sum_form_probabilities(state, a, b)]
+
+
+@pytest.mark.parametrize("state", STATES_WITH_ROTATED, ids=lambda s: s.label)
+def test_form_matches_the_generic_sum_on_every_pair_of_axes(state):
+    for a in SIGNED_AXES:
+        for b in SIGNED_AXES:
+            assert correlation(state, JointSetting(a, b)).hex() == sum_form(state, a, b).hex(), (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    state=st.sampled_from(STATES_WITH_ROTATED),
+    plane=st.sampled_from((XY_PLANE, ZX_PLANE, ZY_PLANE)),
+    angles=st.lists(st.one_of(st.sampled_from((0.0, -0.0, math.pi / 2)), st.floats(-20.0, 20.0)),
+                    min_size=4, max_size=4),
+)
+def test_chsh_value_matches_the_generic_form_bit_for_bit(state, plane, angles):
+    setting = CHSHSetting(*(Angle(x) for x in angles), plane)
+    assert chsh_value(state, setting).hex() == sum_form_chsh_value(state, setting).hex()
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     state_idx=st.integers(0, 3),
@@ -362,13 +433,15 @@ class TestEnsemble:
     @pytest.mark.parametrize("degrees", [0, 60, 90, 120, 180])
     def test_fraction_walk_matches_binary_search(self, degrees):
         c = math.cos(math.radians(degrees) / 2.0) ** 2
-        assert _minimal_denominator_fraction(c, RATIONAL_TOL) == binary_search_fraction(c, RATIONAL_TOL)
+        assert Fraction(*_minimal_denominator_fraction(c, RATIONAL_TOL)) == binary_search_fraction(c, RATIONAL_TOL)
 
 
 @settings(max_examples=300, deadline=None)
 @given(value=st.floats(0.0, 1000.0), tol=st.one_of(st.just(RATIONAL_TOL), st.floats(1e-15, 0.5)))
 def test_fraction_walk_has_the_least_denominator(value, tol):
-    got, want = _minimal_denominator_fraction(value, tol), binary_search_fraction(value, tol)
+    pair = _minimal_denominator_fraction(value, tol)
+    assert math.gcd(*pair) == 1 and pair[1] > 0  # in lowest terms, as build_exact_ensemble needs
+    got, want = Fraction(*pair), binary_search_fraction(value, tol)
     assert abs(got - Fraction(value)) <= Fraction(tol)
     assert got.denominator == want.denominator
     # fractions of one denominator q lie 1/q apart, so an interval narrower

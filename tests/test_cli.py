@@ -657,6 +657,8 @@ def test_array_libraries_load_only_where_needed(tmp_path):
         "r = spinframes.so3_from_su2(u.compose(-u))\n"
         "spinframes.rotate_state(spinframes.prepare_state(r.apply(spinframes.X_AXIS)), u)\n"
         "assert not loaded('numpy', *STDLIB), 'frames'\n"
+        "spinframes.build_exact_ensemble(spinframes.Angle.from_degrees(60), 8)\n"
+        "assert not loaded('fractions'), 'build_exact_ensemble walks in ints'\n"
         f"scalar, ensemble = {scalar!r}, {ensemble!r}\n"
         "for fmt in ('csv', 'json'):\n"
         "    gated = ('numpy', *STDLIB, *(['json'] if fmt == 'csv' else []))\n"

@@ -21,6 +21,7 @@ from spinframes import (
     so3_from_su2,
     su2_from_axis_angle,
 )
+from spinframes.frames import _rows
 from spinframes.spin import NORM_TOL
 from conftest import random_direction
 
@@ -78,6 +79,30 @@ def random_su2(rng):
     )
 
 
+def generic_rows(matrix, n: int, kind: type, what: str) -> tuple[tuple, ...]:
+    """The generic form of frames._rows, kept as its oracle."""
+    try:
+        rows = tuple(tuple(kind(x) for x in row) for row in matrix)
+    except (TypeError, ValueError):
+        rows = ()
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise DomainError(f"{what} must be {n}x{n} with {kind.__name__} entries")
+    return rows
+
+
+# each makes a fresh matrix, since an iterator is used up by one call
+ROWS_CASES = [
+    lambda: None, lambda: 5, lambda: "abc", lambda: [], lambda: [[]], lambda: [1.0, 0.0],
+    lambda: [["a", "b"], ["c", "d"]], lambda: [["1", "0"], ["0", "1"]], lambda: [[1j] * 3] * 3,
+    lambda: [[1, 0], [0, 1]], lambda: [[1, 0, 0], [0, 1, 0], [0, 0, 1]], lambda: [[1, 0], [0, 1, 0]],
+    lambda: [[1, 0, 0], [0, 1, 0], [0, 0]], lambda: [[None, 0], [0, 1]], lambda: [[-0.0, 0.5], [0.5j, 1]],
+    lambda: [[math.nan] * 3] * 3, lambda: np.eye(2), lambda: np.eye(3), lambda: np.eye(4),
+    lambda: (iter(r) for r in [[1.0, 0.0], [0.0, 1.0]]),
+    lambda: iter([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]), lambda: [[1.0, 2.0], 3.0],
+    lambda: [[True, False], [False, True]], lambda: [[10**300, 0], [0, 1]],
+]
+
+
 class TestConstruction:
     def test_spin_rotation_must_be_special_unitary(self):
         with pytest.raises(DomainError):
@@ -96,6 +121,30 @@ class TestConstruction:
     def test_malformed_matrix_is_a_domain_error(self, cls, bad):
         with pytest.raises(DomainError):
             cls(bad)
+
+    @pytest.mark.parametrize("cls, matrix", [
+        (FrameRotation, ((10**400, 0, 0), (0, 1, 0), (0, 0, 1))),
+        (SpinRotation, ((10**400, 0), (0, 1))),
+        (SpinRotation, ((1, 0), (0, -(10**400)))),
+    ])
+    def test_int_beyond_the_float_range_is_a_domain_error(self, cls, matrix):
+        n = len(matrix)
+        kind = "float" if cls is FrameRotation else "complex"
+        with pytest.raises(DomainError, match=rf"must be {n}x{n} with {kind} entries"):
+            cls(matrix)
+
+    @pytest.mark.parametrize("n, kind, what", [(2, complex, "spin rotation"), (3, float, "frame rotation")])
+    @pytest.mark.parametrize("make", ROWS_CASES, ids=range(len(ROWS_CASES)))
+    def test_rows_match_the_generic_form(self, n, kind, what, make):
+        try:
+            want = generic_rows(make(), n, kind, what)
+        except DomainError as e:
+            want = str(e)
+        try:
+            got = _rows(make(), n, kind, what)
+        except DomainError as e:
+            got = str(e)
+        assert type(got) is type(want) and repr(got) == repr(want)
 
     def test_spin_rotation_rejects_nan(self):
         with pytest.raises(DomainError):

@@ -17,6 +17,7 @@ from spinframes import (
     prepare_state,
     projection_probabilities,
 )
+from spinframes.spin import NORM_TOL
 from conftest import DEGREE_GRID, random_direction
 
 
@@ -124,6 +125,45 @@ class TestOutcomeDistribution:
     def test_outcome_values(self):
         assert int(Outcome.UP) == 1
         assert int(Outcome.DOWN) == -1
+
+
+def min_max_probabilities(names: tuple[str, ...], values: tuple) -> tuple | str:
+    """The generic check and clamp that distributions once ran, kept as the
+    oracle for the comparison chain: the clamped values, or the DomainError
+    message."""
+    total, out = 0.0, []
+    for name, p in zip(names, values):
+        try:
+            inside = -NORM_TOL <= p <= 1.0 + NORM_TOL
+        except (TypeError, ValueError, OverflowError):
+            inside = False
+        if not inside:
+            return f"{name} must lie in [0, 1], got {p!r}"
+        p = min(max(p, 0.0), 1.0)
+        out.append(p)
+        total += p
+    if abs(total - 1.0) > NORM_TOL:
+        return f"probabilities must sum to 1, got {total!r}"
+    return tuple(out)
+
+
+EDGE_PROBABILITIES = (0.0, -0.0, 1.0, 0, 1, True, -NORM_TOL, 1.0 + NORM_TOL, -1e-15, 1.0 + 1e-15, 5e-324, -5e-324,
+                      math.nextafter(-NORM_TOL, -1.0), math.nan, math.inf, "0.5", None, 0.5j, np.float64(-1e-13))
+PROBABILITY = st.one_of(st.sampled_from(EDGE_PROBABILITIES), st.floats(-2 * NORM_TOL, 1.0 + 2 * NORM_TOL))
+
+
+@settings(max_examples=500, deadline=None)
+@given(p=PROBABILITY, q=st.one_of(PROBABILITY, st.none()))
+def test_distribution_clamps_as_min_and_max_do(p, q):
+    q = (1.0 - p if isinstance(p, float) else 0.5) if q is None else q
+    want = min_max_probabilities(OutcomeDistribution.__slots__, (p, q))
+    try:
+        d = OutcomeDistribution(p, q)
+    except DomainError as e:
+        assert str(e) == want
+        return
+    got = (d.p_up, d.p_down)
+    assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in want]  # repr keeps the sign of zero
 
 
 class TestProjection:
