@@ -489,5 +489,5 @@ def chsh_scan(state: BellState, step: Angle = Angle(math.radians(1.0))) -> list[
     cos, sin = math.cos, math.sin
     # a = 0 at every point, and cos 0.0 = 1.0, sin 0.0 = 0.0
     return [(Angle(t := i * h),
-             _in_plane_s(m, 1.0, 0.0, cos(u := 2 * t), sin(u), cos(t), sin(t), cos(w := 3 * t), sin(w)))
+             _in_plane_s(m, 1.0, 0.0, cos(t2 := 2 * t), sin(t2), cos(t), sin(t), cos(t3 := 3 * t), sin(t3)))
             for i in range(math.ceil(points))]
