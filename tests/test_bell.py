@@ -300,8 +300,7 @@ def sum_form_chsh_value(state: BellState, s: CHSHSetting) -> float:
     return minus + plus
 
 
-# the six axes carry signed zeros, which a sum that starts from -0.0 or
-# adds in another order would keep or lose differently
+# the axes carry signed zeros, so most of their nine terms are +0.0 or -0.0
 SIGNED_AXES = (X_AXIS, Y_AXIS, Z_AXIS, -X_AXIS, -Y_AXIS, -Z_AXIS, UnitVector3(-0.0, 1.0, -0.0))
 DIRECTION = st.one_of(
     st.sampled_from(SIGNED_AXES),
