@@ -132,7 +132,8 @@ class BellState(_Value):
         if len(psi) != 4:
             raise DomainError("Bell state needs four amplitudes")
         try:
-            normalized = abs(sum(abs(x) ** 2 for x in psi) - 1.0) <= NORM_TOL  # False for NaN
+            a, b, c, d = (abs(x) ** 2 for x in psi)  # written out: sum() rounds differently from Python 3.12
+            normalized = abs(a + b + c + d - 1.0) <= NORM_TOL  # False for NaN
         except NOT_A_NUMBER:  # a square that overflows
             normalized = False
         if not normalized:
@@ -162,7 +163,8 @@ class BellState(_Value):
     def __eq__(self, other) -> bool:
         if not isinstance(other, BellState):
             return NotImplemented
-        overlap = sum(x.conjugate() * y for x, y in zip(self.psi, other.psi))
+        a, b, c, d = (x.conjugate() * y for x, y in zip(self.psi, other.psi))
+        overlap = a + b + c + d
         return abs(abs(overlap) - 1.0) < 1e-10
 
     @classmethod

@@ -12,6 +12,7 @@ difference is the binding energy.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import sys
@@ -105,9 +106,9 @@ class MassProfile(_Value):
     loaded, as in any process that passes it arrays. In a process that has
     not loaded numpy, such as a CLI run, a table given as lists or tuples of
     ints and floats is built in plain floats, and the spline holds tuples
-    (x, and c as four rows). `mass_within` and `proper_mass_integral` follow
-    the spline's type. Both routes give the same numbers and the same
-    errors, bit for bit.
+    (x, and c as four rows). `mass_within` reads both with one `bisect`
+    lookup; `proper_mass_integral` evaluates in the spline's type. Both
+    routes give the same numbers and the same errors, bit for bit.
     """
 
     __slots__ = ("mass", "radius", "spline")
@@ -135,13 +136,8 @@ class MassProfile(_Value):
         if self.spline is None:
             return float(self.mass * (r / self.radius) ** 3)
         x, c = self.spline
-        if isinstance(x, tuple):
-            import bisect
-
-            i = min(bisect.bisect_right(x, r) - 1, len(x) - 2)
-            return float(_cubic([row[i] for row in c], r - x[i]))
-        i = min(int(x.searchsorted(r, "right")) - 1, len(x) - 2)
-        return float(_cubic(c[:, i], r - x[i]))
+        i = min(bisect.bisect_right(x, r) - 1, len(x) - 2)
+        return float(_cubic([row[i] for row in c], r - x[i]))
 
     @property
     def kind(self) -> str:
@@ -429,12 +425,14 @@ def proper_mass_integral(profile: MassProfile, units: UnitsConfig = UnitsConfig(
     M * ratio(arcsin sqrt(C)), the dust-cap ratio of `flrw_mass_ratio`. A
     table is integrated over the knot segments of its cubic interpolant,
     bisecting the segments whose error estimate exceeds QUAD_REL_TOL of
-    their value for at most QUAD_MAX_ROUNDS rounds and QUAD_MAX_SEGMENTS
-    live segments, or ConvergenceError is raised. A horizon inside the
-    matter raises DomainError naming its radius; so does a proper mass
-    too large for a float, with the mass. A table's result is clamped to at
-    least M: where the binding energy is below one ulp of M, as in SI units
-    at everyday compactness, the quadrature rounds to either side of M.
+    their value. ConvergenceError, with the last total as `best`, ends a
+    quadrature whose summed error estimate is NaN, or did not fall in two
+    rounds in a row, or outlasts QUAD_MAX_ROUNDS rounds or QUAD_MAX_SEGMENTS
+    live segments. A horizon inside the matter raises DomainError naming its
+    radius; so does a proper mass too large for a float, with the mass. A
+    table's result is clamped to at least M: where the binding energy is
+    below one ulp of M, as in SI units at everyday compactness, the
+    quadrature rounds to either side of M.
     """
     k = 2.0 * units.G / (units.c * units.c)
     if profile.spline is None:
@@ -450,87 +448,88 @@ def proper_mass_integral(profile: MassProfile, units: UnitsConfig = UnitsConfig(
 
 
 def _integrate_table(x, c, k: float) -> float:
-    if isinstance(x, tuple):
-        return _integrate_floats(x, c, k)
-    import numpy as np
-
-    _check_no_horizon(x, c, k)
-    # segments [start, start + width] in the local coordinate u = r - x_i of
-    # their piece i, which keeps u exact on thin pieces far from r = 0
-    piece, start, width = np.arange(len(x) - 1), np.zeros(len(x) - 1), np.diff(x)
+    """The adaptive loop of both routes. A segment (piece i, start, width) lies
+    in u = r - x_i, which stays exact on thin pieces far from r = 0; round 1
+    passes None, the whole pieces, so a table that converges at once builds no tuples."""
+    evaluate = (_float_evaluator if isinstance(x, tuple) else _numpy_evaluator)(x, c, k)
+    segments, previous, stalls = None, math.inf, 0
     value = spent = 0.0  # sums over the accepted segments
-    nodes, weights = np.array(_NODES)[:, None] + 1.0, np.array(_WEIGHTS)[:, None]
-    with np.errstate(all="ignore"):  # a value that is not finite is never done: no warning
-        try:
-            for _ in range(QUAD_MAX_ROUNDS):
-                # all 15 nodes at once, row j for node j; each rule sums its terms left to right
-                u = start + 0.5 * width * nodes
-                cp = c[:, piece]
-                dm = (3.0 * cp[0] * u + 2.0 * cp[1]) * u + cp[2]
-                terms = dm / np.sqrt(1.0 - k * _cubic(cp, u) / (x[piece] + u)) * weights
-                high = 0.5 * width * sum(terms[:10])
-                err = np.abs(high - 0.5 * width * sum(terms[10:]))
-                total = value + math.fsum(high.tolist())
-                if spent + math.fsum(err.tolist()) <= QUAD_REL_TOL * total:
-                    return total
-                done = err <= QUAD_REL_TOL * np.abs(high)
-                value, spent = value + math.fsum(high[done].tolist()), spent + math.fsum(err[done].tolist())
-                piece, start, width = piece[~done], start[~done], 0.5 * width[~done]
-                piece, start, width = np.tile(piece, 2), np.concatenate([start, start + width]), np.tile(width, 2)
-                if len(piece) > len(x) - 1 + QUAD_MAX_SEGMENTS:  # segments never done double each round
-                    break
-            raise ConvergenceError(
-                f"quadrature error {spent + math.fsum(err.tolist())!r} exceeds {QUAD_REL_TOL} relative", best=total
-            )
-        except OverflowError:  # fsum of finite segment values whose exact sum passes the largest float
-            return math.inf
-
-
-def _integrate_floats(x: tuple[float, ...], c: tuple[tuple[float, ...], ...], k: float) -> float:
-    """`_integrate_table` in plain floats: the same terms in the same order,
-    each rule summed left to right, and numpy's inf and nan results."""
-    k = float(k)  # G and c may be numpy floats, whose division by zero warns where a float's raises
-    _check_no_horizon_floats(x, c, k)
-    pieces = list(zip(*c))
-    rules = [[(node + 1.0, weight) for node, weight in zip(_NODES[a:b], _WEIGHTS[a:b])] for a, b in ((0, 10), (10, 15))]
-    segments = [(i, 0.0, x[i + 1] - x[i]) for i in range(len(x) - 1)]  # (piece, start, width) as above
-    value = spent = 0.0
-    sqrt = math.sqrt
     try:
         for _ in range(QUAD_MAX_ROUNDS):
-            high, err = [], []
-            for i, start, width in segments:
-                c0, c1, c2, c3 = pieces[i]
-                xi, half = x[i], 0.5 * width
-                sums = []
-                for rule in rules:  # the 10-point rule, then the 5-point one, each summed left to right
-                    acc = 0.0
-                    for node, weight in rule:
-                        u = start + half * node
-                        dm = (3.0 * c0 * u + 2.0 * c1) * u + c2
-                        mass = ((c0 * u + c1) * u + c2) * u + c3
-                        try:
-                            acc += dm / sqrt(1.0 - k * mass / (xi + u)) * weight
-                        except (ZeroDivisionError, ValueError):
-                            acc += _div(dm, _sqrt(1.0 - _div(k * mass, xi + u))) * weight
-                    sums.append(half * acc)
-                high.append(sums[0])
-                err.append(abs(sums[0] - sums[1]))
-            total = value + math.fsum(high)
-            if spent + math.fsum(err) <= QUAD_REL_TOL * total:
+            high, err = evaluate(segments)
+            total, error = value + math.fsum(high), spent + math.fsum(err)
+            if error <= QUAD_REL_TOL * total:
                 return total
+            stalls, previous = 0 if error < previous else stalls + 1, error
+            if error != error or stalls == 2:  # NaN, or two rounds in a row that did not lower the error
+                break
+            if segments is None:
+                segments = [(i, 0.0, x[i + 1] - x[i]) for i in range(len(x) - 1)]
             done = [e <= QUAD_REL_TOL * abs(h) for h, e in zip(high, err)]
             value += math.fsum(h for h, ok in zip(high, done) if ok)
             spent += math.fsum(e for e, ok in zip(err, done) if ok)
             kept = [(i, start, 0.5 * width) for (i, start, width), ok in zip(segments, done) if not ok]
             segments = kept + [(i, start + width, width) for i, start, width in kept]
-            if len(segments) > len(x) - 1 + QUAD_MAX_SEGMENTS:
+            if not kept or len(segments) > len(x) - 1 + QUAD_MAX_SEGMENTS:  # segments never done double each round
                 break
-        raise ConvergenceError(
-            f"quadrature error {spent + math.fsum(err)!r} exceeds {QUAD_REL_TOL} relative", best=total
-        )
-    except OverflowError:
+        raise ConvergenceError(f"quadrature error {error!r} exceeds {QUAD_REL_TOL} relative", best=total)
+    except OverflowError:  # fsum of finite segment values whose exact sum passes the largest float
         return math.inf
+
+
+def _numpy_evaluator(x: np.ndarray, c: np.ndarray, k: float):
+    """Each segment's 10-point value and its gap to the 5-point value, from all 15 nodes at once."""
+    import numpy as np
+
+    _check_no_horizon(x, c, k)
+    nodes, weights = np.array(_NODES)[:, None] + 1.0, np.array(_WEIGHTS)[:, None]  # row j for node j
+    whole = np.arange(len(x) - 1), np.zeros(len(x) - 1), np.diff(x)
+
+    def evaluate(segments):
+        piece, start, width = whole if segments is None else map(np.array, zip(*segments))
+        with np.errstate(all="ignore"):  # a value that is not finite is never done: no warning
+            u = start + 0.5 * width * nodes
+            cp = c[:, piece]
+            dm = (3.0 * cp[0] * u + 2.0 * cp[1]) * u + cp[2]
+            terms = dm / np.sqrt(1.0 - k * _cubic(cp, u) / (x[piece] + u)) * weights
+            high = 0.5 * width * sum(terms[:10])  # each rule sums its terms left to right
+            return high.tolist(), np.abs(high - 0.5 * width * sum(terms[10:])).tolist()
+
+    return evaluate
+
+
+def _float_evaluator(x: tuple[float, ...], c: tuple[tuple[float, ...], ...], k: float):
+    """The numpy evaluator in plain floats: the same terms in the same order,
+    each rule summed left to right, and numpy's inf and nan results."""
+    k = float(k)  # G and c may be numpy floats, whose division by zero warns where a float's raises
+    _check_no_horizon_floats(x, c, k)
+    pieces = list(zip(*c))
+    rules = [[(node + 1.0, weight) for node, weight in zip(_NODES[a:b], _WEIGHTS[a:b])] for a, b in ((0, 10), (10, 15))]
+    whole = [(i, 0.0, x[i + 1] - x[i]) for i in range(len(x) - 1)]
+    sqrt = math.sqrt
+
+    def evaluate(segments):
+        high, err = [], []
+        for i, start, width in whole if segments is None else segments:
+            c0, c1, c2, c3 = pieces[i]
+            xi, half = x[i], 0.5 * width
+            sums = []
+            for rule in rules:  # the 10-point rule, then the 5-point one
+                acc = 0.0
+                for node, weight in rule:
+                    u = start + half * node
+                    dm = (3.0 * c0 * u + 2.0 * c1) * u + c2
+                    mass = ((c0 * u + c1) * u + c2) * u + c3
+                    try:
+                        acc += dm / sqrt(1.0 - k * mass / (xi + u)) * weight
+                    except (ZeroDivisionError, ValueError):
+                        acc += _div(dm, _sqrt(1.0 - _div(k * mass, xi + u))) * weight
+                sums.append(half * acc)
+            high.append(sums[0])
+            err.append(abs(sums[0] - sums[1]))
+        return high, err
+
+    return evaluate
 
 
 def flrw_metric_components(

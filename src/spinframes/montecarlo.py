@@ -244,7 +244,10 @@ class EmpiricalCHSH(_Value):
 
     @property
     def stderr(self) -> float:
-        return math.sqrt(sum(t.stderr * t.stderr for t in self.terms))
+        # added left to right from +0.0, as sum() did up to Python 3.11; from
+        # 3.12 sum() compensates float rounding, which moves the printed bits
+        a, b, c, d = (t.stderr for t in self.terms)
+        return math.sqrt(0.0 + a * a + b * b + c * c + d * d)
 
 
 def empirical_chsh(

@@ -721,6 +721,67 @@ def test_golden_bytes_without_numpy(tmp_path):
     assert got == want
 
 
+# seeded commands beyond GOLDEN, for the bytes every supported Python must
+# share: 300 empirical CHSH seeds, whose stderr once moved by an ulp from
+# Python 3.12 on, and seeded spin and bell counts
+STATES = ("singlet", "psi+", "phi+", "phi-")
+SEEDED_CORPUS = [
+    *(f"chsh --mode empirical --state {STATES[s % 4]} --n {(1000, 37, 250000)[s % 3]} --seed {s}" for s in range(300)),
+    *(f"spin --theta-deg {7 * s % 180} --n {10 ** (s % 7)} --seed {s}" for s in range(40)),
+    *(f"bell --state {STATES[s % 4]} --theta-deg {11 * s % 360} --n {3 ** (s % 12)} --seed {s}" for s in range(40)),
+]
+
+
+def _pyenv_pythons() -> list[Path]:
+    """Interpreters of Python 3.10 or later under $PYENV_ROOT/versions
+    (~/.pyenv/versions when PYENV_ROOT is unset), other than the running one."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+    found = []
+    for home in sorted(root.iterdir()) if root.is_dir() else []:
+        version = tuple(int(v) for v in home.name.split(".") if v.isdigit())
+        python = home / "bin" / "python3"
+        if len(version) == 3 and version[:2] >= (3, 10) and version != sys.version_info[:3] and python.exists():
+            found.append(python)
+    return found
+
+
+def test_seeded_bytes_are_the_same_on_every_python(tmp_path):
+    # every pinned command and the seeded corpus, with numpy blocked, as
+    # test_golden_bytes_without_numpy runs them: the other interpreters
+    # have no numpy and no pytest, so the child is a plain script
+    pythons = _pyenv_pythons()
+    if not pythons:
+        pytest.skip("no other Python 3.10+ under $PYENV_ROOT/versions")
+    (tmp_path / "profile.csv").write_text("r,M\n0,0\n0.5,0.025\n1,0.2\n")
+    argvs = [g[0] for g in GOLDEN] + SEEDED_CORPUS
+    code = (
+        "import contextlib, hashlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from spinframes.cli import main\n"
+        "def sha(text):\n"
+        "    return hashlib.sha256(text.encode()).hexdigest()[:16]\n"
+        f"for argv in {argvs!r}:\n"
+        "    for fmt in ('json', 'csv'):\n"
+        "        out, err = io.StringIO(), io.StringIO()\n"
+        "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "            rc = main(['--format', fmt, *argv.split()])\n"
+        "        print(rc, sha(out.getvalue()), sha(err.getvalue()))\n"
+    )
+
+    def digests(python) -> list[str]:
+        proc = subprocess.run([str(python), "-c", code], capture_output=True, env=_subprocess_env(), cwd=tmp_path,
+                              timeout=300)
+        assert proc.returncode == 0, (str(python), proc.stderr.decode())
+        return proc.stdout.decode().splitlines()
+
+    want = digests(sys.executable)
+    assert len(want) == 2 * len(argvs)
+    for python in pythons:
+        got = digests(python)
+        differ = sorted({argvs[i // 2] for i, (a, b) in enumerate(zip(got, want)) if a != b})
+        assert (len(got), differ) == (len(want), []), str(python)
+
+
 def test_closed_stdout_exits_2_without_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "spinframes.cli", "--format", "csv", "grmass", "ratio-curve", "--points", "5000"],
@@ -786,6 +847,7 @@ _TRIALS = _flag("n", st.integers(-1, 20))
 _SEED = _maybe(_flag("seed", st.integers(-1, 2**64)))
 _STATE = _maybe(_flag("state", st.sampled_from(("singlet", "psi+", "phi+", "phi-", "nope"))))
 _GEOMETRIZED = st.sampled_from(([], ["--geometrized"]))
+_POSITIVE = st.one_of(st.sampled_from([v for v in EDGE_FLOATS if v > 0.0]), st.floats(0.0, 10.0), st.floats(0.0))
 
 FUZZ = {
     "spin": _command("spin", parts=(_angle(), _maybe(_TRIALS), _SEED)),
@@ -805,6 +867,10 @@ FUZZ = {
     "binding": _command("grmass", "binding", parts=(
         st.sampled_from((["--uniform"], ["--profile", "profile.csv"])),
         _maybe(_flag("mass")), _maybe(_flag("radius")), _maybe(_flag("compactness")), _GEOMETRIZED,
+    )),
+    # a ball given the flags it needs, so that most calls reach the closed form
+    "binding-uniform": _command("grmass", "binding", "--uniform", parts=(
+        _flag("mass", _POSITIVE), st.one_of(_flag("radius", _POSITIVE), _flag("compactness", _POSITIVE)), _GEOMETRIZED,
     )),
     "metric": _command("grmass", "metric", parts=(
         _angle("chi"), _angle(), _maybe(_flag("scale-factor")), _GEOMETRIZED,
@@ -827,12 +893,59 @@ def _assert_finite_csv(text: str) -> None:
         assert math.isfinite(value), text
 
 
+def dust_cap_ratio(chi: float) -> float:
+    """3 (2 chi - sin 2 chi) / (4 sin^3 chi), the dust-cap M_p/M, on both
+    sides of SERIES_SWITCH. Below chi = 0.1 the numerator is summed by its
+    series over chi^3, so that neither cancellation nor underflow enters."""
+    if chi >= 0.1:
+        return 3.0 * (2.0 * chi - math.sin(2.0 * chi)) / (4.0 * math.sin(chi) ** 3)
+    series = math.fsum((-1) ** (k + 1) * 2.0 ** (2 * k + 1) * chi ** (2 * k - 2) / math.factorial(2 * k + 1)
+                       for k in range(1, 8))
+    return 3.0 * series / (4.0 * (math.sin(chi) / chi if chi else 1.0) ** 3)
+
+
+# the library's ratio is its x^6 series below SERIES_SWITCH, which leaves
+# 5e-17 relative there, and the direct form above, which cancellation leaves
+# within 1e-12 relative (3.1e-13 at most on a grid of 10^5 points in (0, pi))
+RATIO_RTOL = 1e-9
+
+
+def _rows(fmt: str, out: str) -> list[dict]:
+    """The result rows of an exit-0 output, numbers as floats."""
+    if fmt == "json":
+        data = json.loads(out)["data"]
+        return data.get("points", [data])
+    rows = list(csv.DictReader(io.StringIO(out)))
+    for row in rows:
+        for key, value in row.items():
+            try:
+                row[key] = float(value)
+            except ValueError:
+                pass
+    return rows
+
+
+def _check_grmass(command: str, rows: list[dict]) -> None:
+    """The closed-form invariants of a ratio, ratio-curve or binding row."""
+    for row in rows:
+        assert row["ratio"] >= 1.0, row
+        if command in ("ratio", "ratio-curve"):
+            want = dust_cap_ratio(row["chi0"])
+            assert abs(row["ratio"] - want) <= RATIO_RTOL * want, row
+            continue
+        assert row["proper_mass"] >= row["mass"], row
+        if row["kind"] == "uniform":  # M_p = M ratio(arcsin sqrt(C)); an ulp of slack for a subnormal M
+            want = row["mass"] * dust_cap_ratio(math.asin(math.sqrt(row["compactness"])))
+            assert abs(row["proper_mass"] - want) <= RATIO_RTOL * want + math.ulp(want), row
+
+
 @pytest.mark.parametrize("command", sorted(FUZZ))
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_fuzz_ends_in_a_documented_way(tmp_path, monkeypatch, command, data):
     """Every call exits 0, 2, 3 or 4, the same in both formats, and prints
-    either nothing or valid output with only finite numbers."""
+    either nothing or valid output with only finite numbers; the numbers
+    of ratio, ratio-curve and binding hold their closed forms."""
     argv = data.draw(FUZZ[command])
     if "--profile" in argv:
         values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(0.0, 10.0))
@@ -853,4 +966,6 @@ def test_fuzz_ends_in_a_documented_way(tmp_path, monkeypatch, command, data):
             jsonschema.validate(json.loads(out, parse_constant=_reject_constant), OUTPUT_SCHEMA)
         else:
             _assert_finite_csv(out)
+        if rc == 0 and command.startswith(("ratio", "binding")):
+            _check_grmass(command, _rows(fmt, out))
     assert len(codes) == 1, argv

@@ -332,6 +332,19 @@ PCHIP_TABLES = {
 }
 
 
+# with G = c = 1, the summed error estimate of this table rises for one
+# round before it converges: 9.2e-5, 1.7e-4, 9.1e-7, 1.9e-9
+STALLING_TABLE = ([0.0, 12.0, 31.0], [0.0, 4.7, 7.05])
+# the tables of test_cli.py's test_binding_quadrature_that_never_converges,
+# with the error their ConvergenceError prints and the rounds they take: a
+# NaN error stops at once, an error that two rounds in a row did not lower
+# stops after the third round
+NEVER_CONVERGING = [
+    ([0.0, 5e-324], [0.0, 5e-324], UnitsConfig(), "nan", 1),
+    ([0.0, 1.7976931348623157e308], [0.0, 1e-10], GEOM, "4.440892098500626e-16", 3),
+]
+
+
 def random_monotone_tables(rng, count: int):
     for _ in range(count):
         rows = int(rng.integers(3, 40))
@@ -459,6 +472,23 @@ class TestBindingQuadrature:
         with pytest.raises(DomainError, match="overflows"):
             proper_mass_integral(table, UnitsConfig(G=0.25 * radius / mass, c=1.0))
 
+    @pytest.mark.parametrize("plain", [False, True], ids=["numpy", "plain"])
+    @pytest.mark.parametrize("r, m, units, error, stop", NEVER_CONVERGING, ids=["nan", "stalled"])
+    def test_a_table_that_never_converges_stops_within_three_rounds(self, monkeypatch, r, m, units, error, stop, plain):
+        rounds = []
+
+        def counted(make):
+            def make_counted(*args):
+                evaluate = make(*args)
+                return lambda segments: rounds.append(segments) or evaluate(segments)
+            return make_counted
+
+        for name in ("_numpy_evaluator", "_float_evaluator"):
+            monkeypatch.setattr(grmass, name, counted(getattr(grmass, name)))
+        message = f"quadrature error {error} exceeds {QUAD_REL_TOL} relative"
+        assert table_outcome(r, m, units, plain) == ("ConvergenceError", message)
+        assert len(rounds) == stop
+
     def test_ball_tables_match_arcsin_form(self):
         x = 0.1
         radius = 2.0 / x
@@ -494,6 +524,8 @@ class TestQuadratureOracle:
                 assert got.hex() == table_quadrature_oracle(profile, units).hex()
                 checked += 1
         assert checked >= 100
+        stalling = MassProfile.from_table(*STALLING_TABLE)
+        assert proper_mass_integral(stalling, GEOM).hex() == table_quadrature_oracle(stalling, GEOM).hex()
 
 
 def table_outcome(r, m, units: UnitsConfig, plain: bool):
@@ -512,10 +544,12 @@ def table_outcome(r, m, units: UnitsConfig, plain: bool):
 
 
 # tables whose cubic overflows, tables with a horizon at the centre, at a knot
-# or inside a segment, or whose horizon products overflow, and each error of
-# from_table; the never-converging tables of test_cli.py run the plain route
-# against the messages the numpy route gave
+# or inside a segment, or whose horizon products overflow, each error of
+# from_table, and a table whose error estimate rises before it converges; the
+# never-converging tables of test_cli.py run the plain route against the
+# messages the numpy route gave
 EDGE_TABLES = [
+    STALLING_TABLE,
     ([0.0], [0.0]),
     ([0.5, 1.0], [0.0, 1.0]),
     ([0.0, 5e299, 1e300], [0.0, 1.08e308, 1.79e308]),
