@@ -3,8 +3,11 @@
 A port of what `numpy.random.Generator(Philox(SeedSequence(seed)))
 .multinomial(n, pvals)` computes, taken from numpy's C and Cython sources:
 
-- SeedSequence: the entropy pool, `generate_state(words, uint64)` and the
-  child sequences of `spawn`;
+- SeedSequence, for the only two shapes the library asks of it: a root
+  seed below 2**64 and that seed's spawned children. Its pool and
+  `generate_state(words, uint64)` are straight-line hashes against
+  tabulated constants; `empirical_chsh` takes its four term seeds from
+  `spawned_seeds` whether or not numpy is loaded;
 - Philox 4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1,
   2, 3", SC'11): the key is `generate_state(2, uint64)`, the 256-bit
   counter starts at 0 and is incremented before each block of four words,
@@ -16,12 +19,13 @@ A port of what `numpy.random.Generator(Philox(SeedSequence(seed)))
 
 Where C gives an IEEE result and Python's math module raises (a log of 0,
 the square root of a negative number, an exp that overflows), the port
-spells out the IEEE value. `montecarlo` uses this module only for
-n <= 2**53, where the C code's int64 arithmetic cannot overflow and each
+spells out the IEEE value. `montecarlo` draws counts with this module only
+for n <= 2**53, where the C code's int64 arithmetic cannot overflow and each
 of its conversions to a double rounds as Python's does.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 from .spin import _sqrt
@@ -29,10 +33,13 @@ from .spin import _sqrt
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# SeedSequence's hash constants and pool size
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+# SeedSequence's hash constants. Each hash advances its constant by one
+# multiply whatever the value, so the k-th hash of a pool XORs with
+# _HASH_A[k] and multiplies by _HASH_A[k + 1]; generate_state does the same
+# with _HASH_B. A seed's pool takes 16 hashes, and a child's first two words
+# one more each.
+_HASH_A = tuple(itertools.accumulate(range(18), lambda h, _: h * 0x931E8875 & _MASK32, initial=0x43B0D7E5))
+_HASH_B = tuple(itertools.accumulate(range(4), lambda h, _: h * 0x58F38DED & _MASK32, initial=0x8B51F9DD))
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 # Philox 4x64: the round multipliers and the Weyl key increments
@@ -41,62 +48,46 @@ _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
 
 
-def _words(value: int) -> list[int]:
-    """A non-negative int as little-endian 32-bit words, at least one."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+def _hash(value: int, k: int) -> int:
+    """SeedSequence's hashmix, as the k-th hash of a pool."""
+    value = (value ^ _HASH_A[k]) * _HASH_A[k + 1] & _MASK32
+    return value ^ value >> 16
 
 
-def _pool(entropy: int, spawn_key: tuple[int, ...] = ()) -> list[int]:
-    """The mixed entropy pool of SeedSequence(entropy, spawn_key=spawn_key)."""
-    words = _words(entropy)
-    spawn = [w for key in spawn_key for w in _words(key)]
-    if spawn and len(words) < _POOL_SIZE:  # a spawned sequence pads its entropy to the pool size
-        words += [0] * (_POOL_SIZE - len(words))
-    words += spawn
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return pool
+def _mix(dst: int, src: int, k: int) -> int:
+    """SeedSequence's mix(dst, hashmix(src)), with the k-th hash."""
+    value = (_MIX_MULT_L * dst - _MIX_MULT_R * _hash(src, k)) & _MASK32
+    return value ^ value >> 16
 
 
-def _generate_state(pool: list[int], words: int) -> list[int]:
-    """SeedSequence.generate_state(words, uint64): pairs of 32-bit words, low word first."""
-    hash_const = _INIT_B
+def _pool(seed: int) -> tuple[int, int, int, int]:
+    """The mixed entropy pool of SeedSequence(seed), for 0 <= seed < 2**64:
+    the hashes of the seed's two 32-bit words and two zero words, each then
+    mixed with a hash of each of the others."""
+    a, b, c, d = _hash(seed & _MASK32, 0), _hash(seed >> 32, 1), _hash(0, 2), _hash(0, 3)
+    b, c, d = _mix(b, a, 4), _mix(c, a, 5), _mix(d, a, 6)
+    a, c, d = _mix(a, b, 7), _mix(c, b, 8), _mix(d, b, 9)
+    a, b, d = _mix(a, c, 10), _mix(b, c, 11), _mix(d, c, 12)
+    a, b, c = _mix(a, d, 13), _mix(b, d, 14), _mix(c, d, 15)
+    return a, b, c, d
+
+
+def _generate_state(pool: tuple[int, ...], words: int) -> list[int]:
+    """SeedSequence.generate_state(words, uint64) for words <= 2: pairs of 32-bit words, low word first."""
     out = []
     for i in range(2 * words):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const & _MASK32
+        value = (pool[i] ^ _HASH_B[i]) * _HASH_B[i + 1] & _MASK32
         out.append(value ^ value >> 16)
     return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
 
 
 def spawned_seeds(seed: int, count: int) -> list[int]:
-    """The first uint64 of generate_state of each of SeedSequence(seed).spawn(count)."""
-    return [_generate_state(_pool(seed, (i,)), 1)[0] for i in range(count)]
+    """The first uint64 of generate_state of each of SeedSequence(seed).spawn(count),
+    for 0 <= seed < 2**64. A child pads the seed to four words and appends its
+    index, so its pool is the parent's with each word mixed once more with a
+    hash of the index; one uint64 of state reads only the first two words."""
+    a, b, _, _ = _pool(seed)
+    return [_generate_state((_mix(a, i, 16), _mix(b, i, 17)), 1)[0] for i in range(count)]
 
 
 class _Philox:

@@ -36,6 +36,7 @@ from .grmass import (
     JunctionConfig,
     MassProfile,
     UnitsConfig,
+    _ball_ratio,
     flrw_mass_ratio,
     flrw_metric_components,
     load_profile_csv,
@@ -313,6 +314,9 @@ def cmd_grmass_curve(args: argparse.Namespace) -> _Output:
 def cmd_grmass_binding(args: argparse.Namespace) -> _Output:
     units = UnitsConfig.geometrized() if args.geometrized else UnitsConfig()
     if args.profile is not None:
+        given = [f"--{name}" for name in ("mass", "radius", "compactness") if getattr(args, name) is not None]
+        if given:  # the table fixes them, and the manifest would echo a value that was never used
+            raise DomainError(f"--profile takes its mass and radius from the table, not {', '.join(given)}")
         profile = load_profile_csv(args.profile)
     else:
         if args.mass is None:
@@ -332,7 +336,7 @@ def cmd_grmass_binding(args: argparse.Namespace) -> _Output:
         "radius": profile.radius,
         "compactness": 2.0 * units.G / (units.c * units.c) * profile.mass / profile.radius,  # c^2 R may overflow
         "proper_mass": proper,
-        "ratio": proper / profile.mass,
+        "ratio": _ball_ratio(profile, units) if profile.spline is None else proper / profile.mass,
     }
     return _one_row(row, G=units.G, c=units.c)
 

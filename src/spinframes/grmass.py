@@ -418,6 +418,16 @@ def _check_no_horizon_floats(x: tuple[float, ...], c: tuple[tuple[float, ...], .
         raise DomainError(_HORIZON.format(min(bad)))
 
 
+def _ball_ratio(profile: MassProfile, units: UnitsConfig) -> float:
+    """M_p/M of a uniform ball, ratio(arcsin sqrt(C)) with C = 2GM/(c^2 R): 1
+    where C underflows to 0, and exact where M_p itself would be rounded to
+    the grid of a subnormal M."""
+    compactness = 2.0 * units.G / (units.c * units.c) * profile.mass / profile.radius
+    if compactness >= 1.0:
+        raise DomainError(_HORIZON.format(profile.radius))
+    return _ratio_of(math.asin(math.sqrt(compactness)))
+
+
 def proper_mass_integral(profile: MassProfile, units: UnitsConfig = UnitsConfig()) -> float:
     """Proper mass M_p, the integral of dM / sqrt(1 - 2GM(r)/(c^2 r)) over [0, R].
 
@@ -434,13 +444,10 @@ def proper_mass_integral(profile: MassProfile, units: UnitsConfig = UnitsConfig(
     below one ulp of M, as in SI units at everyday compactness, the
     quadrature rounds to either side of M.
     """
-    k = 2.0 * units.G / (units.c * units.c)
     if profile.spline is None:
-        compactness = k * profile.mass / profile.radius
-        if compactness >= 1.0:
-            raise DomainError(_HORIZON.format(profile.radius))
-        proper = profile.mass * _ratio_of(math.asin(math.sqrt(compactness)))
+        proper = profile.mass * _ball_ratio(profile, units)
     else:
+        k = 2.0 * units.G / (units.c * units.c)
         proper = max(_integrate_table(*profile.spline, k), profile.mass)  # nan stays nan
     if not math.isfinite(proper):
         raise DomainError(f"proper mass of a profile of mass {profile.mass!r} overflows a float")
@@ -540,7 +547,7 @@ def flrw_metric_components(
     (-c^2, a^2, a^2 sin^2 chi, a^2 sin^2 chi sin^2 theta)."""
     try:
         positive = 0 < a < math.inf  # False for NaN; exact for an int beyond the float range
-    except (*NOT_A_NUMBER, ArithmeticError):  # a Decimal NaN does not compare
+    except NOT_A_NUMBER:
         positive = False
     if not positive:
         raise DomainError(f"scale factor must be positive, got {a!r}")

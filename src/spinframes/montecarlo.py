@@ -11,13 +11,14 @@ random, then take the missing outcomes in a random order. Every step
 treats all trials alike, so the order is exchangeable, and an
 exchangeable order with fixed counts is uniform.
 
-The counts come by one of two routes with the same result, bit for bit.
-A process that has not loaded numpy (a CLI process) draws them with a
-plain-Python port of numpy's SeedSequence, Philox and multinomial, in
-the private `_philox` module, when records are off and n <= 2**53, so it
-never imports numpy. Otherwise they come from numpy's Generator, which
-records always need for the stream that follows the multinomial. The
-route moves time, never bytes.
+The four term seeds of `empirical_chsh` come from the plain-Python port
+of numpy's SeedSequence in the private `_philox` module on every route.
+Only the counts come by one of two routes, with the same result, bit for
+bit. A process that has not loaded numpy (a CLI process) draws them with
+the port's Philox and multinomial when records are off and n <= 2**53,
+so it never imports numpy. Otherwise they come from numpy's Generator,
+which records always need for the stream that follows the multinomial.
+The route moves time, never bytes.
 """
 from __future__ import annotations
 
@@ -258,17 +259,10 @@ def empirical_chsh(
 ) -> EmpiricalCHSH:
     """Estimate S by sampling each of the four correlations with its own
     sub-seed: the first uint64 of the state of each of
-    SeedSequence(seed).spawn(4). Same inputs, same estimate, on either route."""
-    seed = _check_seed(seed)
-    if _numpy_loaded():
-        import numpy as np
+    SeedSequence(seed).spawn(4), which `_philox` computes on either route."""
+    from ._philox import spawned_seeds
 
-        children = np.random.SeedSequence(seed).spawn(4)
-        term_seeds = [int(child.generate_state(1, dtype=np.uint64)[0]) for child in children]
-    else:
-        from ._philox import spawned_seeds
-
-        term_seeds = spawned_seeds(seed, 4)
+    term_seeds = spawned_seeds(_check_seed(seed), 4)
     terms = []
     for (a, b), term_seed in zip(setting.pairs(), term_seeds):
         js = JointSetting.in_plane(setting.plane, a, b)

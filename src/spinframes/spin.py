@@ -42,8 +42,9 @@ STATE_EQ_TOL = 1e-10
 _P_LOW, _P_HIGH = -NORM_TOL, 1.0 + NORM_TOL
 
 # What arithmetic and comparisons raise for an argument that is no real
-# number: a string, None, a complex or a tuple, or an overflowing power.
-NOT_A_NUMBER = (TypeError, ValueError, OverflowError)
+# number: a string, None, a complex or a tuple, an overflowing power
+# (OverflowError), or a Decimal NaN, which does not compare (InvalidOperation).
+NOT_A_NUMBER = (TypeError, ValueError, ArithmeticError)
 
 _set = object.__setattr__
 

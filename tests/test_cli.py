@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -333,6 +334,27 @@ class TestGrmass:
                              "--radius", "1e300")
         assert rc == 0
         assert out.splitlines()[1].split(",")[3] == repr(2.0 * 6.67430e-11 / 299792458.0**2)
+
+    @pytest.mark.parametrize("mass, ratio", [("5e-324", "1.2108418600591322"), ("1e-320", "1.2108418600591322")])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_binding_ratio_of_a_subnormal_ball(self, capsys, fmt, mass, ratio):
+        # M_p rounds to the subnormal grid, so M_p / M would print 1.0 and 1.2109683794466404
+        rc, out, _ = run_cli(capsys, "--format", fmt, "grmass", "binding", "--uniform", "--mass", mass,
+                             "--compactness", "0.5", "--geometrized")
+        assert rc == 0
+        rows = _rows(fmt, out)
+        assert [repr(row["ratio"]) for row in rows] == [ratio]
+        _check_grmass(["grmass", "binding"], rows)
+
+    @pytest.mark.parametrize("flags", [
+        ["--mass", "5"], ["--radius", "2"], ["--compactness", "0.5"], ["--mass", "5", "--compactness", "0.5"],
+    ], ids=" ".join)
+    def test_binding_profile_rejects_the_ball_flags(self, capsys, tmp_path, flags):
+        path = tmp_path / "p.csv"
+        path.write_text("r,M\n0,0\n0.5,0.025\n1,0.2\n")
+        rc, out, err = run_cli(capsys, "grmass", "binding", "--profile", str(path), *flags, "--geometrized")
+        assert (rc, out) == (3, "")
+        assert all(flag in err for flag in flags[::2]), err
 
     def test_binding_flag_validation(self, capsys):
         rc, _, _ = run_cli(capsys, "grmass", "binding", "--uniform", "--mass", "1")
@@ -827,8 +849,9 @@ FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-10.0, 10.0), st.floa
 
 
 def _flag(name: str, values=FLOATS):
-    # `--name=value`, so that argparse does not read "-inf" as an option
-    return values.map(lambda v: [f"--{name}={v!r}"])
+    # `--name=value`, so that argparse does not read "-inf" as an option; a
+    # number as its repr, which reads back exactly, and a word unquoted
+    return values.map(lambda v: [f"--{name}={v if isinstance(v, str) else repr(v)}"])
 
 
 def _maybe(flag):
@@ -925,8 +948,84 @@ def _rows(fmt: str, out: str) -> list[dict]:
     return rows
 
 
-def _check_grmass(command: str, rows: list[dict]) -> None:
+def _flag_value(argv: list[str], name: str, default: str) -> str:
+    return next((arg.split("=", 1)[1] for arg in argv if arg.startswith(f"--{name}=")), default)
+
+
+# the symmetry planes (e1, e2), and each Bell state's correlation tensor
+# T_ij = <psi| sigma_i (x) sigma_j |psi>, which is diagonal, with its own plane
+PLANE_AXES = {
+    "xy": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+    "zx": ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
+    "zy": ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0)),
+}
+BELL_TENSORS = {  # label: (diagonal of T, plane), with the amplitudes (uu, ud, du, dd) times sqrt 2
+    "singlet": ((-1.0, -1.0, -1.0), "zx"),  # (0, 1, -1, 0)
+    "triplet_psi_plus": ((1.0, 1.0, -1.0), "xy"),  # (0, 1, 1, 0)
+    "triplet_phi_plus": ((1.0, -1.0, 1.0), "zx"),  # (1, 0, 0, 1)
+    "triplet_phi_minus": ((-1.0, 1.0, 1.0), "zy"),  # (1, 0, 0, -1)
+}
+STATE_FLAGS = {"psi+": "triplet_psi_plus", "phi+": "triplet_phi_plus", "phi-": "triplet_phi_minus"}
+QUANTUM_TOL = 1e-12
+
+
+def bell_correlation(state: str, plane: str, alpha: float, beta: float) -> float:
+    """E = a^T T b for Alice's and Bob's settings at angles alpha and beta in the plane."""
+    e1, e2 = PLANE_AXES[plane]
+    a = [math.cos(alpha) * u + math.sin(alpha) * v for u, v in zip(e1, e2)]
+    b = [math.cos(beta) * u + math.sin(beta) * v for u, v in zip(e1, e2)]
+    return math.fsum(x * t * y for x, t, y in zip(a, BELL_TENSORS[state][0], b))
+
+
+def _check_spin(argv: list[str], rows: list[dict]) -> None:
+    """p_up = cos^2(theta/2) for spin up measured at theta, and p_up + p_down = 1."""
+    for row in rows:
+        assert abs(row["p_up"] - math.cos(row["theta_rad"] / 2.0) ** 2) <= QUANTUM_TOL, row
+        assert abs(row["p_up"] + row["p_down"] - 1.0) <= QUANTUM_TOL, row
+
+
+def _check_bell(argv: list[str], rows: list[dict]) -> None:
+    """p(i, j) = (1 + i j E)/4 with E = a^T T b for a at 0 and b at theta in
+    the plane given; Bob's mean is E given Alice up, -E given Alice down."""
+    for row in rows:
+        e = bell_correlation(row["state"], row["plane"], 0.0, row["theta_rad"])
+        for name, ij in (("p_pp", 1), ("p_pm", -1), ("p_mp", -1), ("p_mm", 1)):
+            assert abs(row[name] - (1.0 + ij * e) / 4.0) <= QUANTUM_TOL, row
+        assert abs(row["correlation"] - e) <= QUANTUM_TOL, row
+        assert abs(row["conditional_given_up"] - e) <= QUANTUM_TOL, row
+        assert abs(row["conditional_given_down"] + e) <= QUANTUM_TOL, row
+
+
+def _check_chsh(argv: list[str], rows: list[dict]) -> None:
+    """classical-max is 2; analytic-max is 2 sqrt 2, and S at its angles; the
+    scan a = 0, b = t, a' = 2t, b' = 3t in the state's plane is
+    +-(3 cos t - cos 3t); an estimate lies in [-4, 4] with a finite stderr."""
+    mode = _flag_value(argv, "mode", "")
+    if mode == "classical-max":  # no state enters, so --state is not read
+        assert [row["value"] for row in rows] == [2.0], rows
+        return
+    label = _flag_value(argv, "state", "singlet")
+    state = STATE_FLAGS.get(label, label)
+    plane = BELL_TENSORS[state][1]
+    e = functools.partial(bell_correlation, state, plane)
+    for row in rows:
+        if mode == "analytic-max":
+            assert row.get("plane", plane) == plane, row
+            assert abs(row["value"] - 2.0 * math.sqrt(2.0)) <= QUANTUM_TOL, row
+            a, a_prime, b, b_prime = (row[f"{name}_rad"] for name in ("alice", "alice_prime", "bob", "bob_prime"))
+            s = e(a, b) - e(a, b_prime) + e(a_prime, b) + e(a_prime, b_prime)
+            assert abs(s - row["value"]) <= QUANTUM_TOL, row
+        elif mode == "scan":
+            t = row["angle_rad"]
+            assert abs(row["s"] - e(0.0, 0.0) * (3.0 * math.cos(t) - math.cos(3.0 * t))) <= QUANTUM_TOL, row
+        else:
+            assert mode == "empirical", argv
+            assert -4.0 <= row["value"] <= 4.0 and 0.0 <= row["stderr"] < math.inf, row
+
+
+def _check_grmass(argv: list[str], rows: list[dict]) -> None:
     """The closed-form invariants of a ratio, ratio-curve or binding row."""
+    command = argv[1]
     for row in rows:
         assert row["ratio"] >= 1.0, row
         if command in ("ratio", "ratio-curve"):
@@ -935,8 +1034,19 @@ def _check_grmass(command: str, rows: list[dict]) -> None:
             continue
         assert row["proper_mass"] >= row["mass"], row
         if row["kind"] == "uniform":  # M_p = M ratio(arcsin sqrt(C)); an ulp of slack for a subnormal M
-            want = row["mass"] * dust_cap_ratio(math.asin(math.sqrt(row["compactness"])))
+            ratio = dust_cap_ratio(math.asin(math.sqrt(row["compactness"])))
+            assert abs(row["ratio"] - ratio) <= RATIO_RTOL * ratio, row
+            want = row["mass"] * ratio
             assert abs(row["proper_mass"] - want) <= RATIO_RTOL * want + math.ulp(want), row
+
+
+# FUZZ command -> the closed forms its exit-0 rows hold; ensemble and metric have none yet
+ORACLES = {
+    "spin": _check_spin,
+    "bell": _check_bell,
+    "chsh": _check_chsh,
+    **dict.fromkeys(("ratio", "ratio-curve", "binding", "binding-uniform"), _check_grmass),
+}
 
 
 @pytest.mark.parametrize("command", sorted(FUZZ))
@@ -945,7 +1055,8 @@ def _check_grmass(command: str, rows: list[dict]) -> None:
 def test_fuzz_ends_in_a_documented_way(tmp_path, monkeypatch, command, data):
     """Every call exits 0, 2, 3 or 4, the same in both formats, and prints
     either nothing or valid output with only finite numbers; the numbers
-    of ratio, ratio-curve and binding hold their closed forms."""
+    of spin, bell, chsh, ratio, ratio-curve and binding hold their closed
+    forms."""
     argv = data.draw(FUZZ[command])
     if "--profile" in argv:
         values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(0.0, 10.0))
@@ -966,6 +1077,6 @@ def test_fuzz_ends_in_a_documented_way(tmp_path, monkeypatch, command, data):
             jsonschema.validate(json.loads(out, parse_constant=_reject_constant), OUTPUT_SCHEMA)
         else:
             _assert_finite_csv(out)
-        if rc == 0 and command.startswith(("ratio", "binding")):
-            _check_grmass(command, _rows(fmt, out))
+        if rc == 0 and command in ORACLES:
+            ORACLES[command](argv, _rows(fmt, out))
     assert len(codes) == 1, argv

@@ -32,7 +32,7 @@ from spinframes import (
     sample_single,
 )
 from spinframes import montecarlo
-from spinframes._philox import multinomial, spawned_seeds
+from spinframes._philox import _generate_state, _pool, multinomial, spawned_seeds
 from spinframes.montecarlo import _arrange, _ranked_positions
 
 UP_STATE = prepare_state(Z_AXIS)
@@ -522,6 +522,28 @@ def test_plain_python_counts_equal_numpy_counts(draw):
 def test_plain_python_child_seeds_equal_numpy_spawn(seed):
     want = [int(child.generate_state(1, dtype=np.uint64)[0]) for child in np.random.SeedSequence(seed).spawn(4)]
     assert spawned_seeds(seed, 4) == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+def test_plain_python_key_and_child_seeds_equal_numpy_at_the_word_edges(seed):
+    """The Philox key and the four term seeds where the seed's high word is
+    zero, full, or just set."""
+    seq = np.random.SeedSequence(seed)
+    assert _generate_state(_pool(seed), 2) == seq.generate_state(2, dtype=np.uint64).tolist()
+    assert spawned_seeds(seed, 4) == [int(child.generate_state(1, dtype=np.uint64)[0]) for child in seq.spawn(4)]
+
+
+def test_empirical_chsh_takes_no_numpy_spawn(monkeypatch):
+    """With numpy loaded, the term seeds still come from the port."""
+    want = empirical_chsh(SINGLET, CHSH_SETTING, 1000, 11)
+
+    class NoSpawn(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError("empirical_chsh called SeedSequence.spawn")
+
+    monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+    assert montecarlo._numpy_loaded()
+    assert empirical_chsh(SINGLET, CHSH_SETTING, 1000, 11) == want
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**32, 2**64 - 1])

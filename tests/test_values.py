@@ -7,6 +7,7 @@ import math
 import pickle
 import struct
 import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -46,6 +47,8 @@ from spinframes import (
 )
 
 NAN, INF = math.nan, math.inf
+# Decimal NaNs raise decimal.InvalidOperation where they are compared
+DEC_NAN, DEC_SNAN = Decimal("NaN"), Decimal("sNaN")
 RUN = RunStats((6, 4))
 RUN_REPR = "RunStats(counts=(6, 4))"
 XY_REPR = ("SymmetryPlane(name='xy', e1=UnitVector3(x=1.0, y=0.0, z=0.0), "
@@ -199,6 +202,15 @@ RAW_ERROR_CALLS = [
     (lambda: ComplementaryTriad(1, 2, 3), DomainError, "triad axes"),
     (lambda: JointSetting(1, 2), DomainError, "setting directions"),
     (lambda: CHSHSetting(0.0, 1.0, 0.5, 1.5), DomainError, "setting angles"),
+    (lambda: UnitsConfig(G=DEC_NAN), DomainError, "G must"),
+    (lambda: UnitsConfig(c=DEC_SNAN), DomainError, "c must"),
+    (lambda: MassProfile(DEC_NAN, 1.0), ProfileError, "total mass"),
+    (lambda: JunctionConfig(DEC_NAN, 1.0), DomainError, "chi0"),
+    (lambda: JunctionConfig(1.0, DEC_SNAN), DomainError, "scale factor"),
+    (lambda: MassRatioResult(DEC_NAN), DomainError, "M_p/M"),
+    (lambda: UnitVector3.normalized(DEC_SNAN, 1, 0), DomainError, "components"),
+    (lambda: OutcomeDistribution(DEC_NAN, 0.5), DomainError, "p_up"),
+    (lambda: JointDistribution(DEC_NAN, 0.25, 0.25, 0.25), DomainError, "p_pp"),
 ]
 
 
@@ -213,7 +225,8 @@ TYPED_ERRORS = (DomainError, ProfileError, UndefinedConditionalError, Convergenc
 # values no argument of a numeric constructor should let through untyped
 WILD = st.one_of(
     st.sampled_from([NAN, INF, -INF, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0, 0.5, 2.0,
-                     True, False, "x", "1", "", None, 1j, 1 + 1j, (), (1.0,), (1.0, 2.0), (0.5, 0.5, 0.5, 0.5)]),
+                     True, False, "x", "1", "", None, 1j, 1 + 1j, (), (1.0,), (1.0, 2.0), (0.5, 0.5, 0.5, 0.5),
+                     DEC_NAN, DEC_SNAN]),
     st.floats(),
     st.integers(-3, 3),
 )
