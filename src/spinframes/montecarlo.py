@@ -258,8 +258,9 @@ def empirical_chsh(
     seed: int,
 ) -> EmpiricalCHSH:
     """Estimate S by sampling each of the four correlations with its own
-    sub-seed: the first uint64 of the state of each of
-    SeedSequence(seed).spawn(4), which `_philox` computes on either route."""
+    sub-seed: the first uint64 of the state of each of the first four
+    children that SeedSequence(seed) spawns, which `_philox` computes on
+    either route."""
     from ._philox import spawned_seeds
 
     term_seeds = spawned_seeds(_check_seed(seed), 4)
