@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -101,14 +102,14 @@ class MassProfile(_Value):
     u = r - x[i] on piece i. A uniform ball has no spline. Equality is
     identity.
 
-    The spline keeps the type of the route that built it. `from_table`
-    builds numpy arrays (x, and c of shape (4, pieces)) when numpy is
-    loaded, as in any process that passes it arrays. In a process that has
-    not loaded numpy, such as a CLI run, a table given as lists or tuples of
-    ints and floats is built in plain floats, and the spline holds tuples
-    (x, and c as four rows). `mass_within` reads both with one `bisect`
-    lookup; `proper_mass_integral` evaluates in the spline's type. Both
-    routes give the same numbers and the same errors, bit for bit.
+    `from_table` runs one sequence of checks on the floats of its columns,
+    whatever their type; then the route picks only the kernel that builds
+    the cubic, and with it the spline's type. In a process that has loaded
+    numpy the spline holds numpy arrays (x, and c of shape (4, pieces));
+    in one that has not, such as a CLI run, it holds tuples (x, and c as
+    four rows). `mass_within` reads both with one `bisect` lookup;
+    `proper_mass_integral` evaluates in the spline's type. Both routes give
+    the same numbers and the same errors, bit for bit.
     """
 
     __slots__ = ("mass", "radius", "spline")
@@ -130,9 +131,13 @@ class MassProfile(_Value):
         _set(self, "spline", spline)
 
     def mass_within(self, r: float) -> float:
-        if not 0.0 <= r <= self.radius * (1 + 1e-12):
-            raise DomainError(f"r = {r!r} outside the profile's [0, {self.radius}]")
-        r = min(r, self.radius)
+        try:
+            inside = 0.0 <= r <= self.radius * (1 + 1e-12)  # False for NaN
+        except NOT_A_NUMBER:
+            inside = False
+        if not inside:
+            raise DomainError(f"r must be a number in the profile's [0, {self.radius}], got {r!r}")
+        r = min(float(r), self.radius)  # a Decimal or Fraction in range is read as a float
         if self.spline is None:
             return float(self.mass * (r / self.radius) ** 3)
         x, c = self.spline
@@ -150,82 +155,49 @@ class MassProfile(_Value):
         return cls(mass, radius)
 
     @classmethod
-    def from_table(cls, r: np.ndarray, m: np.ndarray) -> "MassProfile":
+    def from_table(cls, r, m) -> "MassProfile":
         """Tabulated (r, M(r)) pairs joined by a monotone cubic.
 
         Needs r strictly increasing from 0, M nondecreasing from 0, and
-        a positive final mass.
+        a positive final mass. A column is a one-dimensional sequence, such
+        as a list or a numpy array, of values that float() reads.
         """
-        if not _numpy_loaded() and _plain_column(r) and _plain_column(m):
-            return cls._from_floats(r, m)
-        import numpy as np
-
         try:
-            r = np.asarray(r, dtype=float)
-            m = np.asarray(m, dtype=float)
-        except (TypeError, ValueError):
-            raise ProfileError("r and M must be sequences of numbers") from None
-        except OverflowError:  # an int beyond the float range
+            r, m = _column(r), _column(m)
+        except OverflowError:  # an int or Fraction beyond the float range
             raise ProfileError(_NON_FINITE) from None
-        if r.ndim != 1 or r.shape != m.shape:
-            raise ProfileError("r and M must be one-dimensional and the same length")
-        if len(r) < 2:
-            raise ProfileError("profile table needs at least two rows")
-        if not (np.isfinite(r).all() and np.isfinite(m).all()):
-            raise ProfileError(_NON_FINITE)
-        if r[0] != 0.0:
-            raise ProfileError(f"first radius must be 0, got {float(r[0])!r}")
-        if m[0] != 0.0:
-            raise ProfileError(f"mass at r = 0 must be 0, got {float(m[0])!r}")
-        # compare neighbours: np.diff overflows for opposite signs near the largest float
-        if not (r[1:] > r[:-1]).all():
-            i = int(np.argmin(r[1:] > r[:-1])) + 1
-            raise ProfileError(f"radii must be strictly increasing (row {i + 1})")
-        if not (m[1:] >= m[:-1]).all():
-            i = int(np.argmin(m[1:] >= m[:-1])) + 1
-            raise ProfileError(f"mass must be nondecreasing (row {i + 1})")
-        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-            c = _pchip_coefficients(r, m)
-        if not np.isfinite(c).all():
-            raise ProfileError(_OVERFLOWING_CUBIC)
-        return cls(float(m[-1]), float(r[-1]), (r, c))
-
-    @classmethod
-    def _from_floats(cls, r, m) -> "MassProfile":
-        """`from_table` in plain floats: the same checks in the same order."""
-        try:
-            r, m = [float(v) for v in r], [float(v) for v in m]
-        except OverflowError:  # an int beyond the float range
-            raise ProfileError(_NON_FINITE) from None
+        except NOT_A_NUMBER:
+            raise ProfileError(_NOT_A_COLUMN) from None
         if len(r) != len(m):
-            raise ProfileError("r and M must be one-dimensional and the same length")
+            raise ProfileError(_NOT_A_COLUMN)
         if len(r) < 2:
             raise ProfileError("profile table needs at least two rows")
-        if not all(map(math.isfinite, r + m)):
+        if not (all(map(math.isfinite, r)) and all(map(math.isfinite, m))):
             raise ProfileError(_NON_FINITE)
         if r[0] != 0.0:
             raise ProfileError(f"first radius must be 0, got {r[0]!r}")
         if m[0] != 0.0:
             raise ProfileError(f"mass at r = 0 must be 0, got {m[0]!r}")
-        i = next((i for i in range(1, len(r)) if not r[i] > r[i - 1]), 0)
-        if i:
+        if not all(map(operator.lt, r, r[1:])):
+            i = next(i for i in range(1, len(r)) if not r[i - 1] < r[i])
             raise ProfileError(f"radii must be strictly increasing (row {i + 1})")
-        i = next((i for i in range(1, len(m)) if not m[i] >= m[i - 1]), 0)
-        if i:
+        if not all(map(operator.le, m, m[1:])):
+            i = next(i for i in range(1, len(m)) if not m[i - 1] <= m[i])
             raise ProfileError(f"mass must be nondecreasing (row {i + 1})")
-        c = _pchip_floats(r, m)
-        if not all(math.isfinite(v) for row in c for v in row):
-            raise ProfileError(_OVERFLOWING_CUBIC)
-        return cls(m[-1], r[-1], (tuple(r), c))
+        spline = (_pchip_coefficients if _numpy_loaded() else _pchip_floats)(r, m)
+        return cls(m[-1], r[-1], spline)
 
 
+_NOT_A_COLUMN = "r and M must be sequences of numbers, one-dimensional and the same length"
 _NON_FINITE = "profile table contains non-finite values"
 _OVERFLOWING_CUBIC = "the cubic through the table overflows a float"
 
 
-def _plain_column(values) -> bool:
-    """Whether `values` is a list or tuple of ints and floats, which the plain-float route reads."""
-    return type(values) in (list, tuple) and all(type(v) in (float, int) for v in values)
+def _column(values) -> list[float]:
+    """A table column as floats; TypeError for a string or an array that is not one-dimensional."""
+    if isinstance(values, (str, bytes)) or getattr(values, "ndim", 1) != 1:
+        raise TypeError("not a column")
+    return list(map(float, values))
 
 
 def _div(a: float, b: float) -> float:
@@ -235,9 +207,9 @@ def _div(a: float, b: float) -> float:
     return math.copysign(math.inf, a) * math.copysign(1.0, b) if a and a == a else math.nan
 
 
-def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients of the monotone cubic through nondecreasing (x, y)
-    (Fritsch & Butland, SIAM J. Sci. Stat. Comput. 5, 300 (1984)), with the
+def _pchip_coefficients(r: list[float], masses: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The knots and coefficients, as arrays, of the monotone cubic through a checked
+    table (Fritsch & Butland, SIAM J. Sci. Stat. Comput. 5, 300 (1984)), with the
     slopes of scipy's PchipInterpolator in its order of operations: inside,
     the weighted harmonic mean of the two secants, 0 next to a flat one; at
     each end, the one-sided three-point estimate, 0 where not positive.
@@ -245,24 +217,28 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    h = np.diff(x)
-    m = np.diff(y) / h
-    d = np.zeros_like(y)
-    if len(x) == 2:
-        d[:] = m[0]
-    else:
-        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        inner = (m[1:] != 0) & (m[:-1] != 0)
-        with np.errstate(divide="ignore"):
+    x, y = np.array(r), np.array(masses)
+    with np.errstate(all="ignore"):  # an overflow is caught just below
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.zeros_like(y)
+        if len(x) == 2:
+            d[:] = m[0]
+        else:
+            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+            inner = (m[1:] != 0) & (m[:-1] != 0)
             d[1:-1][inner] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))[inner]
-        for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]), (-1, h[-1], h[-2], m[-1], m[-2])):
-            d[end] = max(((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1), 0.0)
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+            for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]), (-1, h[-1], h[-2], m[-1], m[-2])):
+                d[end] = max(((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1), 0.0)
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+    if not np.isfinite(c).all():
+        raise ProfileError(_OVERFLOWING_CUBIC)
+    return x, c
 
 
-def _pchip_floats(x: list[float], y: list[float]) -> tuple[tuple[float, ...], ...]:
-    """`_pchip_coefficients` in plain floats, element by element in the same order."""
+def _pchip_floats(x: list[float], y: list[float]) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+    """`_pchip_coefficients` in plain floats, element by element in the same order, as tuples."""
     h = [b - a for a, b in zip(x, x[1:])]  # positive: x strictly increases
     m = [(b - a) / w for a, b, w in zip(y, y[1:], h)]
     if len(x) == 2:
@@ -276,12 +252,11 @@ def _pchip_floats(x: list[float], y: list[float]) -> tuple[tuple[float, ...], ..
         for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]), (-1, h[-1], h[-2], m[-1], m[-2])):
             d[end] = max(((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1), 0.0)
     t = [(d[i] + d[i + 1] - 2 * m[i]) / h[i] for i in range(len(h))]
-    return (
-        tuple(t[i] / h[i] for i in range(len(h))),
-        tuple((m[i] - d[i]) / h[i] - t[i] for i in range(len(h))),
-        tuple(d[:-1]),
-        tuple(y[:-1]),
-    )
+    c = (tuple(t[i] / h[i] for i in range(len(h))), tuple((m[i] - d[i]) / h[i] - t[i] for i in range(len(h))),
+         tuple(d[:-1]), tuple(y[:-1]))
+    if not all(math.isfinite(v) for row in c for v in row):
+        raise ProfileError(_OVERFLOWING_CUBIC)
+    return tuple(x), c
 
 
 def load_profile_csv(path: str) -> MassProfile:

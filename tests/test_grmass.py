@@ -1,6 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -569,6 +574,68 @@ EDGE_TABLES = [
 ]
 
 
+# values that no table may hold, or that float() reads only past the float range
+WILD_VALUES = [10**400, -(10**400), Fraction(10**400), math.nan, math.inf, Decimal("NaN"), Decimal("sNaN"),
+               Decimal("-Infinity"), "1e400", "x", "", None, 1j, [0.0], (), b"1"]
+# the number types a column may hold, each giving a finite float exactly
+NUMBER_TYPES = [float, Fraction, Decimal, repr, lambda v: int(v) if v.is_integer() else v,
+                lambda v: bool(v) if v in (0.0, 1.0) else v, np.float64, np.float32]
+
+
+@st.composite
+def _wild_column(draw, values):
+    """A column of `values` as one of the shapes a caller may pass; a
+    quarter of them hold one value of the wrong kind, a fifth are no column."""
+    values = [draw(st.sampled_from(NUMBER_TYPES))(v) for v in values]
+    if values and draw(st.integers(0, 3)) == 3:
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(WILD_VALUES))
+    shape = draw(st.sampled_from(["list", "tuple", "array", "object array"] * 3 + ["nested", "2-D", "string"]))
+    if shape == "list":
+        return values
+    if shape == "tuple":
+        return tuple(values)
+    if shape == "nested":
+        return [values, values]
+    if shape == "string":
+        return "".join(map(str, values))
+    array = np.array(values, dtype=object)
+    if shape == "object array":
+        return array
+    if shape == "2-D":
+        return array.reshape(1, -1)
+    try:
+        return array.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        return array
+
+
+@st.composite
+def _wild_tables(draw):
+    """(r, M) columns of any type and shape, mostly of a valid table; in a
+    quarter of them M is one row short."""
+    steps = draw(st.lists(st.tuples(st.floats(1e-3, 1e3), st.just(0.0) | st.floats(1e-3, 1e3)), max_size=6))
+    r = np.cumsum([0.0] + [dr for dr, _ in steps]).tolist()
+    m = np.cumsum([0.0] + [0.01 * dm / len(steps) for _, dm in steps]).tolist()  # no horizon with G = c = 1
+    if draw(st.integers(0, 3)) == 3:
+        m = m[:-1]
+    return draw(_wild_column(r)), draw(_wild_column(m))
+
+
+WILD_TABLES = _wild_tables()
+# every message of from_table
+PROFILE_ERRORS = (
+    "r and M must be sequences of numbers, one-dimensional and the same length",
+    "profile table needs at least two rows",
+    "profile table contains non-finite values",
+    "first radius must be 0",
+    "mass at r = 0 must be 0",
+    "radii must be strictly increasing",
+    "mass must be nondecreasing",
+    "the cubic through the table overflows a float",
+    "total mass must be positive",
+)
+
+
 class TestPlainFloatRoute:
     """A process without numpy builds and integrates tables in plain floats,
     with the numpy route's bits and errors."""
@@ -594,10 +661,35 @@ class TestPlainFloatRoute:
         units = UnitsConfig(G=0.5 * compactness * r[-1] / m[-1], c=1.0) if m[-1] and compactness else UnitsConfig()
         assert table_outcome(r, m, units, plain=True) == table_outcome(r, m, units, plain=False)
 
-    def test_numpy_columns_take_the_numpy_route(self, monkeypatch):
-        monkeypatch.setattr(grmass, "_numpy_loaded", lambda: False)
-        for r, m in [(np.array([0.0, 1.0]), [0.0, 1.0]), ([0.0, True], [0.0, 1.0]), ((0.0, 1.0), [0.0, np.float64(1)])]:
-            assert isinstance(MassProfile.from_table(r, m).spline[0], np.ndarray)
+    def test_columns_of_any_number_type_build_without_numpy(self):
+        # bools, Fractions, Decimals and numeric strings give the spline of the floats they stand for
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from decimal import Decimal\n"
+            "from fractions import Fraction\n"
+            "from spinframes import MassProfile\n"
+            "r, m = [0.0, 0.5, 1.0, 2.0], [0.0, 0.125, 1.0, 1.0]\n"
+            "want = MassProfile.from_table(r, m).spline\n"
+            "assert isinstance(want[0], tuple), want\n"
+            "for kind in (Fraction, Decimal, repr):\n"
+            "    assert MassProfile.from_table([*map(kind, r)], [*map(kind, m)]).spline == want, kind\n"
+            "mixed = MassProfile.from_table([0, Fraction(1, 2), Decimal(1), '2'], [False, 0.125, True, '1']).spline\n"
+            "assert mixed == want, mixed\n"
+            "assert MassProfile.from_table([0.0, True], [0, True]).spline == MassProfile.from_table([0.0, 1.0], [0.0, 1.0]).spline\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=WILD_TABLES)
+    def test_columns_of_any_type_and_shape_end_alike_on_both_routes(self, table):
+        r, m = table
+        plain = table_outcome(r, m, GEOM, plain=True)
+        assert plain == table_outcome(r, m, GEOM, plain=False)
+        assert plain[0] != "ProfileError" or plain[1].startswith(PROFILE_ERRORS), plain
 
 
 class TestMetric:

@@ -8,6 +8,7 @@ import pickle
 import struct
 import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -51,6 +52,9 @@ NAN, INF = math.nan, math.inf
 DEC_NAN, DEC_SNAN = Decimal("NaN"), Decimal("sNaN")
 RUN = RunStats((6, 4))
 RUN_REPR = "RunStats(counts=(6, 4))"
+# a profile of each kind, both of mass 1 and radius 2
+BALL = MassProfile.uniform(1.0, 2.0)
+TABLE = MassProfile.from_table([0.0, 1.0, 2.0], [0.0, 0.5, 1.0])
 XY_REPR = ("SymmetryPlane(name='xy', e1=UnitVector3(x=1.0, y=0.0, z=0.0), "
            "e2=UnitVector3(x=0.0, y=1.0, z=0.0))")
 
@@ -211,6 +215,8 @@ RAW_ERROR_CALLS = [
     (lambda: UnitVector3.normalized(DEC_SNAN, 1, 0), DomainError, "components"),
     (lambda: OutcomeDistribution(DEC_NAN, 0.5), DomainError, "p_up"),
     (lambda: JointDistribution(DEC_NAN, 0.25, 0.25, 0.25), DomainError, "p_pp"),
+    *((lambda p=p, r=r: p.mass_within(r), DomainError, "r must be a number")
+      for p in (BALL, TABLE) for r in ("a", None, 1 + 0j, DEC_NAN, DEC_SNAN)),
 ]
 
 
@@ -218,6 +224,13 @@ RAW_ERROR_CALLS = [
 def test_bad_arguments_raise_typed_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("profile", [BALL, TABLE], ids=["uniform", "table"])
+def test_mass_within_reads_an_exact_number_in_range_as_a_float(profile):
+    for r in (Decimal("1.5"), Fraction(3, 2)):
+        got = profile.mass_within(r)
+        assert type(got) is float and got == profile.mass_within(1.5), (r, got)
 
 
 TYPED_ERRORS = (DomainError, ProfileError, UndefinedConditionalError, ConvergenceError)
@@ -257,6 +270,14 @@ def _metric(g) -> bool:
     return len(g) == 4 and all(math.isfinite(x) for x in g) and g[0] < 0.0 < g[1] and min(g[2:]) >= 0.0
 
 
+def ball_mass_within(r):
+    return BALL.mass_within(r)
+
+
+def table_mass_within(r):
+    return TABLE.mass_within(r)
+
+
 # constructor or function -> (number of arguments, the invariant of its result)
 INVARIANTS = {
     Angle: (1, lambda a: math.isfinite(a.radians)),
@@ -269,6 +290,8 @@ INVARIANTS = {
     JointDistribution: (4, lambda d: _probabilities(d.probabilities())),
     UnitsConfig: (2, lambda u: 0.0 < u.G < INF and 0.0 < u.c * u.c < INF),
     MassProfile: (2, lambda p: 0.0 < p.mass < INF and 0.0 < p.radius < INF),
+    ball_mass_within: (1, lambda m: type(m) is float and 0.0 <= m <= 1.0),
+    table_mass_within: (1, lambda m: type(m) is float and 0.0 <= m <= 1.0),
     JunctionConfig: (2, lambda j: 0.0 < j.chi0 < math.pi and 0.0 < j.scale_factor < INF),
     MassRatioResult: (1, lambda r: r.ratio >= 1.0),
     RunStats: (1, _run_stats),
