@@ -270,10 +270,9 @@ def cmd_ensemble(args: argparse.Namespace) -> _Output:
 
 
 def cmd_chsh(args: argparse.Namespace) -> _Output:
+    state = BellState.from_label(args.state)  # in every mode, as the manifest echoes the label
     if args.mode == "classical-max":
         return _one_row({"mode": args.mode, "value": chsh_classical_max()}, strategies=16)
-
-    state = BellState.from_label(args.state)
     if args.mode == "analytic-max":
         value, best = chsh_quantum_max(state)
         angles = {f"{k}_rad": getattr(best, k).radians for k in ("alice", "alice_prime", "bob", "bob_prime")}
