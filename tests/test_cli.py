@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -159,6 +160,13 @@ class TestCHSH:
         data = run_json(capsys, "chsh", "--mode", "classical-max")["data"]
         assert data["value"] == 2.0
         assert data["strategies"] == 16
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("mode", ["classical-max", "analytic-max", "scan", "empirical"])
+    def test_unknown_state_is_rejected_in_every_mode(self, capsys, fmt, mode):
+        rc, out, err = run_cli(capsys, "--format", fmt, "chsh", "--mode", mode, "--state", "nope")
+        assert (rc, out) == (3, "")
+        assert err.startswith("error:") and "nope" in err
 
     def test_analytic_max(self, capsys):
         data = run_json(capsys, "chsh", "--mode", "analytic-max", "--state", "singlet")["data"]
@@ -342,9 +350,8 @@ class TestGrmass:
         rc, out, _ = run_cli(capsys, "--format", fmt, "grmass", "binding", "--uniform", "--mass", mass,
                              "--compactness", "0.5", "--geometrized")
         assert rc == 0
-        rows = _rows(fmt, out)
-        assert [repr(row["ratio"]) for row in rows] == [ratio]
-        _check_grmass(["grmass", "binding"], rows)
+        assert [repr(row["ratio"]) for row in _rows(fmt, out)] == [ratio]
+        _check_grmass(["grmass", "binding"], fmt, out)
 
     @pytest.mark.parametrize("flags", [
         ["--mass", "5"], ["--radius", "2"], ["--compactness", "0.5"], ["--mass", "5", "--compactness", "0.5"],
@@ -866,7 +873,8 @@ def _command(*head: str, parts=()):
     return st.tuples(*parts).map(lambda ps: [*head, *itertools.chain.from_iterable(ps)])
 
 
-_TRIALS = _flag("n", st.integers(-1, 20))
+# small runs, and runs large enough that the Bernstein bound on a mean is tighter than its range
+_TRIALS = _flag("n", st.one_of(st.integers(-1, 20), st.integers(21, 10**6)))
 _SEED = _maybe(_flag("seed", st.integers(-1, 2**64)))
 _STATE = _maybe(_flag("state", st.sampled_from(("singlet", "psi+", "phi+", "phi-", "nope"))))
 _GEOMETRIZED = st.sampled_from(([], ["--geometrized"]))
@@ -877,7 +885,11 @@ FUZZ = {
     "bell": _command("bell", parts=(
         _STATE, _angle(), _maybe(_flag("plane", st.sampled_from(("xy", "zx", "zy")))), _maybe(_TRIALS), _SEED,
     )),
-    "ensemble": _command("ensemble", parts=(_angle(), _flag("n", st.integers(-1, 24)))),
+    # angles whose cos^2(theta/2) is a small fraction, so that some calls exit 0
+    "ensemble": _command("ensemble", parts=(
+        st.one_of(_angle(), _flag("theta-deg", st.sampled_from((60.0, 90.0, 120.0, 180.0)))),
+        _flag("n", st.integers(-1, 24)),
+    )),
     "chsh": _command("chsh", parts=(
         _flag("mode", st.sampled_from(("analytic-max", "classical-max", "scan", "empirical"))), _STATE,
         _maybe(_flag("resolution-deg", st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(1.0, 720.0)))),
@@ -952,6 +964,40 @@ def _flag_value(argv: list[str], name: str, default: str) -> str:
     return next((arg.split("=", 1)[1] for arg in argv if arg.startswith(f"--{name}=")), default)
 
 
+def _theta(argv: list[str]) -> float:
+    """The angle in radians that --theta-deg or --theta-rad gives."""
+    degrees = _flag_value(argv, "theta-deg", "")
+    return math.radians(float(degrees)) if degrees else float(_flag_value(argv, "theta-rad", ""))
+
+
+# Bernstein bound on |sample mean - mean| for n draws of +/-1 values, which
+# fails by chance with probability at most 1e-9, as perfbench/oracles.py's
+# mc_tolerance gives it
+MC_LOG_TERM = math.log(2.0 / 1e-9)
+
+
+def mc_tolerance(n: int, mean: float) -> float:
+    var = max(1.0 - mean * mean, 0.0)
+    lin = 4.0 * MC_LOG_TERM / 3.0
+    return (lin + math.sqrt(lin * lin + 8.0 * n * MC_LOG_TERM * var)) / (2.0 * n)
+
+
+def _check_run(run: dict, n: int, mean: float) -> None:
+    """A Monte Carlo run of n trials: stderr = sqrt((1 - mean^2)/(n - 1)),
+    0 at n = 1, and the mean within the Bernstein bound of the exact `mean`."""
+    assert run["n"] == n, run
+    stderr = math.sqrt((1.0 - run["mean"] * run["mean"]) / (n - 1)) if n > 1 else 0.0
+    assert abs(run["stderr"] - stderr) <= 1e-12, (run, stderr)
+    assert abs(run["mean"] - mean) <= mc_tolerance(n, mean), (run, mean)
+
+
+def _mc_run(row: dict) -> dict | None:
+    """The Monte Carlo block of a row, nested in JSON and flat in CSV, or None."""
+    if "mc_n" in row:
+        return {key: row[f"mc_{key}"] for key in ("n", "mean", "stderr")}
+    return row.get("mc")
+
+
 # the symmetry planes (e1, e2), and each Bell state's correlation tensor
 # T_ij = <psi| sigma_i (x) sigma_j |psi>, which is diagonal, with its own plane
 PLANE_AXES = {
@@ -977,31 +1023,40 @@ def bell_correlation(state: str, plane: str, alpha: float, beta: float) -> float
     return math.fsum(x * t * y for x, t, y in zip(a, BELL_TENSORS[state][0], b))
 
 
-def _check_spin(argv: list[str], rows: list[dict]) -> None:
-    """p_up = cos^2(theta/2) for spin up measured at theta, and p_up + p_down = 1."""
-    for row in rows:
+def _check_spin(argv: list[str], fmt: str, out: str) -> None:
+    """p_up = cos^2(theta/2) for spin up measured at theta, and p_up + p_down = 1;
+    a Monte Carlo run has --n trials and averages to the expectation."""
+    for row in _rows(fmt, out):
         assert abs(row["p_up"] - math.cos(row["theta_rad"] / 2.0) ** 2) <= QUANTUM_TOL, row
         assert abs(row["p_up"] + row["p_down"] - 1.0) <= QUANTUM_TOL, row
+        if (run := _mc_run(row)) is not None:
+            _check_run(run, int(_flag_value(argv, "n", "")), row["expectation"])
 
 
-def _check_bell(argv: list[str], rows: list[dict]) -> None:
+def _check_bell(argv: list[str], fmt: str, out: str) -> None:
     """p(i, j) = (1 + i j E)/4 with E = a^T T b for a at 0 and b at theta in
-    the plane given; Bob's mean is E given Alice up, -E given Alice down."""
-    for row in rows:
+    the plane given; Bob's mean is E given Alice up, -E given Alice down; a
+    Monte Carlo run has --n trials and averages to E."""
+    for row in _rows(fmt, out):
         e = bell_correlation(row["state"], row["plane"], 0.0, row["theta_rad"])
         for name, ij in (("p_pp", 1), ("p_pm", -1), ("p_mp", -1), ("p_mm", 1)):
             assert abs(row[name] - (1.0 + ij * e) / 4.0) <= QUANTUM_TOL, row
         assert abs(row["correlation"] - e) <= QUANTUM_TOL, row
         assert abs(row["conditional_given_up"] - e) <= QUANTUM_TOL, row
         assert abs(row["conditional_given_down"] + e) <= QUANTUM_TOL, row
+        if (run := _mc_run(row)) is not None:
+            _check_run(run, int(_flag_value(argv, "n", "")), e)
 
 
-def _check_chsh(argv: list[str], rows: list[dict]) -> None:
+def _check_chsh(argv: list[str], fmt: str, out: str) -> None:
     """classical-max is 2; analytic-max is 2 sqrt 2, and S at its angles; the
     scan a = 0, b = t, a' = 2t, b' = 3t in the state's plane is
-    +-(3 cos t - cos 3t); an estimate lies in [-4, 4] with a finite stderr."""
+    +-(3 cos t - cos 3t); an estimate lies in [-4, 4] with a finite stderr,
+    and in JSON it is m0 - m1 + m2 + m3 over four runs of --n trials at
+    a, a', b, b' = 0, 90, 45, 135 degrees, with stderr sqrt(0.0 + sum s_i^2)."""
+    rows = _rows(fmt, out)
     mode = _flag_value(argv, "mode", "")
-    if mode == "classical-max":  # no state enters, so --state is not read
+    if mode == "classical-max":  # --state is checked, but no state enters the local bound
         assert [row["value"] for row in rows] == [2.0], rows
         return
     label = _flag_value(argv, "state", "singlet")
@@ -1021,12 +1076,25 @@ def _check_chsh(argv: list[str], rows: list[dict]) -> None:
         else:
             assert mode == "empirical", argv
             assert -4.0 <= row["value"] <= 4.0 and 0.0 <= row["stderr"] < math.inf, row
+            n = int(_flag_value(argv, "n", "100000"))
+            assert row["n_per_pair"] == n, row
+            if fmt == "csv":  # the terms are in JSON only
+                continue
+            a, a_prime, b, b_prime = (math.radians(d) for d in (0.0, 90.0, 45.0, 135.0))
+            pairs = ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
+            assert len(row["terms"]) == 4, row
+            for term, pair in zip(row["terms"], pairs):
+                _check_run(term, n, e(*pair))
+            m0, m1, m2, m3 = (term["mean"] for term in row["terms"])
+            s0, s1, s2, s3 = (term["stderr"] for term in row["terms"])
+            assert row["value"] == m0 - m1 + m2 + m3, row
+            assert row["stderr"] == math.sqrt(0.0 + s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3), row
 
 
-def _check_grmass(argv: list[str], rows: list[dict]) -> None:
+def _check_grmass(argv: list[str], fmt: str, out: str) -> None:
     """The closed-form invariants of a ratio, ratio-curve or binding row."""
     command = argv[1]
-    for row in rows:
+    for row in _rows(fmt, out):
         assert row["ratio"] >= 1.0, row
         if command in ("ratio", "ratio-curve"):
             want = dust_cap_ratio(row["chi0"])
@@ -1040,11 +1108,52 @@ def _check_grmass(argv: list[str], rows: list[dict]) -> None:
             assert abs(row["proper_mass"] - want) <= RATIO_RTOL * want + math.ulp(want), row
 
 
-# FUZZ command -> the closed forms its exit-0 rows hold; ensemble and metric have none yet
+def _check_ensemble(argv: list[str], fmt: str, out: str) -> None:
+    """bob_up + bob_down = n with bob_up/n within 1e-12 of cos^2(theta/2),
+    the exact Fraction average, and the trials: bob_up rows of Bob +1, then
+    -1 rows; in CSV the last row is `average,,<fraction>`."""
+    n = int(_flag_value(argv, "n", ""))
+    if fmt == "json":
+        data = json.loads(out)["data"]
+        theta, ups, downs = data["theta_rad"], data["bob_up"], data["bob_down"]
+        assert data["n"] == n, data
+        average = Fraction(ups - downs, n)
+        assert data["average"] == str(average) and data["average_float"] == float(average), data
+        trials = [(t["index"], t["alice"], t["bob"]) for t in data["trials"]]
+    else:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["index", "alice", "bob"], rows[0]
+        *body, last = rows[1:]
+        theta, ups = _theta(argv), sum(bob == "+1" for _, _, bob in body)
+        downs = len(body) - ups
+        average = Fraction(ups - downs, n)
+        assert last == ["average", "", str(average)], last
+        trials = [(int(index), alice, bob) for index, alice, bob in body]
+    assert ups + downs == n, (ups, downs, n)
+    assert abs(Fraction(ups, n) - Fraction(math.cos(theta / 2.0) ** 2)) <= 1e-12, (ups, n, theta)
+    assert trials == [(i, "+1", "+1" if i < ups else "-1") for i in range(n)], trials
+
+
+def _check_metric(argv: list[str], fmt: str, out: str) -> None:
+    """g_tt = -c c and g_chichi = a a exactly, c = 1 with --geometrized and
+    299792458 otherwise; g_thetatheta = a^2 sin^2 chi and
+    g_phiphi = a^2 sin^2 chi sin^2 theta to 1e-12 a^2."""
+    c = 1.0 if "--geometrized" in argv else 299792458.0
+    for row in _rows(fmt, out):
+        a2 = row["scale_factor"] * row["scale_factor"]
+        s_chi, s_theta = math.sin(row["chi_rad"]), math.sin(row["theta_rad"])
+        assert row["g_tt"] == -(c * c) and row["g_chi_chi"] == a2, row
+        assert abs(row["g_theta_theta"] - a2 * s_chi * s_chi) <= 1e-12 * a2, row
+        assert abs(row["g_phi_phi"] - a2 * s_chi * s_chi * s_theta * s_theta) <= 1e-12 * a2, row
+
+
+# FUZZ command -> the closed forms its exit-0 output holds
 ORACLES = {
     "spin": _check_spin,
     "bell": _check_bell,
+    "ensemble": _check_ensemble,
     "chsh": _check_chsh,
+    "metric": _check_metric,
     **dict.fromkeys(("ratio", "ratio-curve", "binding", "binding-uniform"), _check_grmass),
 }
 
@@ -1055,8 +1164,8 @@ ORACLES = {
 def test_fuzz_ends_in_a_documented_way(tmp_path, monkeypatch, command, data):
     """Every call exits 0, 2, 3 or 4, the same in both formats, and prints
     either nothing or valid output with only finite numbers; the numbers
-    of spin, bell, chsh, ratio, ratio-curve and binding hold their closed
-    forms."""
+    of every command hold their closed forms, and its Monte Carlo runs
+    their statistics."""
     argv = data.draw(FUZZ[command])
     if "--profile" in argv:
         values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(0.0, 10.0))
@@ -1078,5 +1187,5 @@ def test_fuzz_ends_in_a_documented_way(tmp_path, monkeypatch, command, data):
         else:
             _assert_finite_csv(out)
         if rc == 0 and command in ORACLES:
-            ORACLES[command](argv, _rows(fmt, out))
+            ORACLES[command](argv, fmt, out)
     assert len(codes) == 1, argv
