@@ -162,8 +162,10 @@ class MassProfile(_Value):
         a positive final mass. A column is a one-dimensional sequence, such
         as a list or a numpy array, of values that float() reads.
         """
+        if any(isinstance(v, (str, bytes)) or getattr(v, "ndim", 1) != 1 for v in (r, m)):
+            raise ProfileError(_NOT_A_COLUMN)
         try:
-            r, m = _column(r), _column(m)
+            r, m = list(map(float, r)), list(map(float, m))
         except OverflowError:  # an int or Fraction beyond the float range
             raise ProfileError(_NON_FINITE) from None
         except NOT_A_NUMBER:
@@ -191,13 +193,6 @@ class MassProfile(_Value):
 _NOT_A_COLUMN = "r and M must be sequences of numbers, one-dimensional and the same length"
 _NON_FINITE = "profile table contains non-finite values"
 _OVERFLOWING_CUBIC = "the cubic through the table overflows a float"
-
-
-def _column(values) -> list[float]:
-    """A table column as floats; TypeError for a string or an array that is not one-dimensional."""
-    if isinstance(values, (str, bytes)) or getattr(values, "ndim", 1) != 1:
-        raise TypeError("not a column")
-    return list(map(float, values))
 
 
 def _div(a: float, b: float) -> float:
@@ -252,8 +247,12 @@ def _pchip_floats(x: list[float], y: list[float]) -> tuple[tuple[float, ...], tu
         for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]), (-1, h[-1], h[-2], m[-1], m[-2])):
             d[end] = max(((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1), 0.0)
     t = [(d[i] + d[i + 1] - 2 * m[i]) / h[i] for i in range(len(h))]
-    c = (tuple(t[i] / h[i] for i in range(len(h))), tuple((m[i] - d[i]) / h[i] - t[i] for i in range(len(h))),
-         tuple(d[:-1]), tuple(y[:-1]))
+    c = (
+        tuple(t[i] / h[i] for i in range(len(h))),
+        tuple((m[i] - d[i]) / h[i] - t[i] for i in range(len(h))),
+        tuple(d[:-1]),
+        tuple(y[:-1]),
+    )
     if not all(math.isfinite(v) for row in c for v in row):
         raise ProfileError(_OVERFLOWING_CUBIC)
     return tuple(x), c
