@@ -246,7 +246,9 @@ class TestProfiles:
     @pytest.mark.parametrize("r, m", [
         ([0.0, 1.0, 2.0], [0.0, 1.0]),
         ([[0.0, 1.0], [0.0, 2.0]], [[0.0, 1.0], [0.0, 1.0]]),
-    ], ids=["unequal-lengths", "two-dimensional"])
+        (np.array([[0.0], [1.0]]), [0.0, 1.0]),
+        ("0123", "0123"),
+    ], ids=["unequal-lengths", "two-dimensional", "column-array", "string"])
     def test_table_must_be_one_dimensional_with_equal_lengths(self, r, m):
         with pytest.raises(ProfileError, match="one-dimensional and the same length"):
             MassProfile.from_table(r, m)
@@ -676,7 +678,8 @@ class TestPlainFloatRoute:
             "    assert MassProfile.from_table([*map(kind, r)], [*map(kind, m)]).spline == want, kind\n"
             "mixed = MassProfile.from_table([0, Fraction(1, 2), Decimal(1), '2'], [False, 0.125, True, '1']).spline\n"
             "assert mixed == want, mixed\n"
-            "assert MassProfile.from_table([0.0, True], [0, True]).spline == MassProfile.from_table([0.0, 1.0], [0.0, 1.0]).spline\n"
+            "two_rows = MassProfile.from_table([0.0, 1.0], [0.0, 1.0]).spline\n"
+            "assert MassProfile.from_table([0.0, True], [0, True]).spline == two_rows\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
