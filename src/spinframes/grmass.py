@@ -213,7 +213,7 @@ def _pchip_coefficients(r: list[float], masses: list[float]) -> tuple[np.ndarray
     import numpy as np
 
     x, y = np.array(r), np.array(masses)
-    with np.errstate(all="ignore"):  # an overflow is caught just below
+    with np.errstate(all="ignore"):  # a coefficient that is not finite is caught just below
         h = np.diff(x)
         m = np.diff(y) / h
         d = np.zeros_like(y)
