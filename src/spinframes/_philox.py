@@ -19,9 +19,9 @@ A port of what `numpy.random.Generator(Philox(SeedSequence(seed)))
 
 Where C gives an IEEE result and Python's math module raises (a log of 0,
 the square root of a negative number, an exp that overflows), the port
-spells out the IEEE value. `montecarlo` draws counts with this module only
-for n <= 2**53, where the C code's int64 arithmetic cannot overflow and each
-of its conversions to a double rounds as Python's does.
+spells out the IEEE value. `montecarlo` takes n only up to 2**53, where the
+C code's int64 arithmetic cannot overflow and each of its conversions to a
+double rounds as Python's does.
 """
 from __future__ import annotations
 

@@ -96,20 +96,14 @@ class UnitsConfig(_Value):
 class MassProfile(_Value):
     """Cumulative mass M(r) of a spherical body on [0, R].
 
-    M(r) is nondecreasing with M(0) = 0 and M(R) = the total dynamic
-    mass. A tabulated profile holds its `spline`: the knots x and the
-    coefficients c of the cubic ((c[0] u + c[1]) u + c[2]) u + c[3] in
-    u = r - x[i] on piece i. A uniform ball has no spline. Equality is
-    identity.
-
-    `from_table` runs one sequence of checks on the floats of its columns,
-    whatever their type; then the route picks only the kernel that builds
-    the cubic, and with it the spline's type. In a process that has loaded
-    numpy the spline holds numpy arrays (x, and c of shape (4, pieces));
-    in one that has not, such as a CLI run, it holds tuples (x, and c as
-    four rows). `mass_within` reads both with one `bisect` lookup;
-    `proper_mass_integral` evaluates in the spline's type. Both routes give
-    the same numbers and the same errors, bit for bit.
+    M(r) is nondecreasing with M(0) = 0 and M(R) = the total dynamic mass.
+    A table holds its `spline`: the knots x and the coefficients c of the
+    cubic ((c[0] u + c[1]) u + c[2]) u + c[3] in u = r - x[i] on piece i,
+    as numpy arrays (c of shape (4, pieces)) if `from_table` ran with numpy
+    loaded, or else as tuples (c as four rows); the constructor takes no
+    other spline. Both give the same numbers and errors, bit for bit: one
+    search in plain floats finds every horizon, and numpy only screens the
+    pieces for it. A uniform ball has no spline. Equality is identity.
     """
 
     __slots__ = ("mass", "radius", "spline")
@@ -126,6 +120,8 @@ class MassProfile(_Value):
             raise ProfileError(f"total mass must be positive, got {mass!r}")
         if not positive_radius:
             raise ProfileError(f"radius must be positive, got {radius!r}")
+        if spline is not None and not _is_spline(spline, radius):
+            raise ProfileError("spline must be knots from 0.0 to the radius and four coefficient rows, as from_table builds")
         _set(self, "mass", mass)
         _set(self, "radius", radius)
         _set(self, "spline", spline)
@@ -160,16 +156,25 @@ class MassProfile(_Value):
 
         Needs r strictly increasing from 0, M nondecreasing from 0, and
         a positive final mass. A column is a one-dimensional sequence, such
-        as a list or a numpy array, of values that float() reads.
+        as a list or a numpy array, of real values that float() reads.
         """
         if any(isinstance(v, (str, bytes)) or getattr(v, "ndim", 1) != 1 for v in (r, m)):
             raise ProfileError(_NOT_A_COLUMN)
+        np = sys.modules.get("numpy")
         try:
+            r, m = (v.tolist() if np and isinstance(v, np.ndarray) else list(v) for v in (r, m))
+            if np and any(issubclass(t, np.complexfloating) for t in {*map(type, r), *map(type, m)}):
+                raise TypeError  # float() reads a numpy complex as its real part, after a ComplexWarning
             r, m = list(map(float, r)), list(map(float, m))
         except OverflowError:  # an int or Fraction beyond the float range
             raise ProfileError(_NON_FINITE) from None
         except NOT_A_NUMBER:
             raise ProfileError(_NOT_A_COLUMN) from None
+        return cls._from_floats(r, m)
+
+    @classmethod
+    def _from_floats(cls, r: list[float], m: list[float]) -> "MassProfile":
+        """`from_table` on lists of floats, as `load_profile_csv` reads them."""
         if len(r) != len(m):
             raise ProfileError(_NOT_A_COLUMN)
         if len(r) < 2:
@@ -186,13 +191,28 @@ class MassProfile(_Value):
         if not all(map(operator.le, m, m[1:])):
             i = next(i for i in range(1, len(m)) if not m[i - 1] <= m[i])
             raise ProfileError(f"mass must be nondecreasing (row {i + 1})")
-        spline = (_pchip_coefficients if _numpy_loaded() else _pchip_floats)(r, m)
-        return cls(m[-1], r[-1], spline)
+        profile = cls(m[-1], r[-1])  # a spline built from checked columns is not checked again
+        _set(profile, "spline", (_pchip_coefficients if _numpy_loaded() else _pchip_floats)(r, m))
+        return profile
 
 
 _NOT_A_COLUMN = "r and M must be sequences of numbers, one-dimensional and the same length"
 _NON_FINITE = "profile table contains non-finite values"
 _OVERFLOWING_CUBIC = "the cubic through the table overflows a float"
+
+
+def _is_spline(spline, radius: float) -> bool:
+    """Whether `spline` has one of the two forms that `from_table` builds."""
+    array = getattr(sys.modules.get("numpy"), "ndarray", ())  # isinstance(v, ()) is False
+    try:
+        x, c = spline
+        if isinstance(x, array) and isinstance(c, array) and x.ndim == 1 and c.ndim == 2:
+            x, c = tuple(x.tolist()), tuple(map(tuple, c.tolist()))
+        return (type(c) is tuple and len(c) == 4 and all(type(v) is tuple and len(v) == len(x) - 1 for v in (x[1:], *c))
+                and all(type(v) is float and math.isfinite(v) for row in (x, *c) for v in row)
+                and x[0] == 0.0 and x[-1] == radius and all(map(operator.lt, x, x[1:])))
+    except (TypeError, ValueError):  # no pair
+        return False
 
 
 def _div(a: float, b: float) -> float:
@@ -294,7 +314,7 @@ def load_profile_csv(path: str) -> MassProfile:
         except csv.Error as exc:  # such as a field longer than csv's limit of 131072 characters
             raise ProfileError(f"{path}: line {reader.line_num}: {exc}") from None
     try:
-        return MassProfile.from_table(rs, ms)
+        return MassProfile._from_floats(rs, ms)
     except ProfileError as exc:
         raise ProfileError(f"{path}: {exc}") from None
 
@@ -356,38 +376,20 @@ def _cubic(c, u):
     return ((c[0] * u + c[1]) * u + c[2]) * u + c[3]
 
 
-def _check_no_horizon(x: np.ndarray, c: np.ndarray, k: float) -> None:
-    """Raise DomainError where 1 - k M(r)/r <= 0, M the cubic spline (x, c)."""
-    import numpy as np
-
-    with np.errstate(all="ignore"):  # an overflowing root is dropped, an overflowing k M(r) is a horizon
-        if k * c[2, 0] >= 1.0:  # k M(r)/r tends to k M'(0) at r = 0
-            raise DomainError(_HORIZON.format(0.0))
-        # r - k M(r) is a cubic in u = r - x_i on piece i, so its minimum is at
-        # a knot or at a real root of its derivative 1 - k M'(r)
-        a, b, q = 3.0 * k * c[0], 2.0 * k * c[1], k * c[2] - 1.0
-        s = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * q), b))
-        u = np.concatenate([np.diff(x), s / a, q / s])
-        piece = np.tile(np.arange(len(x) - 1), 3)
-        keep = (u > 0.0) & (u <= np.diff(x)[piece])  # nan for complex roots fails both
-        piece, u = piece[keep], u[keep]
-        bad = x[piece] + u - k * _cubic(c[:, piece], u) <= 0.0
-    if bad.any():
-        raise DomainError(_HORIZON.format(float((x[piece] + u)[bad].min())))
-
-
-def _check_no_horizon_floats(x: tuple[float, ...], c: tuple[tuple[float, ...], ...], k: float) -> None:
-    """`_check_no_horizon` in plain floats, with numpy's inf and nan results."""
-    if k * c[2][0] >= 1.0:
-        raise DomainError(_HORIZON.format(0.0))
+def _check_no_horizon(pieces, k: float) -> None:
+    """The horizon search of both routes, in plain floats with numpy's inf and nan results: raise
+    DomainError at the least r where 1 - k M(r)/r <= 0 on the pieces (x_i, x_i+1, c0, c1, c2, c3)."""
     bad = []
-    for i, cp in enumerate(zip(*c)):
-        width = x[i + 1] - x[i]
-        a, b, q = 3.0 * k * cp[0], 2.0 * k * cp[1], k * cp[2] - 1.0
+    for xi, xj, c0, c1, c2, c3 in pieces:
+        if xi == 0.0 and k * c2 >= 1.0:  # k M(r)/r tends to k M'(0) at r = 0
+            raise DomainError(_HORIZON.format(0.0))
+        # r - k M(r) is a cubic in u = r - x_i, least at a knot or at a real root of 1 - k M'(r)
+        width = xj - xi
+        a, b, q = 3.0 * k * c0, 2.0 * k * c1, k * c2 - 1.0
         s = -0.5 * (b + math.copysign(_sqrt(b * b - 4.0 * a * q), b))
         for u in (width, _div(s, a), _div(q, s)):
-            if 0.0 < u <= width and x[i] + u - k * _cubic(cp, u) <= 0.0:
-                bad.append(x[i] + u)
+            if 0.0 < u <= width and xi + u - k * (((c0 * u + c1) * u + c2) * u + c3) <= 0.0:  # M by Horner's rule
+                bad.append(xi + u)
     if bad:
         raise DomainError(_HORIZON.format(min(bad)))
 
@@ -432,6 +434,7 @@ def _integrate_table(x, c, k: float) -> float:
     """The adaptive loop of both routes. A segment (piece i, start, width) lies
     in u = r - x_i, which stays exact on thin pieces far from r = 0; round 1
     passes None, the whole pieces, so a table that converges at once builds no tuples."""
+    k = float(k)  # G and c may be numpy floats, whose division by zero warns where a float's raises
     evaluate = (_float_evaluator if isinstance(x, tuple) else _numpy_evaluator)(x, c, k)
     segments, previous, stalls = None, math.inf, 0
     value = spent = 0.0  # sums over the accepted segments
@@ -462,9 +465,18 @@ def _numpy_evaluator(x: np.ndarray, c: np.ndarray, k: float):
     """Each segment's 10-point value and its gap to the 5-point value, from all 15 nodes at once."""
     import numpy as np
 
-    _check_no_horizon(x, c, k)
+    # numpy only screens for the search: with P = ((|c0| w + |c1|) w + |c2|) w + |c3| on a piece
+    # of width w, |fl(M(u))| <= (1 + gamma_6) P for 0 < u <= w (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., 5.1), so the search cannot flag a piece with x_i > k P (1 + 2^-20).
+    # The floors keep every step out of the subnormal range, where that bound fails; a nan clears nothing.
+    widths = np.diff(x)
+    with np.errstate(all="ignore"):
+        bound = _cubic(np.abs(c), widths)
+        clear = (x[:-1] > k * bound * (1.0 + 2.0**-20)) & (bound >= 2.0**-1000) & (k * bound >= 2.0**-1000)
+    kept = np.flatnonzero(~clear)
+    _check_no_horizon(zip(x[kept].tolist(), x[kept + 1].tolist(), *c[:, kept].tolist()), k)
     nodes, weights = np.array(_NODES)[:, None] + 1.0, np.array(_WEIGHTS)[:, None]  # row j for node j
-    whole = np.arange(len(x) - 1), np.zeros(len(x) - 1), np.diff(x)
+    whole = np.arange(len(x) - 1), np.zeros(len(x) - 1), widths
 
     def evaluate(segments):
         piece, start, width = whole if segments is None else map(np.array, zip(*segments))
@@ -482,8 +494,7 @@ def _numpy_evaluator(x: np.ndarray, c: np.ndarray, k: float):
 def _float_evaluator(x: tuple[float, ...], c: tuple[tuple[float, ...], ...], k: float):
     """The numpy evaluator in plain floats: the same terms in the same order,
     each rule summed left to right, and numpy's inf and nan results."""
-    k = float(k)  # G and c may be numpy floats, whose division by zero warns where a float's raises
-    _check_no_horizon_floats(x, c, k)
+    _check_no_horizon(zip(x, x[1:], *c), k)
     pieces = list(zip(*c))
     rules = [[(node + 1.0, weight) for node, weight in zip(_NODES[a:b], _WEIGHTS[a:b])] for a, b in ((0, 10), (10, 15))]
     whole = [(i, 0.0, x[i + 1] - x[i]) for i in range(len(x) - 1)]

@@ -13,12 +13,11 @@ exchangeable order with fixed counts is uniform.
 
 The four term seeds of `empirical_chsh` come from the plain-Python port
 of numpy's SeedSequence in the private `_philox` module on every route.
-Only the counts come by one of two routes, with the same result, bit for
-bit. A process that has not loaded numpy (a CLI process) draws them with
-the port's Philox and multinomial when records are off and n <= 2**53,
-so it never imports numpy. Otherwise they come from numpy's Generator,
-which records always need for the stream that follows the multinomial.
-The route moves time, never bytes.
+Only the counts, for n up to 2**53, come by one of two routes, with the
+same bits: a process that has not loaded numpy (a CLI process) draws them
+with the port's Philox and multinomial when records are off, so it never
+imports numpy; otherwise numpy's Generator draws them, as records need
+its stream after the multinomial. The route moves time, never bytes.
 """
 from __future__ import annotations
 
@@ -46,11 +45,8 @@ RNG_DISCIPLINE = "philox:seedsequence:multinomial-counts"
 
 _MAX_SEED = 2**64 - 1
 
-# Generator.multinomial takes n as a C long
-_MAX_TRIALS = 2**63 - 1
-
-# largest n the plain-Python route draws: every n it converts to a float converts exactly
-_MAX_PLAIN_TRIALS = 2**53
+# largest n that both routes draw alike: every n the port converts to a float converts exactly
+_MAX_TRIALS = 2**53
 
 # resolution of the per-trial labels that _arrange cuts at the counted shares
 _LABEL_BITS = 16
@@ -164,7 +160,7 @@ def _draw(pvals, n: int, seed: int, keep_records: bool) -> tuple[list[int], np.n
     if not 1 <= n <= _MAX_TRIALS:
         raise DomainError(f"n must lie in [1, {_MAX_TRIALS}], got {n}")
     seed = _check_seed(seed)
-    if not keep_records and n <= _MAX_PLAIN_TRIALS and not _numpy_loaded():
+    if not keep_records and not _numpy_loaded():
         from ._philox import multinomial
 
         return multinomial(n, pvals, seed), None
@@ -187,9 +183,7 @@ def sample_single(
     Outcomes are +/-1 with p_up from the Born rule; the mean converges
     to cos(theta). Records are an int8 array of shape (n,) holding the
     outcomes in trial order; pass keep_records=False to get None instead
-    (the statistics are unchanged). Kept records need numpy; without
-    them a process that has not loaded numpy draws the same counts
-    without it (see the module docstring).
+    (the statistics are unchanged); kept records need numpy.
     """
     dist = projection_probabilities(state, setting)
     counts, labels = _draw([dist.p_up, dist.p_down], n, seed, keep_records)
@@ -209,8 +203,7 @@ def sample_joint(
     +/-1 outcomes per trial); conditional means give Bob's average for
     each value of Alice's outcome. Records are an int8 array of shape
     (n, 2) of (Alice, Bob) outcomes in trial order, or None when
-    keep_records=False; the counts are drawn by either route of the
-    module docstring, with the same result.
+    keep_records=False.
     """
     dist = joint_distribution(state, setting)
     counts, labels = _draw(dist.probabilities(), n, seed, keep_records)

@@ -419,15 +419,15 @@ MC_COMMANDS = {
 @pytest.mark.parametrize("command", sorted(MC_COMMANDS))
 def test_n_bounded_by_the_multinomial_draw(capsys, command):
     argv = MC_COMMANDS[command]
-    rc, out, err = run_cli(capsys, *argv, "--n", str(2**63))
+    rc, out, err = run_cli(capsys, *argv, "--n", str(2**53 + 1))
     assert rc == 3
     assert out == ""
-    assert str(2**63) in err
-    data = run_json(capsys, *argv, "--n", str(2**63 - 1))["data"]
+    assert f"n must lie in [1, {2**53}], got {2**53 + 1}" in err
+    data = run_json(capsys, *argv, "--n", str(2**53))["data"]
     if command == "chsh":
-        assert data["n_per_pair"] == 2**63 - 1
+        assert data["n_per_pair"] == 2**53
     else:
-        assert data["mc"]["n"] == 2**63 - 1
+        assert data["mc"]["n"] == 2**53
 
 
 # sha256 (first 16 hex digits) of stdout in JSON and in CSV, and of stderr,
@@ -704,8 +704,8 @@ def test_array_libraries_load_only_where_needed(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
-    # montecarlo draws without numpy unless records are kept or n passes 2**53,
-    # and numpy's stream then draws the counts
+    # montecarlo draws without numpy unless records are kept, and numpy's
+    # stream then draws the counts; an n past 2**53 is refused on either route
     code = (
         "import sys\n"
         "import spinframes as sf\n"
@@ -716,9 +716,15 @@ def test_array_libraries_load_only_where_needed(tmp_path):
         "assert 'numpy' not in sys.modules, 'draw'\n"
         "if sys.argv[1] == 'records':\n"
         "    sf.sample_single(state, setting, 10, 1)\n"
+        "    assert 'numpy' in sys.modules, 'records'\n"
         "else:\n"
-        "    sf.sample_single(state, setting, 2**53 + 1, 1, keep_records=False)\n"
-        "assert 'numpy' in sys.modules, sys.argv[1]\n"
+        "    try:\n"
+        "        sf.sample_single(state, setting, 2**53 + 1, 1, keep_records=False)\n"
+        "    except sf.DomainError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise AssertionError('n = 2**53 + 1 was drawn')\n"
+        "    assert 'numpy' not in sys.modules, 'n'\n"
     )
     for numpy_draw in ("records", "n"):
         proc = subprocess.run([sys.executable, "-c", code, numpy_draw], capture_output=True, env=_subprocess_env(),
@@ -726,38 +732,49 @@ def test_array_libraries_load_only_where_needed(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
 
 
-def test_golden_bytes_without_numpy(tmp_path):
-    # every pinned command, in a process where any import of numpy raises
-    (tmp_path / "profile.csv").write_text("r,M\n0,0\n0.5,0.025\n1,0.2\n")
+def _digests_without_numpy(python, argvs: list[str], cwd: Path, timeout: float) -> list[str]:
+    """Run each argv through `main` in both formats, in one child process of
+    `python` where any import of numpy raises, and return one line per run:
+    the exit code and the digests of stdout and stderr. The child is a plain
+    script, since the other interpreters have no pytest."""
     code = (
         "import contextlib, hashlib, io, sys\n"
         "sys.modules['numpy'] = None\n"
         "from spinframes.cli import main\n"
         "def sha(text):\n"
         "    return hashlib.sha256(text.encode()).hexdigest()[:16]\n"
-        f"for argv in {[g[0] for g in GOLDEN]!r}:\n"
+        f"for argv in {argvs!r}:\n"
         "    for fmt in ('json', 'csv'):\n"
         "        out, err = io.StringIO(), io.StringIO()\n"
         "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
         "            rc = main(['--format', fmt, *argv.split()])\n"
         "        print(rc, sha(out.getvalue()), sha(err.getvalue()))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), cwd=tmp_path,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
-    got = [line.split() for line in proc.stdout.decode().splitlines()]
+    proc = subprocess.run([str(python), "-c", code], capture_output=True, env=_subprocess_env(), cwd=cwd,
+                          timeout=timeout)
+    assert proc.returncode == 0, (str(python), proc.stderr.decode())
+    return proc.stdout.decode().splitlines()
+
+
+def test_golden_bytes_without_numpy(tmp_path):
+    # every pinned command, in a process where any import of numpy raises
+    (tmp_path / "profile.csv").write_text("r,M\n0,0\n0.5,0.025\n1,0.2\n")
+    got = [line.split() for line in _digests_without_numpy(sys.executable, [g[0] for g in GOLDEN], tmp_path, 120)]
     want = [[str(rc), sha, err_sha] for _, rc, json_sha, csv_sha, err_sha in GOLDEN for sha in (json_sha, csv_sha)]
     assert got == want
 
 
 # seeded commands beyond GOLDEN, for the bytes every supported Python must
 # share: 300 empirical CHSH seeds, whose stderr once moved by an ulp from
-# Python 3.12 on, and seeded spin and bell counts
+# Python 3.12 on, seeded spin and bell counts, and an n past 2**53, which
+# exits 3 on every interpreter
+TOO_MANY_TRIALS = "spin --theta-deg 60 --n 9007199254740993"
 STATES = ("singlet", "psi+", "phi+", "phi-")
 SEEDED_CORPUS = [
     *(f"chsh --mode empirical --state {STATES[s % 4]} --n {(1000, 37, 250000)[s % 3]} --seed {s}" for s in range(300)),
     *(f"spin --theta-deg {7 * s % 180} --n {10 ** (s % 7)} --seed {s}" for s in range(40)),
     *(f"bell --state {STATES[s % 4]} --theta-deg {11 * s % 360} --n {3 ** (s % 12)} --seed {s}" for s in range(40)),
+    TOO_MANY_TRIALS,
 ]
 
 
@@ -776,37 +793,18 @@ def _pyenv_pythons() -> list[Path]:
 
 def test_seeded_bytes_are_the_same_on_every_python(tmp_path):
     # every pinned command and the seeded corpus, with numpy blocked, as
-    # test_golden_bytes_without_numpy runs them: the other interpreters
-    # have no numpy and no pytest, so the child is a plain script
+    # test_golden_bytes_without_numpy runs them
     pythons = _pyenv_pythons()
     if not pythons:
         pytest.skip("no other Python 3.10+ under $PYENV_ROOT/versions")
     (tmp_path / "profile.csv").write_text("r,M\n0,0\n0.5,0.025\n1,0.2\n")
     argvs = [g[0] for g in GOLDEN] + SEEDED_CORPUS
-    code = (
-        "import contextlib, hashlib, io, sys\n"
-        "sys.modules['numpy'] = None\n"
-        "from spinframes.cli import main\n"
-        "def sha(text):\n"
-        "    return hashlib.sha256(text.encode()).hexdigest()[:16]\n"
-        f"for argv in {argvs!r}:\n"
-        "    for fmt in ('json', 'csv'):\n"
-        "        out, err = io.StringIO(), io.StringIO()\n"
-        "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-        "            rc = main(['--format', fmt, *argv.split()])\n"
-        "        print(rc, sha(out.getvalue()), sha(err.getvalue()))\n"
-    )
-
-    def digests(python) -> list[str]:
-        proc = subprocess.run([str(python), "-c", code], capture_output=True, env=_subprocess_env(), cwd=tmp_path,
-                              timeout=300)
-        assert proc.returncode == 0, (str(python), proc.stderr.decode())
-        return proc.stdout.decode().splitlines()
-
-    want = digests(sys.executable)
+    want = _digests_without_numpy(sys.executable, argvs, tmp_path, 300)
     assert len(want) == 2 * len(argvs)
+    too_many = 2 * argvs.index(TOO_MANY_TRIALS)
+    assert [line.split()[0] for line in want[too_many:too_many + 2]] == ["3", "3"]
     for python in pythons:
-        got = digests(python)
+        got = _digests_without_numpy(python, argvs, tmp_path, 300)
         differ = sorted({argvs[i // 2] for i, (a, b) in enumerate(zip(got, want)) if a != b})
         assert (len(got), differ) == (len(want), []), str(python)
 

@@ -58,15 +58,16 @@ class TestSeeds:
             sample_joint(SINGLET, JointSetting.in_plane(ZX_PLANE, Angle(0.0), Angle(0.5)), 0, seed=1)
 
     def test_n_must_fit_the_multinomial_draw(self):
-        with pytest.raises(DomainError):
-            sample_single(UP_STATE, tilted(60.0), 2**63, seed=1, keep_records=False)
+        # 2**53 is the largest n that both routes draw alike
+        with pytest.raises(DomainError, match=r"n must lie in \[1, 9007199254740992\]"):
+            sample_single(UP_STATE, tilted(60.0), 2**53 + 1, seed=1, keep_records=False)
         with pytest.raises(DomainError):
             sample_joint(
-                SINGLET, JointSetting.in_plane(ZX_PLANE, Angle(0.0), Angle(0.5)), 2**63, seed=1,
+                SINGLET, JointSetting.in_plane(ZX_PLANE, Angle(0.0), Angle(0.5)), 2**53 + 1, seed=1,
                 keep_records=False,
             )
-        _, stats = sample_single(UP_STATE, tilted(60.0), 2**63 - 1, seed=1, keep_records=False)
-        assert stats.n == 2**63 - 1
+        _, stats = sample_single(UP_STATE, tilted(60.0), 2**53, seed=1, keep_records=False)
+        assert stats.n == 2**53
         assert abs(stats.mean - 0.5) < 1e-6
 
 
