@@ -121,7 +121,7 @@ class MassProfile(_Value):
         if not positive_radius:
             raise ProfileError(f"radius must be positive, got {radius!r}")
         if spline is not None and not _is_spline(spline, radius):
-            raise ProfileError("spline must be knots from 0.0 to the radius and four coefficient rows, as from_table builds")
+            raise ProfileError("spline must be knots from 0.0 to the radius and four coefficient rows one shorter")
         _set(self, "mass", mass)
         _set(self, "radius", radius)
         _set(self, "spline", spline)
@@ -423,7 +423,7 @@ def proper_mass_integral(profile: MassProfile, units: UnitsConfig = UnitsConfig(
     if profile.spline is None:
         proper = profile.mass * _ball_ratio(profile, units)
     else:
-        k = 2.0 * units.G / (units.c * units.c)
+        k = float(2.0 * units.G / (units.c * units.c))  # a numpy float's 1/0 warns where a float's raises
         proper = max(_integrate_table(*profile.spline, k), profile.mass)  # nan stays nan
     if not math.isfinite(proper):
         raise DomainError(f"proper mass of a profile of mass {profile.mass!r} overflows a float")
@@ -434,7 +434,6 @@ def _integrate_table(x, c, k: float) -> float:
     """The adaptive loop of both routes. A segment (piece i, start, width) lies
     in u = r - x_i, which stays exact on thin pieces far from r = 0; round 1
     passes None, the whole pieces, so a table that converges at once builds no tuples."""
-    k = float(k)  # G and c may be numpy floats, whose division by zero warns where a float's raises
     evaluate = (_float_evaluator if isinstance(x, tuple) else _numpy_evaluator)(x, c, k)
     segments, previous, stalls = None, math.inf, 0
     value = spent = 0.0  # sums over the accepted segments
