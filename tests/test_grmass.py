@@ -255,24 +255,18 @@ class TestProfiles:
         with pytest.raises(ProfileError, match="one-dimensional and the same length"):
             MassProfile.from_table(r, m)
 
-    @pytest.mark.parametrize("r, m", [(["0", "1"], ["0", "x"]), ([[0.0, 1.0], [2.0]], [0.0, 1.0])])
-    def test_table_must_hold_numbers(self, r, m):
-        with pytest.raises(ProfileError, match="numbers"):
-            MassProfile.from_table(r, m)
-
     @pytest.mark.parametrize("r, m", [
+        (["0", "1"], ["0", "x"]),
+        ([[0.0, 1.0], [2.0]], [0.0, 1.0]),
+        # float() would read numpy's complex values as their real parts, after a ComplexWarning
         (np.array([0, 1 + 1j]), [0, 1]),
         ([0, np.complex128(1 + 1j)], [0, 1]),
         ([0.0, 1.0], np.array([0, 1], dtype=np.complex64)),
         (np.array([0.0, np.complex64(1)], dtype=object), [0.0, 1.0]),
-        ([0, 1 + 1j], [0, 1]),
-    ], ids=["complex-array", "numpy-complex", "complex64-array", "complex64-in-object-array", "python-complex"])
-    @pytest.mark.parametrize("plain", [False, True], ids=["numpy", "plain"])
-    def test_table_must_hold_real_numbers(self, r, m, plain):
-        # float() would read numpy's complex values as their real parts, after a ComplexWarning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert table_outcome(r, m, GEOM, plain) == ("ProfileError", PROFILE_ERRORS[0])
+    ])
+    def test_table_must_hold_numbers(self, r, m):
+        with pytest.raises(ProfileError, match="numbers"):
+            MassProfile.from_table(r, m)
 
     @pytest.mark.parametrize("spline", [
         "garbage",
@@ -640,7 +634,7 @@ EDGE_TABLES = [
 
 # values that no table may hold, or that float() reads only past the float range
 WILD_VALUES = [10**400, -(10**400), Fraction(10**400), math.nan, math.inf, Decimal("NaN"), Decimal("sNaN"),
-               Decimal("-Infinity"), "1e400", "x", "", None, 1j, [0.0], (), b"1"]
+               Decimal("-Infinity"), "1e400", "x", "", None, 1j, np.complex128(1), np.complex64(1j), [0.0], (), b"1"]
 # the number types a column may hold, each giving a finite float exactly
 NUMBER_TYPES = [float, Fraction, Decimal, repr, lambda v: int(v) if v.is_integer() else v,
                 lambda v: bool(v) if v in (0.0, 1.0) else v, np.float64, np.float32]
@@ -709,7 +703,8 @@ def _peak_ratio(x: np.ndarray, c: np.ndarray) -> float:
         for _ in range(4):
             u = np.linspace(lo, hi, 1001)
             u = u[u > 0.0]
-            ratio = grmass._cubic(c[:, i], u) / (x[i] + u)
+            with np.errstate(all="ignore"):  # an overflowing M(r) is inf, the largest ratio there is
+                ratio = grmass._cubic(c[:, i], u) / (x[i] + u)
             j = int(np.argmax(ratio))
             best = max(best, float(ratio[j]))
             lo, hi = u[max(j - 1, 0)], u[min(j + 1, len(u) - 1)]
@@ -736,7 +731,7 @@ def _horizon_edge_tables(draw):
     except ProfileError:  # a cubic that overflows, or a total mass that underflows to 0
         peak = 0.0
     G = (1.0 + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.0, 1e-9))) / (2.0 * peak) if peak else 1.0
-    return r, m, UnitsConfig(G=G, c=1.0) if G < math.inf else GEOM
+    return r, m, UnitsConfig(G=G, c=1.0) if 0.0 < G < math.inf else GEOM
 
 
 class TestPlainFloatRoute:
