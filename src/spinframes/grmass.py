@@ -206,7 +206,7 @@ def _is_spline(spline, radius: float) -> bool:
     array = getattr(sys.modules.get("numpy"), "ndarray", ())  # isinstance(v, ()) is False
     try:
         x, c = spline
-        if isinstance(x, array) and isinstance(c, array) and x.ndim == 1 and c.ndim == 2:
+        if isinstance(x, array) and isinstance(c, array) and (x.ndim, c.ndim, x.dtype, c.dtype) == (1, 2, float, float):
             x, c = tuple(x.tolist()), tuple(map(tuple, c.tolist()))
         return (type(c) is tuple and len(c) == 4 and all(type(v) is tuple and len(v) == len(x) - 1 for v in (x[1:], *c))
                 and all(type(v) is float and math.isfinite(v) for row in (x, *c) for v in row)

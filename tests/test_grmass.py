@@ -286,9 +286,10 @@ class TestProfiles:
         (np.array([0.0, 2.0]), np.array([0.0, 0.0, 0.5, 0.0])),
         (np.array([0.0, 2.0]), np.array([[0.0], [0.0], [0.5], [1j]])),
         (np.array([[0.0, 2.0]]), np.array([[0.0], [0.0], [0.5], [0.0]])),
+        (np.array([0.0, 2.0], dtype=np.float32), np.array([[0.0], [0.0], [0.5], [0.0]], dtype=np.float32)),
     ], ids=["string", "float", "empty", "one-field", "three-rows", "long-row", "row-list", "knot-list",
             "string-knot", "string-coefficient", "nan", "knots-end-off-radius", "knots-start-off-zero",
-            "knots-decrease", "one-dimensional-array", "complex-array", "two-dimensional-knots"])
+            "knots-decrease", "one-dimensional-array", "complex-array", "two-dimensional-knots", "float32-arrays"])
     def test_constructor_checks_the_spline(self, spline):
         with pytest.raises(ProfileError, match="spline must be knots"):
             MassProfile(1.0, 2.0, spline)
@@ -663,7 +664,7 @@ def _wild_column(draw, values):
         return array.reshape(1, -1)
     try:
         return array.astype(float)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, np.exceptions.ComplexWarning):  # the suite makes warnings errors
         return array
 
 
