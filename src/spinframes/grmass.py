@@ -170,11 +170,6 @@ class MassProfile(_Value):
             raise ProfileError(_NON_FINITE) from None
         except NOT_A_NUMBER:
             raise ProfileError(_NOT_A_COLUMN) from None
-        return cls._from_floats(r, m)
-
-    @classmethod
-    def _from_floats(cls, r: list[float], m: list[float]) -> "MassProfile":
-        """`from_table` on lists of floats, as `load_profile_csv` reads them."""
         if len(r) != len(m):
             raise ProfileError(_NOT_A_COLUMN)
         if len(r) < 2:
@@ -314,7 +309,7 @@ def load_profile_csv(path: str) -> MassProfile:
         except csv.Error as exc:  # such as a field longer than csv's limit of 131072 characters
             raise ProfileError(f"{path}: line {reader.line_num}: {exc}") from None
     try:
-        return MassProfile._from_floats(rs, ms)
+        return MassProfile.from_table(rs, ms)
     except ProfileError as exc:
         raise ProfileError(f"{path}: {exc}") from None
 
@@ -464,14 +459,12 @@ def _numpy_evaluator(x: np.ndarray, c: np.ndarray, k: float):
     """Each segment's 10-point value and its gap to the 5-point value, from all 15 nodes at once."""
     import numpy as np
 
-    # numpy only screens for the search: with P = ((|c0| w + |c1|) w + |c2|) w + |c3| on a piece
-    # of width w, |fl(M(u))| <= (1 + gamma_6) P for 0 < u <= w (Higham, Accuracy and Stability of
-    # Numerical Algorithms, 2nd ed., 5.1), so the search cannot flag a piece with x_i > k P (1 + 2^-20).
-    # The floors keep every step out of the subnormal range, where that bound fails; a nan clears nothing.
+    # numpy only screens for the search: P = ((|c0| w + |c1|) w + |c2|) w + |c3| on a piece of width w
+    # takes Horner's steps in the search's order, and rounding is monotone and odd, so |fl(M(u))| <= fl(P)
+    # for 0 < u <= w, subnormals and overflow included; the search cannot flag a piece with x_i > k P.
     widths = np.diff(x)
     with np.errstate(all="ignore"):
-        bound = _cubic(np.abs(c), widths)
-        clear = (x[:-1] > k * bound * (1.0 + 2.0**-20)) & (bound >= 2.0**-1000) & (k * bound >= 2.0**-1000)
+        clear = x[:-1] > k * _cubic(np.abs(c), widths)  # False for nan: a nan clears nothing
     kept = np.flatnonzero(~clear)
     _check_no_horizon(zip(x[kept].tolist(), x[kept + 1].tolist(), *c[:, kept].tolist()), k)
     nodes, weights = np.array(_NODES)[:, None] + 1.0, np.array(_WEIGHTS)[:, None]  # row j for node j
