@@ -456,12 +456,13 @@ def _integrate_table(x, c, k: float) -> float:
 
 
 def _numpy_evaluator(x: np.ndarray, c: np.ndarray, k: float):
-    """Each segment's 10-point value and its gap to the 5-point value, from all 15 nodes at once."""
+    """Each segment's 10-point value and its gap to the 5-point value, from all 15 nodes at once.
+    `_check_no_horizon` finds every horizon; numpy only screens out pieces that cannot hold one."""
     import numpy as np
 
-    # numpy only screens for the search: P = ((|c0| w + |c1|) w + |c2|) w + |c3| on a piece of width w
-    # takes Horner's steps in the search's order, and rounding is monotone and odd, so |fl(M(u))| <= fl(P)
-    # for 0 < u <= w, subnormals and overflow included; the search cannot flag a piece with x_i > k P.
+    # P = ((|c0| w + |c1|) w + |c2|) w + |c3| on a piece of width w takes Horner's steps in the search's
+    # order, and rounding is monotone and odd, so |fl(M(u))| <= fl(P) for 0 < u <= w, subnormals and
+    # overflow included; the search cannot flag a piece with x_i > k P.
     widths = np.diff(x)
     with np.errstate(all="ignore"):
         clear = x[:-1] > k * _cubic(np.abs(c), widths)  # False for nan: a nan clears nothing
