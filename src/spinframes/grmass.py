@@ -20,7 +20,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, ProfileError
-from .spin import NOT_A_NUMBER, Angle, _numpy_loaded, _set, _sqrt, _Value
+from .spin import NOT_A_NUMBER, Angle, _numpy_loaded, _real, _set, _sqrt, _Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,19 +74,14 @@ class UnitsConfig(_Value):
     __slots__ = ("G", "c")
 
     def __init__(self, G: float = 6.67430e-11, c: float = 299792458.0):
-        positive = normal = False
-        try:
-            positive = 0.0 < G < math.inf  # False for NaN
-            # k = 2G/c^2 and g_tt = -c^2 need c^2 to be a positive normal float
-            normal = c > 0 and sys.float_info.min <= c * c < math.inf
-        except NOT_A_NUMBER:  # the first argument that is no real number fails its check
-            pass
-        if not positive:
+        g, speed = _real(G), _real(c)  # nan for what is no real number, which fails its check
+        if not 0.0 < g < math.inf:
             raise DomainError(f"G must be positive, got {G!r}")
-        if not normal:
+        # k = 2G/c^2 and g_tt = -c^2 need c^2 to be a positive normal float
+        if not (speed > 0 and sys.float_info.min <= speed * speed < math.inf):
             raise DomainError(f"c must be positive with c^2 in the normal float range, got {c!r}")
-        _set(self, "G", G)
-        _set(self, "c", c)
+        _set(self, "G", g)
+        _set(self, "c", speed)
 
     @classmethod
     def geometrized(cls) -> "UnitsConfig":
@@ -97,48 +92,49 @@ class MassProfile(_Value):
     """Cumulative mass M(r) of a spherical body on [0, R].
 
     M(r) is nondecreasing with M(0) = 0 and M(R) = the total dynamic mass.
-    A table holds its `spline`: the knots x and the coefficients c of the
-    cubic ((c[0] u + c[1]) u + c[2]) u + c[3] in u = r - x[i] on piece i,
-    as numpy arrays (c of shape (4, pieces)) if `from_table` ran with numpy
-    loaded, or else as tuples (c as four rows); the constructor takes no
-    other spline. Both give the same numbers and errors, bit for bit: one
-    search in plain floats finds every horizon, and numpy only screens the
-    pieces for it. A uniform ball has no spline. Equality is identity.
+    Only `from_table` builds a `spline`: the knots x and the coefficients c
+    of the cubic ((c[0] u + c[1]) u + c[2]) u + c[3] in u = r - x[i] on
+    piece i, as numpy arrays (c of shape (4, pieces)) if it ran with numpy
+    loaded, or else as tuples (c as four rows). Both give the same numbers
+    and errors, bit for bit: one search in plain floats finds every
+    horizon, and numpy only screens the pieces for it. A copy or an
+    unpickled table is rebuilt through `from_table` from its table, the
+    knots and the knot masses c[3] + (mass,), so its spline's form follows
+    the route of the process that rebuilds it. A uniform ball has no
+    spline. Equality is identity.
     """
 
     __slots__ = ("mass", "radius", "spline")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, mass: float, radius: float, spline: tuple | None = None):
-        positive_mass = positive_radius = False
-        try:
-            positive_mass = 0.0 < mass < math.inf  # False for NaN
-            positive_radius = 0.0 < radius < math.inf
-        except NOT_A_NUMBER:  # the first argument that is no real number fails its check
-            pass
-        if not positive_mass:
+    def __init__(self, mass: float, radius: float):
+        m, r = _real(mass), _real(radius)  # nan for what is no real number, which fails its check
+        if not 0.0 < m < math.inf:
             raise ProfileError(f"total mass must be positive, got {mass!r}")
-        if not positive_radius:
+        if not 0.0 < r < math.inf:
             raise ProfileError(f"radius must be positive, got {radius!r}")
-        if spline is not None and not _is_spline(spline, radius):
-            raise ProfileError("spline must be knots from 0.0 to the radius and four coefficient rows one shorter")
-        _set(self, "mass", mass)
-        _set(self, "radius", radius)
-        _set(self, "spline", spline)
+        _set(self, "mass", m)
+        _set(self, "radius", r)
+        _set(self, "spline", None)
+
+    def __reduce__(self):
+        if self.spline is None:
+            return type(self), (self.mass, self.radius)
+        x, masses = self.spline[0], self.spline[1][3]
+        if type(x) is not tuple:  # numpy arrays
+            x, masses = x.tolist(), masses.tolist()
+        return type(self).from_table, (x, [*masses, self.mass])
 
     def mass_within(self, r: float) -> float:
-        try:
-            inside = 0.0 <= r <= self.radius * (1 + 1e-12)  # False for NaN
-        except NOT_A_NUMBER:
-            inside = False
-        if not inside:
+        value = _real(r)
+        if not 0.0 <= value <= self.radius * (1 + 1e-12):  # False for NaN
             raise DomainError(f"r must be a number in the profile's [0, {self.radius}], got {r!r}")
-        r = min(float(r), self.radius)  # a Decimal or Fraction in range is read as a float
+        value = min(value, self.radius)
         if self.spline is None:
-            return float(self.mass * (r / self.radius) ** 3)
+            return self.mass * (value / self.radius) ** 3
         x, c = self.spline
-        i = min(bisect.bisect_right(x, r) - 1, len(x) - 2)
-        return float(_cubic([row[i] for row in c], r - x[i]))
+        i = min(bisect.bisect_right(x, value) - 1, len(x) - 2)
+        return float(_cubic([row[i] for row in c], value - x[i]))
 
     @property
     def kind(self) -> str:
@@ -186,7 +182,7 @@ class MassProfile(_Value):
         if not all(map(operator.le, m, m[1:])):
             i = next(i for i in range(1, len(m)) if not m[i - 1] <= m[i])
             raise ProfileError(f"mass must be nondecreasing (row {i + 1})")
-        profile = cls(m[-1], r[-1])  # a spline built from checked columns is not checked again
+        profile = cls(m[-1], r[-1])
         _set(profile, "spline", (_pchip_coefficients if _numpy_loaded() else _pchip_floats)(r, m))
         return profile
 
@@ -194,20 +190,6 @@ class MassProfile(_Value):
 _NOT_A_COLUMN = "r and M must be sequences of numbers, one-dimensional and the same length"
 _NON_FINITE = "profile table contains non-finite values"
 _OVERFLOWING_CUBIC = "the cubic through the table overflows a float"
-
-
-def _is_spline(spline, radius: float) -> bool:
-    """Whether `spline` has one of the two forms that `from_table` builds."""
-    array = getattr(sys.modules.get("numpy"), "ndarray", ())  # isinstance(v, ()) is False
-    try:
-        x, c = spline
-        if isinstance(x, array) and isinstance(c, array) and (x.ndim, c.ndim, x.dtype, c.dtype) == (1, 2, float, float):
-            x, c = tuple(x.tolist()), tuple(map(tuple, c.tolist()))
-        return (type(c) is tuple and len(c) == 4 and all(type(v) is tuple and len(v) == len(x) - 1 for v in (x[1:], *c))
-                and all(type(v) is float and math.isfinite(v) for row in (x, *c) for v in row)
-                and x[0] == 0.0 and x[-1] == radius and all(map(operator.lt, x, x[1:])))
-    except (TypeError, ValueError):  # no pair
-        return False
 
 
 def _div(a: float, b: float) -> float:
@@ -320,18 +302,13 @@ class JunctionConfig(_Value):
     __slots__ = ("chi0", "scale_factor")
 
     def __init__(self, chi0: float, scale_factor: float = 1.0):
-        inside = positive = False
-        try:
-            inside = 0.0 < chi0 < math.pi  # False for NaN
-            positive = 0.0 < scale_factor < math.inf
-        except NOT_A_NUMBER:  # the first argument that is no real number fails its check
-            pass
-        if not inside:
+        angle, scale = _real(chi0), _real(scale_factor)  # nan for what is no real number, which fails its check
+        if not 0.0 < angle < math.pi:
             raise DomainError(f"chi0 must lie in (0, pi), got {chi0!r}")
-        if not positive:
+        if not 0.0 < scale < math.inf:
             raise DomainError(f"scale factor must be positive, got {scale_factor!r}")
-        _set(self, "chi0", chi0)
-        _set(self, "scale_factor", scale_factor)
+        _set(self, "chi0", angle)
+        _set(self, "scale_factor", scale)
 
 
 class MassRatioResult(_Value):
@@ -340,13 +317,10 @@ class MassRatioResult(_Value):
     __slots__ = ("ratio",)
 
     def __init__(self, ratio: float):
-        try:
-            bound = ratio >= 1.0  # False for NaN
-        except NOT_A_NUMBER:
-            bound = False
-        if not bound:
+        value = _real(ratio)
+        if not value >= 1.0:  # False for NaN
             raise DomainError(f"M_p/M must be >= 1, got {ratio!r}")
-        _set(self, "ratio", ratio)
+        _set(self, "ratio", value)
 
 
 def _ratio_of(chi0: float) -> float:
@@ -418,7 +392,7 @@ def proper_mass_integral(profile: MassProfile, units: UnitsConfig = UnitsConfig(
     if profile.spline is None:
         proper = profile.mass * _ball_ratio(profile, units)
     else:
-        k = float(2.0 * units.G / (units.c * units.c))  # a numpy float's 1/0 warns where a float's raises
+        k = 2.0 * units.G / (units.c * units.c)
         proper = max(_integrate_table(*profile.spline, k), profile.mass)  # nan stays nan
     if not math.isfinite(proper):
         raise DomainError(f"proper mass of a profile of mass {profile.mass!r} overflows a float")

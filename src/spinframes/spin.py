@@ -49,6 +49,19 @@ NOT_A_NUMBER = (TypeError, ValueError, ArithmeticError)
 _set = object.__setattr__
 
 
+def _real(v) -> float:
+    """v as a float where it is a real number, such as an int, a Fraction, a
+    Decimal or a numpy scalar, so that every value computes in floats; else
+    nan, which fails every range check. Text is no real number here, though
+    float() would parse it."""
+    if type(v) is float:
+        return v
+    try:
+        return math.nan if isinstance(v, (str, bytes, bytearray)) else float(v)
+    except NOT_A_NUMBER:  # None, a complex or a tuple, a signalling NaN, an int beyond the float range
+        return math.nan
+
+
 class _Value:
     """Base of the immutable value classes. A subclass names its fields in
     __slots__ and sets them once in __init__ through `_set`; repr, == and
@@ -87,13 +100,10 @@ class Angle(_Value):
     __slots__ = ("radians",)
 
     def __init__(self, radians: float):
-        try:
-            finite = math.isfinite(radians)
-        except NOT_A_NUMBER:
-            finite = False
-        if not finite:
+        value = _real(radians)
+        if not math.isfinite(value):
             raise DomainError(f"angle must be finite, got {radians!r}")
-        _set(self, "radians", radians)
+        _set(self, "radians", value)
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "Angle":
@@ -118,33 +128,28 @@ class UnitVector3(_Value):
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: float, y: float, z: float):
-        try:
-            n2 = x * x + y * y + z * z
-            unit = -NORM_TOL <= n2 - 1.0 <= NORM_TOL  # False for NaN and infinity
-        except NOT_A_NUMBER:
-            raise DomainError(f"components must be real numbers, got {(x, y, z)!r}") from None
-        if not unit:
-            raise DomainError(f"components must form a unit vector, got |v|^2 = {n2!r}")
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "z", z)
+        a, b, c = _real(x), _real(y), _real(z)  # nan for a component that is no real number
+        n2 = a * a + b * b + c * c
+        if not -NORM_TOL <= n2 - 1.0 <= NORM_TOL:  # False for NaN and infinity
+            raise DomainError(f"components must be real numbers of a unit vector, got {(x, y, z)!r}, |v|^2 = {n2!r}")
+        _set(self, "x", a)
+        _set(self, "y", b)
+        _set(self, "z", c)
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "UnitVector3":
-        try:
-            n2 = x * x + y * y + z * z
-            # squares that overflow, or underflow below the smallest normal float
-            if not sys.float_info.min <= n2 < math.inf:
-                scale = max(abs(x), abs(y), abs(z))
-                if 0.0 < scale < math.inf:
-                    x, y, z = x / scale, y / scale, z / scale
-                    n2 = x * x + y * y + z * z
-            n = math.sqrt(n2)
-        except NOT_A_NUMBER:
-            raise DomainError(f"components must be real numbers, got {(x, y, z)!r}") from None
+        a, b, c = _real(x), _real(y), _real(z)  # nan for a component that is no real number
+        n2 = a * a + b * b + c * c
+        # squares that overflow, or underflow below the smallest normal float
+        if not sys.float_info.min <= n2 < math.inf:
+            scale = max(abs(a), abs(b), abs(c))
+            if 0.0 < scale < math.inf:
+                a, b, c = a / scale, b / scale, c / scale
+                n2 = a * a + b * b + c * c
+        n = math.sqrt(n2)
         if not (n > 0.0) or not math.isfinite(n):
-            raise DomainError("cannot normalize a zero or non-finite vector")
-        return cls(x / n, y / n, z / n)
+            raise DomainError(f"cannot normalize components {(x, y, z)!r}: they must be finite real numbers, not all 0")
+        return cls(a / n, b / n, c / n)
 
     @classmethod
     def from_polar(cls, theta: Angle, phi: Angle = Angle(0.0)) -> "UnitVector3":
@@ -226,13 +231,10 @@ def _set_probabilities(dist: _Value, values: tuple) -> None:
     after checking that each lies in [0, 1] and that they sum to 1, both to
     1e-12; raise DomainError otherwise."""
     total = 0.0
-    for name, p in zip(dist.__slots__, values):
-        try:
-            inside = _P_LOW <= p <= _P_HIGH  # False for NaN and infinity
-        except NOT_A_NUMBER:
-            inside = False
-        if not inside:
-            raise DomainError(f"{name} must lie in [0, 1], got {p!r}")
+    for name, given in zip(dist.__slots__, values):
+        p = _real(given)
+        if not _P_LOW <= p <= _P_HIGH:  # False for NaN and infinity
+            raise DomainError(f"{name} must lie in [0, 1], got {given!r}")
         p = 0.0 if 0.0 > p else 1.0 if 1.0 < p else p  # min(max(p, 0.0), 1.0), comparison for comparison
         _set(dist, name, p)
         total += p

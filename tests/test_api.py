@@ -46,6 +46,7 @@ REMOVED = [
     ("montecarlo", "EmpiricalCHSH.seed"),
     ("montecarlo", "_run_stats"),
     ("montecarlo", "_check_estimate"),
+    ("grmass", "_is_spline"),
 ]
 
 

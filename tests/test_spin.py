@@ -140,7 +140,7 @@ def min_max_probabilities(names: tuple[str, ...], values: tuple) -> tuple | str:
         if not inside:
             return f"{name} must lie in [0, 1], got {p!r}"
         p = min(max(p, 0.0), 1.0)
-        out.append(p)
+        out.append(float(p))  # a distribution stores floats
         total += p
     if abs(total - 1.0) > NORM_TOL:
         return f"probabilities must sum to 1, got {total!r}"

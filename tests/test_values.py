@@ -10,6 +10,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -43,6 +44,7 @@ from spinframes import (
     UndefinedConditionalError,
     UnitsConfig,
     UnitVector3,
+    flrw_mass_ratio,
     flrw_metric_components,
     proper_mass_integral,
 )
@@ -88,8 +90,7 @@ CASES = [
     (EnsembleTable, {"bob_up_given_alice_up": 3, "bob_down_given_alice_up": 1},
      "EnsembleTable(bob_up_given_alice_up=3, bob_down_given_alice_up=1)", "value"),
     (UnitsConfig, {"G": 1.0, "c": 1.0}, "UnitsConfig(G=1.0, c=1.0)", "value"),
-    (MassProfile, {"mass": 1.0, "radius": 2.0, "spline": None}, "MassProfile(mass=1.0, radius=2.0, spline=None)",
-     "identity"),
+    (MassProfile, {"mass": 1.0, "radius": 2.0}, "MassProfile(mass=1.0, radius=2.0, spline=None)", "identity"),
     (JunctionConfig, {"chi0": 1.0, "scale_factor": 2.0}, "JunctionConfig(chi0=1.0, scale_factor=2.0)", "value"),
     (MassRatioResult, {"ratio": 1.5}, "MassRatioResult(ratio=1.5)", "value"),
     (RunStats, {"counts": (6, 4)}, RUN_REPR, "value"),
@@ -235,6 +236,22 @@ def test_mass_within_reads_an_exact_number_in_range_as_a_float(profile):
 
 TYPED_ERRORS = (DomainError, ProfileError, UndefinedConditionalError, ConvergenceError)
 
+NUMPY_INTEGERS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+# real numbers of other types than float: numpy scalars of every real kind, and finite Fractions and
+# Decimals, some beyond the float range, where float() gives 0.0 or inf or raises OverflowError
+OTHER_REALS = st.one_of(
+    st.floats(width=16).map(np.float16),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.floats().map(np.longdouble),
+    st.sampled_from(NUMPY_INTEGERS).flatmap(lambda t: st.integers(int(np.iinfo(t).min), int(np.iinfo(t).max)).map(t)),
+    st.booleans().map(np.bool_),
+    st.fractions(),
+    st.decimals(allow_nan=False, allow_infinity=False),
+    st.sampled_from([np.longdouble(1) / 3, np.longdouble("1e-4000"), np.longdouble("1e4000"), Fraction(1, 10**400),
+                     Fraction(10**400), Decimal("1e-400"), Decimal("1e400")]),
+)
+
 # values no argument of a numeric constructor should let through untyped
 WILD = st.one_of(
     st.sampled_from([NAN, INF, -INF, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0, 0.5, 2.0,
@@ -242,6 +259,7 @@ WILD = st.one_of(
                      DEC_NAN, DEC_SNAN]),
     st.floats(),
     st.integers(-3, 3),
+    OTHER_REALS,
 )
 
 
@@ -332,6 +350,70 @@ def test_numeric_constructors_hold_their_invariant_or_raise_typed_errors(cls, da
     except TYPED_ERRORS:
         return
     assert invariant(obj), (args, obj)
+
+
+def junction_ratio(chi0, scale_factor):
+    return flrw_mass_ratio(JunctionConfig(chi0, scale_factor))
+
+
+def ball_proper_mass(mass, radius, G, c):
+    return proper_mass_integral(MassProfile.uniform(mass, radius), UnitsConfig(G, c))
+
+
+# call -> (number of arguments, the real fields of its result; none where the result is a float itself)
+REAL_FIELDS = {
+    Angle: (1, ("radians",)),
+    Angle.from_degrees: (1, ("radians",)),
+    UnitVector3: (3, ("x", "y", "z")),
+    UnitVector3.normalized: (3, ("x", "y", "z")),
+    OutcomeDistribution: (2, ("p_up", "p_down")),
+    JointDistribution: (4, ("p_pp", "p_pm", "p_mp", "p_mm")),
+    UnitsConfig: (2, ("G", "c")),
+    MassProfile: (2, ("mass", "radius")),
+    MassProfile.uniform: (2, ("mass", "radius")),
+    JunctionConfig: (2, ("chi0", "scale_factor")),
+    MassRatioResult: (1, ("ratio",)),
+    junction_ratio: (2, ("ratio",)),
+    ball_proper_mass: (4, ()),
+}
+
+
+def _outcome(call, args, fields):
+    """The type of a call's typed error, whose message quotes the arguments as given, or the type and repr
+    of each real field of its result."""
+    try:
+        result = call(*args)
+    except TYPED_ERRORS as exc:
+        return type(exc)
+    return [(type(v), repr(v)) for v in ([getattr(result, name) for name in fields] if fields else [result])]
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float, Fraction, Decimal, np.integer, np.floating, np.bool_))  # a bool is an int
+
+
+# warnings are errors in this suite, so arithmetic in a numpy type that overflows fails these tests
+@pytest.mark.parametrize("call", list(REAL_FIELDS), ids=lambda c: c.__qualname__)
+@settings(max_examples=200, deadline=None)
+@given(args=st.lists(WILD, min_size=4, max_size=4))
+@example(args=[np.float32(0.3), 1.0, 1.0, 1.0])  # JunctionConfig kept a float32 chi0, and its ratio was a float32
+@example(args=[np.float32(1.0), 1.0, 1.0, 1.0])  # Angle kept a float32
+@example(args=[1.0, np.float32(1e20), 1.0, 1.0])  # UnitsConfig squared c in float32, which overflowed
+@example(args=[1e-10, 1.0, np.float64(1e300), np.float64(1e-150)])  # 2G/c^2 overflowed in float64 scalars
+@example(args=[np.float64(1e300)] * 4)  # UnitVector3.normalized squared numpy floats, which overflowed
+@example(args=[np.float16(65504), 1e6, 1.0, 1.0])  # M_p = M * ratio overflowed in float16
+def test_real_fields_are_floats_and_read_as_float_reads_them(call, args):
+    arity, fields = REAL_FIELDS[call]
+    args = args[:arity]
+    got = _outcome(call, args, fields)
+    if isinstance(got, list):
+        assert all(t is float for t, _ in got), (args, got)
+    if all(map(_is_real, args)):
+        try:
+            floats = [float(v) for v in args]
+        except (OverflowError, ValueError):  # beyond the float range, or a signalling NaN
+            return
+        assert got == _outcome(call, floats, fields), args
 
 
 MAX = sys.float_info.max
