@@ -74,8 +74,8 @@ class UnitsConfig(_Value):
     __slots__ = ("G", "c")
 
     def __init__(self, G: float = 6.67430e-11, c: float = 299792458.0):
-        g, speed = _real(G), _real(c)  # nan for what is no real number, which fails its check
-        if not 0.0 < g < math.inf:
+        g, speed = _real(G), _real(c)
+        if not 0.0 < g < math.inf:  # False for NaN
             raise DomainError(f"G must be positive, got {G!r}")
         # k = 2G/c^2 and g_tt = -c^2 need c^2 to be a positive normal float
         if not (speed > 0 and sys.float_info.min <= speed * speed < math.inf):
@@ -108,8 +108,8 @@ class MassProfile(_Value):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, mass: float, radius: float):
-        m, r = _real(mass), _real(radius)  # nan for what is no real number, which fails its check
-        if not 0.0 < m < math.inf:
+        m, r = _real(mass), _real(radius)
+        if not 0.0 < m < math.inf:  # False for NaN
             raise ProfileError(f"total mass must be positive, got {mass!r}")
         if not 0.0 < r < math.inf:
             raise ProfileError(f"radius must be positive, got {radius!r}")
@@ -302,8 +302,8 @@ class JunctionConfig(_Value):
     __slots__ = ("chi0", "scale_factor")
 
     def __init__(self, chi0: float, scale_factor: float = 1.0):
-        angle, scale = _real(chi0), _real(scale_factor)  # nan for what is no real number, which fails its check
-        if not 0.0 < angle < math.pi:
+        angle, scale = _real(chi0), _real(scale_factor)
+        if not 0.0 < angle < math.pi:  # False for NaN
             raise DomainError(f"chi0 must lie in (0, pi), got {chi0!r}")
         if not 0.0 < scale < math.inf:
             raise DomainError(f"scale factor must be positive, got {scale_factor!r}")

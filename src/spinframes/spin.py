@@ -128,7 +128,7 @@ class UnitVector3(_Value):
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: float, y: float, z: float):
-        a, b, c = _real(x), _real(y), _real(z)  # nan for a component that is no real number
+        a, b, c = _real(x), _real(y), _real(z)
         n2 = a * a + b * b + c * c
         if not -NORM_TOL <= n2 - 1.0 <= NORM_TOL:  # False for NaN and infinity
             raise DomainError(f"components must be real numbers of a unit vector, got {(x, y, z)!r}, |v|^2 = {n2!r}")
@@ -138,7 +138,7 @@ class UnitVector3(_Value):
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "UnitVector3":
-        a, b, c = _real(x), _real(y), _real(z)  # nan for a component that is no real number
+        a, b, c = _real(x), _real(y), _real(z)
         n2 = a * a + b * b + c * c
         # squares that overflow, or underflow below the smallest normal float
         if not sys.float_info.min <= n2 < math.inf:
