@@ -29,6 +29,7 @@ from .spin import (
     Y_AXIS,
     Z_AXIS,
     _check_integer,
+    _complex,
     _set,
     _set_probabilities,
     _Value,
@@ -126,10 +127,10 @@ class BellState(_Value):
 
     def __init__(self, label: str, psi: tuple[complex, complex, complex, complex], plane: SymmetryPlane):
         try:
-            psi = tuple(complex(x) for x in psi)
-        except (TypeError, ValueError):
+            psi = tuple(map(_complex, psi))
+        except TypeError:  # not iterable
             psi = ()
-        if len(psi) != 4:
+        if len(psi) != 4 or not all(x == x for x in psi):  # a NaN, or no number
             raise DomainError("Bell state needs four amplitudes")
         try:
             a, b, c, d = (abs(x) ** 2 for x in psi)  # written out: sum() rounds differently from Python 3.12

@@ -158,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     g_ratio = gr_sub.add_parser("ratio", help="closed-form dust-cap mass ratio")
     g_ratio.add_argument("--chi0", type=float, required=True)
-    g_ratio.add_argument("--scale-factor", type=float, default=1.0)
     g_ratio.set_defaults(func=cmd_grmass_ratio)
 
     g_curve = gr_sub.add_parser("ratio-curve", help="mass ratio over a chi0 grid")
@@ -293,8 +292,8 @@ def cmd_chsh(args: argparse.Namespace) -> _Output:
 
 
 def cmd_grmass_ratio(args: argparse.Namespace) -> _Output:
-    cfg = JunctionConfig(args.chi0, args.scale_factor)
-    return _one_row({"chi0": cfg.chi0, "ratio": flrw_mass_ratio(cfg).ratio}, scale_factor=cfg.scale_factor)
+    cfg = JunctionConfig(args.chi0)
+    return _one_row({"chi0": cfg.chi0, "ratio": flrw_mass_ratio(cfg).ratio})
 
 
 def cmd_grmass_curve(args: argparse.Namespace) -> _Output:

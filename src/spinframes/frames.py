@@ -25,6 +25,8 @@ from .spin import (
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
+    _complex,
+    _real,
     _set,
     _Value,
     projection_probabilities,
@@ -43,12 +45,12 @@ __all__ = [
 
 
 def _rows(matrix, n: int, kind: type, what: str) -> tuple[tuple, ...]:
-    """The rows of an n x n matrix as tuples of `kind` (complex or float)."""
+    """The rows of an n x n matrix as tuples of `kind` (complex or float), no entry NaN: text reads as NaN."""
     try:
-        rows = tuple([tuple(map(kind, row)) for row in matrix])
-    except NOT_A_NUMBER:  # also an int beyond the float range
+        rows = tuple([tuple(map(_complex if kind is complex else _real, row)) for row in matrix])
+    except TypeError:  # not iterable
         rows = ()
-    if len(rows) != n or any(len(row) != n for row in rows):
+    if len(rows) != n or any(len(row) != n for row in rows) or not all(x == x for row in rows for x in row):
         raise DomainError(f"{what} must be {n}x{n} with {kind.__name__} entries")
     return rows
 

@@ -297,18 +297,16 @@ def load_profile_csv(path: str) -> MassProfile:
 
 
 class JunctionConfig(_Value):
-    """FLRW dust cap joined to a vacuum exterior at radial coordinate chi0."""
+    """FLRW dust cap joined to a vacuum exterior at radial coordinate chi0. It takes
+    no scale factor a: M_p/M is a ratio of two volumes that both scale as a^3."""
 
-    __slots__ = ("chi0", "scale_factor")
+    __slots__ = ("chi0",)
 
-    def __init__(self, chi0: float, scale_factor: float = 1.0):
-        angle, scale = _real(chi0), _real(scale_factor)
+    def __init__(self, chi0: float):
+        angle = _real(chi0)
         if not 0.0 < angle < math.pi:  # False for NaN
             raise DomainError(f"chi0 must lie in (0, pi), got {chi0!r}")
-        if not 0.0 < scale < math.inf:
-            raise DomainError(f"scale factor must be positive, got {scale_factor!r}")
         _set(self, "chi0", angle)
-        _set(self, "scale_factor", scale)
 
 
 class MassRatioResult(_Value):
@@ -336,7 +334,7 @@ def flrw_mass_ratio(cfg: JunctionConfig) -> MassRatioResult:
 
     Evaluates 3 (2 chi0 - sin 2 chi0) / (4 sin^3 chi0), switching to its
     series below chi0 = SERIES_SWITCH. The ratio grows from 1 (flat limit) and
-    diverges as chi0 approaches pi.
+    diverges as chi0 approaches pi. No scale factor a enters: a^3 cancels.
     """
     return MassRatioResult(_ratio_of(cfg.chi0))
 

@@ -62,6 +62,17 @@ def _real(v) -> float:
         return math.nan
 
 
+def _complex(v) -> complex:
+    """v as a complex where it is a number, real or complex; else complex(nan),
+    as `_real` gives nan. Text is no number here, though complex() would parse it."""
+    if type(v) is complex:
+        return v
+    try:
+        return complex(math.nan) if isinstance(v, (str, bytes, bytearray)) else complex(v)
+    except NOT_A_NUMBER:  # None or a tuple, a signalling NaN, an int beyond the float range
+        return complex(math.nan)
+
+
 class _Value:
     """Base of the immutable value classes. A subclass names its fields in
     __slots__ and sets them once in __init__ through `_set`; repr, == and
@@ -181,15 +192,15 @@ class QubitState(_Value):
     __slots__ = ("amp_up", "amp_down")
 
     def __init__(self, amp_up: complex, amp_down: complex):
+        up, down = _complex(amp_up), _complex(amp_down)
         try:
-            amp_up, amp_down = complex(amp_up), complex(amp_down)
-            n2 = abs(amp_up) ** 2 + abs(amp_down) ** 2
-        except NOT_A_NUMBER:
-            raise DomainError(f"amplitudes must be complex numbers of norm 1, got {(amp_up, amp_down)!r}") from None
+            n2 = abs(up) ** 2 + abs(down) ** 2
+        except OverflowError:  # a square beyond the float range
+            n2 = math.inf
         if not abs(n2 - 1.0) <= NORM_TOL:  # False for NaN and infinity
-            raise DomainError(f"amplitudes must be normalized, got |psi|^2 = {n2!r}")
-        _set(self, "amp_up", amp_up)
-        _set(self, "amp_down", amp_down)
+            raise DomainError(f"amplitudes must be complex numbers of norm 1, got {(amp_up, amp_down)!r}")
+        _set(self, "amp_up", up)
+        _set(self, "amp_down", down)
 
     @property
     def bloch_vector(self) -> UnitVector3:

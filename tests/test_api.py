@@ -47,6 +47,7 @@ REMOVED = [
     ("montecarlo", "_run_stats"),
     ("montecarlo", "_check_estimate"),
     ("grmass", "_is_spline"),
+    ("grmass", "JunctionConfig.scale_factor"),
 ]
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spinframes import (
+    PSI_PLUS,
     SINGLET,
     X_AXIS,
     XY_PLANE,
@@ -91,7 +92,7 @@ CASES = [
      "EnsembleTable(bob_up_given_alice_up=3, bob_down_given_alice_up=1)", "value"),
     (UnitsConfig, {"G": 1.0, "c": 1.0}, "UnitsConfig(G=1.0, c=1.0)", "value"),
     (MassProfile, {"mass": 1.0, "radius": 2.0}, "MassProfile(mass=1.0, radius=2.0, spline=None)", "identity"),
-    (JunctionConfig, {"chi0": 1.0, "scale_factor": 2.0}, "JunctionConfig(chi0=1.0, scale_factor=2.0)", "value"),
+    (JunctionConfig, {"chi0": 1.0}, "JunctionConfig(chi0=1.0)", "value"),
     (MassRatioResult, {"ratio": 1.5}, "MassRatioResult(ratio=1.5)", "value"),
     (RunStats, {"counts": (6, 4)}, RUN_REPR, "value"),
     (EmpiricalCHSH, {"terms": (RUN,) * 4}, f"EmpiricalCHSH(terms=({RUN_REPR}, {RUN_REPR}, {RUN_REPR}, {RUN_REPR}))",
@@ -147,7 +148,6 @@ def test_unpickling_rechecks_the_fields():
 
 def test_defaults():
     assert UnitsConfig() == UnitsConfig(6.67430e-11, 299792458.0)
-    assert JunctionConfig(chi0=1.0).scale_factor == 1.0
     assert CHSHSetting(Angle(0.0), Angle(1.0), Angle(0.5), Angle(1.5)).plane is ZX_PLANE
     assert RunStats((6, 4)).conditional_means == {}
     assert MassProfile(1.0, 2.0).spline is None
@@ -172,7 +172,7 @@ def test_run_stats_accepts_outcome_averages():
 # (call, typed error, a word of its message that names the failing argument)
 RAW_ERROR_CALLS = [
     (lambda: JunctionConfig("1.0"), DomainError, "chi0"),
-    (lambda: JunctionConfig(1.0, "2"), DomainError, "scale factor"),
+    (lambda: QubitState("1", "0"), DomainError, "amplitudes"),
     (lambda: MassProfile("1", 2.0), ProfileError, "total mass"),
     (lambda: MassProfile(1.0, None), ProfileError, "radius"),
     (lambda: Angle("x"), DomainError, "angle"),
@@ -210,14 +210,19 @@ RAW_ERROR_CALLS = [
     (lambda: UnitsConfig(G=DEC_NAN), DomainError, "G must"),
     (lambda: UnitsConfig(c=DEC_SNAN), DomainError, "c must"),
     (lambda: MassProfile(DEC_NAN, 1.0), ProfileError, "total mass"),
-    (lambda: JunctionConfig(DEC_NAN, 1.0), DomainError, "chi0"),
-    (lambda: JunctionConfig(1.0, DEC_SNAN), DomainError, "scale factor"),
+    (lambda: JunctionConfig(DEC_NAN), DomainError, "chi0"),
+    (lambda: SpinRotation([["1", "0"], ["0", "1"]]), DomainError, "spin rotation"),
     (lambda: MassRatioResult(DEC_NAN), DomainError, "M_p/M"),
     (lambda: UnitVector3.normalized(DEC_SNAN, 1, 0), DomainError, "components"),
     (lambda: OutcomeDistribution(DEC_NAN, 0.5), DomainError, "p_up"),
     (lambda: JointDistribution(DEC_NAN, 0.25, 0.25, 0.25), DomainError, "p_pp"),
     *((lambda p=p, r=r: p.mass_within(r), DomainError, "r must be a number")
       for p in (BALL, TABLE) for r in ("a", None, 1 + 0j, DEC_NAN, DEC_SNAN)),
+    (lambda: FrameRotation([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]), DomainError, "frame rotation"),
+    (lambda: FrameRotation([[b"1", b"0", b"0"], [b"0", b"1", b"0"], [b"0", b"0", b"1"]]), DomainError,
+     "frame rotation"),
+    (lambda: BellState("x", ["0", "0.7071067811865476", "-0.7071067811865476", "0"], ZX_PLANE), DomainError,
+     "four amplitudes"),
 ]
 
 
@@ -296,6 +301,19 @@ def table_mass_within(r):
     return TABLE.mass_within(r)
 
 
+def _special_unitary(u: SpinRotation) -> bool:
+    (a, c), (b, d) = u.matrix
+    return (all(type(x) is complex for x in (a, b, c, d)) and abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-9
+            and abs(d - a.conjugate()) <= 1e-9 and abs(c + b.conjugate()) <= 1e-9)
+
+
+def _proper_orthogonal(r: FrameRotation) -> bool:
+    m = r.matrix
+    return (all(type(x) is float for row in m for x in row) and abs(np.linalg.det(m) - 1.0) <= 1e-9
+            and all(abs(math.fsum(x * y for x, y in zip(m[i], m[j])) - (i == j)) <= 1e-9
+                    for i in range(3) for j in range(3)))
+
+
 # constructor or function -> (number of arguments, the invariant of its result)
 INVARIANTS = {
     Angle: (1, lambda a: math.isfinite(a.radians)),
@@ -310,7 +328,7 @@ INVARIANTS = {
     MassProfile: (2, lambda p: 0.0 < p.mass < INF and 0.0 < p.radius < INF),
     ball_mass_within: (1, lambda m: type(m) is float and 0.0 <= m <= 1.0),
     table_mass_within: (1, lambda m: type(m) is float and 0.0 <= m <= 1.0),
-    JunctionConfig: (2, lambda j: 0.0 < j.chi0 < math.pi and 0.0 < j.scale_factor < INF),
+    JunctionConfig: (1, lambda j: 0.0 < j.chi0 < math.pi),
     MassRatioResult: (1, lambda r: r.ratio >= 1.0),
     RunStats: (1, _run_stats),
     EmpiricalCHSH: (1, lambda e: -4.0 <= e.value <= 4.0 and 0.0 <= e.stderr < INF and len(e.terms) == 4
@@ -318,6 +336,10 @@ INVARIANTS = {
     JointSetting: (2, lambda j: isinstance(j.alice, UnitVector3) and isinstance(j.bob, UnitVector3)),
     CHSHSetting: (5, lambda c: all(isinstance(a, Angle) for a in (c.alice, c.alice_prime, c.bob, c.bob_prime))
                   and isinstance(c.plane, SymmetryPlane)),
+    SpinRotation: (1, _special_unitary),
+    FrameRotation: (1, _proper_orthogonal),
+    BellState: (3, lambda b: all(type(x) is complex for x in b.psi)
+                and abs(math.fsum(abs(x) ** 2 for x in b.psi) - 1.0) <= 1e-9),
 }
 
 AXIS = st.one_of(WILD, st.sampled_from([X_AXIS, Y_AXIS, Z_AXIS]))
@@ -327,6 +349,22 @@ COUNTS = st.one_of(WILD, st.lists(COUNT, max_size=5), st.lists(COUNT, max_size=5
 RUNS = st.one_of(st.just(RUN), st.builds(RunStats, st.lists(st.integers(0, 2**63 - 1), min_size=4, max_size=4)
                                          .filter(sum)))
 ANGLE = st.one_of(WILD, st.builds(Angle, st.floats(-10.0, 10.0)))
+# str and bytes, numeric ones included, which float() and complex() would parse
+TEXT = st.one_of(st.text(max_size=3), st.binary(max_size=3), st.floats().map(repr), st.complex_numbers().map(repr),
+                 st.floats().map(lambda x: repr(x).encode()))
+ENTRY = st.one_of(WILD, TEXT)
+SU2_ROWS = [((1.0, 0.0), (0.0, 1.0)), ((0.6j, -0.8), (0.8, -0.6j))]
+SO3_ROWS = [((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), ((0.6, -0.8, 0.0), (0.8, 0.6, 0.0), (0.0, 0.0, 1.0))]
+
+
+def _like(entries):
+    """`entries` with each kept, or swapped for its str or bytes or for another entry."""
+    return st.tuples(*(st.one_of(st.just(x), st.sampled_from([str(x), str(x).encode()]), ENTRY) for x in entries))
+
+
+def _matrices(valid):
+    return st.one_of(ENTRY, st.sampled_from(valid).flatmap(lambda m: st.tuples(*map(_like, m))))
+
 
 ARGUMENT = {
     # object arguments are the package's own value types
@@ -336,6 +374,11 @@ ARGUMENT = {
                               st.lists(st.one_of(RUNS, WILD), max_size=5))],
     JointSetting: [AXIS, AXIS],
     CHSHSetting: [ANGLE] * 4 + [st.one_of(WILD, st.sampled_from([XY_PLANE, ZX_PLANE]))],
+    QubitState: [ENTRY] * 2,
+    SpinRotation: [_matrices(SU2_ROWS)],
+    FrameRotation: [_matrices(SO3_ROWS)],
+    BellState: [st.just("x"), st.one_of(ENTRY, st.sampled_from([SINGLET.psi, PSI_PLUS.psi]).flatmap(_like)),
+                st.just(ZX_PLANE)],
 }
 
 
@@ -352,8 +395,29 @@ def test_numeric_constructors_hold_their_invariant_or_raise_typed_errors(cls, da
     assert invariant(obj), (args, obj)
 
 
-def junction_ratio(chi0, scale_factor):
-    return flrw_mass_ratio(JunctionConfig(chi0, scale_factor))
+# a call on the entries of a valid value of each constructor that reads complex numbers or a matrix
+TEXT_CALLS = {
+    QubitState: ((0.6, 0.8j), lambda e: QubitState(*e)),
+    SpinRotation: (SU2_ROWS[1][0] + SU2_ROWS[1][1], lambda e: SpinRotation((e[:2], e[2:]))),
+    FrameRotation: (sum(SO3_ROWS[1], ()), lambda e: FrameRotation((e[:3], e[3:6], e[6:]))),
+    BellState: (SINGLET.psi, lambda e: BellState("x", e, ZX_PLANE)),
+}
+
+
+@pytest.mark.parametrize("cls", list(TEXT_CALLS), ids=lambda c: c.__name__)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_an_entry_given_as_text_is_refused(cls, data):
+    entries, call = TEXT_CALLS[cls]
+    call(entries)
+    i = data.draw(st.integers(0, len(entries) - 1))
+    text = data.draw(st.one_of(st.sampled_from([str(entries[i]), str(entries[i]).encode()]), TEXT))
+    with pytest.raises(DomainError):
+        call((*entries[:i], text, *entries[i + 1:]))
+
+
+def junction_ratio(chi0):
+    return flrw_mass_ratio(JunctionConfig(chi0))
 
 
 def ball_proper_mass(mass, radius, G, c):
@@ -371,9 +435,9 @@ REAL_FIELDS = {
     UnitsConfig: (2, ("G", "c")),
     MassProfile: (2, ("mass", "radius")),
     MassProfile.uniform: (2, ("mass", "radius")),
-    JunctionConfig: (2, ("chi0", "scale_factor")),
+    JunctionConfig: (1, ("chi0",)),
     MassRatioResult: (1, ("ratio",)),
-    junction_ratio: (2, ("ratio",)),
+    junction_ratio: (1, ("ratio",)),
     ball_proper_mass: (4, ()),
 }
 
