@@ -45,14 +45,23 @@ __all__ = [
 
 
 def _rows(matrix, n: int, kind: type, what: str) -> tuple[tuple, ...]:
-    """The rows of an n x n matrix as tuples of `kind` (complex or float), no entry NaN: text reads as NaN."""
+    """The rows of an n x n matrix as tuples of `kind` (complex or float), read by `_complex` or `_real`:
+    what is no number, text included, reads as NaN and fails the caller's check."""
     try:
         rows = tuple([tuple(map(_complex if kind is complex else _real, row)) for row in matrix])
     except TypeError:  # not iterable
         rows = ()
-    if len(rows) != n or any(len(row) != n for row in rows) or not all(x == x for row in rows for x in row):
-        raise DomainError(f"{what} must be {n}x{n} with {kind.__name__} entries")
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise _refusal(rows, n, kind, what)
     return rows
+
+
+def _refusal(rows, n: int, kind: type, what: str, message: str | None = None) -> DomainError:
+    """`message` for rows that fail a check, or the message of a malformed matrix where there is
+    none or an entry is NaN, as what is no number reads."""
+    if message is None or any(x != x for row in rows for x in row):
+        message = f"{what} must be {n}x{n} with {kind.__name__} entries"
+    return DomainError(message)
 
 
 class SpinRotation(_Value):
@@ -73,7 +82,8 @@ class SpinRotation(_Value):
         except NOT_A_NUMBER:  # a square that overflows
             su2 = False
         if not su2:
-            raise DomainError("spin rotation must be [[a, -conj(b)], [b, conj(a)]] with |a|^2 + |b|^2 = 1")
+            raise _refusal(m, 2, complex, "spin rotation",
+                           "spin rotation must be [[a, -conj(b)], [b, conj(a)]] with |a|^2 + |b|^2 = 1")
         _set(self, "matrix", m)
 
     @classmethod
@@ -109,7 +119,7 @@ class FrameRotation(_Value):
         if not (abs(a * a + b * b + c * c - 1.0) <= NORM_TOL and abs(d * d + e * e + f * f - 1.0) <= NORM_TOL
                 and abs(g * g + h * h + k * k - 1.0) <= NORM_TOL and abs(a * d + b * e + c * f) <= NORM_TOL
                 and abs(a * g + b * h + c * k) <= NORM_TOL and abs(d * g + e * h + f * k) <= NORM_TOL):
-            raise DomainError("frame rotation must be orthogonal")
+            raise _refusal(m, 3, float, "frame rotation", "frame rotation must be orthogonal")
         det = a * (e * k - f * h) + b * (f * g - d * k) + c * (d * h - e * g)
         if not abs(det - 1.0) <= NORM_TOL:
             raise DomainError(f"frame rotation must have det +1, got {det!r}")

@@ -197,8 +197,8 @@ class QubitState(_Value):
             n2 = abs(up) ** 2 + abs(down) ** 2
         except OverflowError:  # a square beyond the float range
             n2 = math.inf
-        if not abs(n2 - 1.0) <= NORM_TOL:  # False for NaN and infinity
-            raise DomainError(f"amplitudes must be complex numbers of norm 1, got {(amp_up, amp_down)!r}")
+        if not abs(n2 - 1.0) <= NORM_TOL:  # False for NaN, which is what no number reads as, and infinity
+            raise DomainError(f"amplitudes must be normalized, got |psi|^2 = {n2!r}")
         _set(self, "amp_up", up)
         _set(self, "amp_down", down)
 

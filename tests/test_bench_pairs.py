@@ -73,3 +73,12 @@ def test_one_run_per_side_has_no_spread():
     got = bench_pairs.summarize(_runs([2.0], [3.0], "op_ms.geomean"), METRICS[:1])["op_ms.geomean"]
     assert got["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     assert got["parent_iqr_fraction_of_median"] == 0.0 and not got["within_bound"]
+
+
+def test_a_later_set_of_a_workload_is_added_beside_the_earlier_ones():
+    workloads = {}
+    for want in ("exact", "exact_set2", "exact_set3"):
+        name = bench_pairs.set_name(workloads, "exact")
+        assert name == want
+        workloads[name] = {}
+    assert bench_pairs.set_name(workloads, "cli") == "cli"

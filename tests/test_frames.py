@@ -80,17 +80,18 @@ def random_su2(rng):
 
 
 def generic_rows(matrix, n: int, kind: type, what: str) -> tuple[tuple, ...]:
-    """The generic form of frames._rows, kept as its oracle. Text is no
-    number, though kind() would parse it, and no entry may be NaN."""
+    """The generic form of frames._rows, kept as its oracle. What is no
+    number reads as NaN; text is no number, though kind() would parse it."""
 
     def read(x):
-        if isinstance(x, (str, bytes, bytearray)) or kind(x) != kind(x):
-            raise ValueError(x)
-        return kind(x)
+        try:
+            return kind(math.nan if isinstance(x, (str, bytes, bytearray)) else x)
+        except (TypeError, ValueError, ArithmeticError):
+            return kind(math.nan)
 
     try:
         rows = tuple(tuple(read(x) for x in row) for row in matrix)
-    except (TypeError, ValueError, OverflowError):
+    except TypeError:
         rows = ()
     if len(rows) != n or any(len(row) != n for row in rows):
         raise DomainError(f"{what} must be {n}x{n} with {kind.__name__} entries")

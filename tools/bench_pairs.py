@@ -1,19 +1,21 @@
 """Alternated parent/change pairs of the benchmark, written as a BENCH_<n>.json ledger record.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload exact --pairs 10 \\
+    python3 tools/bench_pairs.py PARENT CHANGE --workload exact \\
         --seeds 32101 32102 32103 32104 32105 32106 32107 32108 32109 32110 --out BENCH_32.json
 
 Run from the root of a git checkout that holds both commits. Each commit is
 exported with `git archive` into a fresh directory and its .pyc files are
-compiled. Each pair runs `perfbench/run.py --workload W --seed S --seconds
-T --trace 0` in both exports on one seed, the parent first in even pairs
-and the change first in odd ones; T is BENCHMARK.json's run_seconds. The record holds every run and, for each
+compiled. There is one pair per seed. Each pair runs `perfbench/run.py
+--workload W --seed S --seconds T --trace 0` in both exports on its seed,
+the parent first in even pairs and the change first in odd ones; T is
+BENCHMARK.json's run_seconds. The record holds every run and, for each
 end-to-end metric of BENCHMARK.json, the medians and quartiles of both
 sides, the change's wins and losses over the pairs, and whether the change
 stays within the metric's bound. A metric whose parent spread is wider than
 its bound is unresolved, unless every change run reads better than every
 parent run. Where --out already holds a record of the same two commits, the
-workload is added to it and its notes are kept.
+set is added to it and its notes are kept: the first set of a workload under
+its name, a later one under name_set2, name_set3, ..., so none is overwritten.
 """
 import argparse
 import json
@@ -74,6 +76,15 @@ def workload_record(runs: dict, seeds: list, first: list, metrics: list) -> dict
     }
 
 
+def set_name(workloads: dict, workload: str) -> str:
+    """The key of a new set of `workload` in a record's workloads, which no earlier set holds."""
+    name, k = workload, 1
+    while name in workloads:
+        k += 1
+        name = f"{workload}_set{k}"
+    return name
+
+
 def export(commit: str, into: Path) -> str:
     """Extract the commit's files into `into`, compile them, and return the full sha."""
     sha = subprocess.run(["git", "rev-parse", commit], capture_output=True, text=True, check=True).stdout.strip()
@@ -107,14 +118,11 @@ def main() -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one seed per pair")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
-    if len(args.seeds) != args.pairs:
-        parser.error(f"--seeds needs {args.pairs} values, one per pair, got {len(args.seeds)}")
 
-    first = [SIDES[i % 2] for i in range(args.pairs)]
+    first = [SIDES[i % 2] for i in range(len(args.seeds))]
     runs = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
         trees = {side: Path(work) / side for side in SIDES}
@@ -139,9 +147,9 @@ def main() -> int:
             "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy"),
             "quartiles": QUARTILES, "claimed": None, "workloads": {}, "notes": [],
         }
-    record["workloads"][args.workload] = workload_record(runs, args.seeds, first, metrics)
+    wl = workload_record(runs, args.seeds, first, metrics)
+    record["workloads"][set_name(record["workloads"], args.workload)] = wl
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    wl = record["workloads"][args.workload]
     return 0 if all(wl["all_correct"].values()) and wl["summary"] is not None else 1
 
 
