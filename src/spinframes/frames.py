@@ -45,8 +45,7 @@ __all__ = [
 
 
 def _rows(matrix, n: int, kind: type, what: str) -> tuple[tuple, ...]:
-    """The rows of an n x n matrix as tuples of `kind` (complex or float), read by `_complex` or `_real`:
-    what is no number, text included, reads as NaN and fails the caller's check."""
+    """The rows of an n x n matrix as tuples of `kind` (complex or float); what is no number reads as NaN."""
     try:
         rows = tuple([tuple(map(_complex if kind is complex else _real, row)) for row in matrix])
     except TypeError:  # not iterable
@@ -57,8 +56,7 @@ def _rows(matrix, n: int, kind: type, what: str) -> tuple[tuple, ...]:
 
 
 def _refusal(rows, n: int, kind: type, what: str, message: str | None = None) -> DomainError:
-    """`message` for rows that fail a check, or the message of a malformed matrix where there is
-    none or an entry is NaN, as what is no number reads."""
+    """`message`, or a malformed matrix's where there is none or an entry is NaN, as what is no number reads."""
     if message is None or any(x != x for row in rows for x in row):
         message = f"{what} must be {n}x{n} with {kind.__name__} entries"
     return DomainError(message)
