@@ -137,9 +137,8 @@ class BellState(_Value):
             normalized = abs(a + b + c + d - 1.0) <= NORM_TOL  # False for NaN
         except NOT_A_NUMBER:  # a square that overflows
             normalized = False
-        if not normalized:  # a NaN, as what is no number reads, keeps the message of a malformed psi
-            raise DomainError("Bell state needs four amplitudes" if any(x != x for x in psi)
-                              else "Bell state must be normalized")
+        if not normalized:
+            raise DomainError("Bell state must be normalized")
         # m[a][b] is the amplitude of Alice a, Bob b; maximal entanglement
         # means both reduced density matrices are I/2
         m, two = (psi[:2], psi[2:]), (0, 1)

@@ -51,15 +51,8 @@ def _rows(matrix, n: int, kind: type, what: str) -> tuple[tuple, ...]:
     except TypeError:  # not iterable
         rows = ()
     if len(rows) != n or any(len(row) != n for row in rows):
-        raise _refusal(rows, n, kind, what)
+        raise DomainError(f"{what} must be {n}x{n} with {kind.__name__} entries")
     return rows
-
-
-def _refusal(rows, n: int, kind: type, what: str, message: str | None = None) -> DomainError:
-    """`message`, or a malformed matrix's where there is none or an entry is NaN, as what is no number reads."""
-    if message is None or any(x != x for row in rows for x in row):
-        message = f"{what} must be {n}x{n} with {kind.__name__} entries"
-    return DomainError(message)
 
 
 class SpinRotation(_Value):
@@ -80,8 +73,7 @@ class SpinRotation(_Value):
         except NOT_A_NUMBER:  # a square that overflows
             su2 = False
         if not su2:
-            raise _refusal(m, 2, complex, "spin rotation",
-                           "spin rotation must be [[a, -conj(b)], [b, conj(a)]] with |a|^2 + |b|^2 = 1")
+            raise DomainError("spin rotation must be [[a, -conj(b)], [b, conj(a)]] with |a|^2 + |b|^2 = 1")
         _set(self, "matrix", m)
 
     @classmethod
@@ -117,7 +109,7 @@ class FrameRotation(_Value):
         if not (abs(a * a + b * b + c * c - 1.0) <= NORM_TOL and abs(d * d + e * e + f * f - 1.0) <= NORM_TOL
                 and abs(g * g + h * h + k * k - 1.0) <= NORM_TOL and abs(a * d + b * e + c * f) <= NORM_TOL
                 and abs(a * g + b * h + c * k) <= NORM_TOL and abs(d * g + e * h + f * k) <= NORM_TOL):
-            raise _refusal(m, 3, float, "frame rotation", "frame rotation must be orthogonal")
+            raise DomainError("frame rotation must be orthogonal")
         det = a * (e * k - f * h) + b * (f * g - d * k) + c * (d * h - e * g)
         if not abs(det - 1.0) <= NORM_TOL:
             raise DomainError(f"frame rotation must have det +1, got {det!r}")

@@ -20,7 +20,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, ProfileError
-from .spin import NOT_A_NUMBER, Angle, _numpy_loaded, _real, _set, _sqrt, _Value
+from .spin import Angle, _numpy_loaded, _reads_as_real, _real, _set, _sqrt, _Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -152,22 +152,21 @@ class MassProfile(_Value):
 
         Needs r strictly increasing from 0, M nondecreasing from 0, and
         a positive final mass. A column is a one-dimensional sequence, such
-        as a list or a numpy array, of real values that float() reads.
+        as a list or a numpy array, of real numbers as `spin._real` reads
+        them: no text and no complex number. An int beyond the float range
+        or a signalling Decimal NaN reads as NaN, a non-finite value.
         """
         if any(isinstance(v, (str, bytes)) or getattr(v, "ndim", 1) != 1 for v in (r, m)):
             raise ProfileError(_NOT_A_COLUMN)
-        np = sys.modules.get("numpy")
         try:
-            r, m = (v.tolist() if np and isinstance(v, np.ndarray) else list(v) for v in (r, m))
-            if np and any(issubclass(t, np.complexfloating) for t in {*map(type, r), *map(type, m)}):
-                raise TypeError  # float() reads a numpy complex as its real part, after a ComplexWarning
-            r, m = list(map(float, r)), list(map(float, m))
-        except OverflowError:  # an int or Fraction beyond the float range
-            raise ProfileError(_NON_FINITE) from None
-        except NOT_A_NUMBER:
+            r, m = (v.tolist() if hasattr(v, "tolist") else list(v) for v in (r, m))
+        except TypeError:  # not iterable
             raise ProfileError(_NOT_A_COLUMN) from None
-        if len(r) != len(m):
+        types = {*map(type, r), *map(type, m)}
+        if len(r) != len(m) or not all(map(_reads_as_real, types)):
             raise ProfileError(_NOT_A_COLUMN)
+        if types != {float}:  # floats, as load_profile_csv reads, are already read
+            r, m = list(map(_real, r)), list(map(_real, m))
         if len(r) < 2:
             raise ProfileError("profile table needs at least two rows")
         if not (all(map(math.isfinite, r)) and all(map(math.isfinite, m))):
@@ -494,17 +493,12 @@ def flrw_metric_components(
 ) -> tuple[float, float, float, float]:
     """Diagonal metric components (g_tt, g_chichi, g_thetatheta, g_phiphi)
     of a closed constant-curvature space of scale factor a:
-    (-c^2, a^2, a^2 sin^2 chi, a^2 sin^2 chi sin^2 theta)."""
-    try:
-        positive = 0 < a < math.inf  # False for NaN; exact for an int beyond the float range
-    except NOT_A_NUMBER:
-        positive = False
-    if not positive:
+    (-c^2, a^2, a^2 sin^2 chi, a^2 sin^2 chi sin^2 theta). `a` reads as
+    `spin._real` reads it: what is no real number, and an int beyond the
+    float range, reads as NaN and is not positive."""
+    scale = _real(a)
+    if not scale > 0.0:  # False for NaN, as what is no real number reads
         raise DomainError(f"scale factor must be positive, got {a!r}")
-    try:
-        scale = float(a)  # an int would give int components, or overflow in the products
-    except OverflowError:  # an int beyond the float range
-        scale = math.inf
     a2 = scale * scale
     if a2 == math.inf:
         raise DomainError(f"scale factor {a!r} is too large: its square overflows a float")

@@ -49,16 +49,29 @@ NOT_A_NUMBER = (TypeError, ValueError, ArithmeticError)
 _set = object.__setattr__
 
 
+def _reads_as_real(t: type) -> bool:
+    """Whether values of type t are real numbers, as `_real` reads them: float() reads them
+    through __float__ or __index__, and t is no text, bytes or complex type, numpy's included."""
+    if issubclass(t, (str, bytes, bytearray, complex)) or not (hasattr(t, "__float__") or hasattr(t, "__index__")):
+        return False
+    np = sys.modules.get("numpy")
+    return np is None or not issubclass(t, np.complexfloating)
+
+
 def _real(v) -> float:
     """v as a float where it is a real number, such as an int, a Fraction, a
-    Decimal or a numpy scalar, so that every value computes in floats; else
-    nan, which fails every range check. Text is no real number here, though
-    float() would parse it."""
+    Decimal or a numpy real scalar, so that every value computes in floats;
+    else nan, which fails every range check. Text and bytes, which float()
+    would parse, are no real numbers here, nor are complex numbers, numpy's
+    included, whose imaginary part float() would drop; an int beyond the
+    float range and a signalling Decimal NaN read as nan too."""
     if type(v) is float:
         return v
+    if not _reads_as_real(type(v)):
+        return math.nan
     try:
-        return math.nan if isinstance(v, (str, bytes, bytearray)) else float(v)
-    except NOT_A_NUMBER:  # None, a complex or a tuple, a signalling NaN, an int beyond the float range
+        return float(v)
+    except NOT_A_NUMBER:  # an int beyond the float range, a signalling NaN
         return math.nan
 
 
@@ -118,11 +131,7 @@ class Angle(_Value):
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "Angle":
-        try:
-            radians = math.radians(degrees)
-        except NOT_A_NUMBER:
-            raise DomainError(f"angle must be finite, got {degrees!r} degrees") from None
-        return cls(radians)
+        return cls(math.radians(_real(degrees)))
 
     @property
     def degrees(self) -> float:

@@ -173,7 +173,7 @@ class TestBellStates:
 
     @pytest.mark.parametrize("psi", ["abcd", ("1", "0", "0", "x")])
     def test_rejects_malformed_amplitudes(self, psi):
-        with pytest.raises(DomainError, match="four amplitudes"):
+        with pytest.raises(DomainError, match="must be normalized"):
             BellState("x", psi, ZX_PLANE)
 
     def test_equality_ignores_global_phase(self):

@@ -136,9 +136,8 @@ class TestConstruction:
         (SpinRotation, ((1, 0), (0, -(10**400)))),
     ])
     def test_int_beyond_the_float_range_is_a_domain_error(self, cls, matrix):
-        n = len(matrix)
-        kind = "float" if cls is FrameRotation else "complex"
-        with pytest.raises(DomainError, match=rf"must be {n}x{n} with {kind} entries"):
+        # it reads as NaN, which fails the rotation's own check
+        with pytest.raises(DomainError, match="must be orthogonal" if cls is FrameRotation else r"must be \[\[a"):
             cls(matrix)
 
     @pytest.mark.parametrize("n, kind, what", [(2, complex, "spin rotation"), (3, float, "frame rotation")])

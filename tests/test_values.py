@@ -222,7 +222,11 @@ RAW_ERROR_CALLS = [
     (lambda: FrameRotation([[b"1", b"0", b"0"], [b"0", b"1", b"0"], [b"0", b"0", b"1"]]), DomainError,
      "frame rotation"),
     (lambda: BellState("x", ["0", "0.7071067811865476", "-0.7071067811865476", "0"], ZX_PLANE), DomainError,
-     "four amplitudes"),
+     "normalized"),
+    # float() reads numpy's complex scalars as their real parts, after a ComplexWarning
+    (lambda: Angle(np.complex64(0.5 + 2j)), DomainError, "angle"),
+    (lambda: FrameRotation([[np.complex128(1 + 1j), 0, 0], [0, 1, 0], [0, 0, 1]]), DomainError, "frame rotation"),
+    (lambda: flrw_metric_components(Angle(1.0), Angle(1.0), np.complex64(2 + 1j)), DomainError, "scale factor"),
 ]
 
 
@@ -261,7 +265,8 @@ OTHER_REALS = st.one_of(
 WILD = st.one_of(
     st.sampled_from([NAN, INF, -INF, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0, 0.5, 2.0,
                      True, False, "x", "1", "", None, 1j, 1 + 1j, (), (1.0,), (1.0, 2.0), (0.5, 0.5, 0.5, 0.5),
-                     DEC_NAN, DEC_SNAN]),
+                     DEC_NAN, DEC_SNAN, np.complex64(0.5), np.complex64(0.5 + 2j), np.complex128(1.0),
+                     np.complex128(1 + 1j), np.clongdouble(2.0), np.clongdouble(0.25 - 1j)]),
     st.floats(),
     st.integers(-3, 3),
     OTHER_REALS,
@@ -414,6 +419,23 @@ def test_an_entry_given_as_text_is_refused(cls, data):
     text = data.draw(st.one_of(st.sampled_from([str(entries[i]), str(entries[i]).encode()]), TEXT))
     with pytest.raises(DomainError):
         call((*entries[:i], text, *entries[i + 1:]))
+
+
+TABLE_COLUMNS = ([0.0, 1.0, 2.0], [0.0, 0.5, 1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_table_entry_given_as_text_is_refused(data):
+    columns = [list(c) for c in TABLE_COLUMNS]
+    MassProfile.from_table(*columns)
+    column, i = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2))
+    x = columns[column][i]
+    columns[column][i] = data.draw(st.one_of(st.sampled_from([str(x), str(x).encode(), np.str_(x)]), TEXT,
+                                             TEXT.map(np.str_)))
+    columns[column] = data.draw(st.sampled_from([list, tuple, np.array]))(columns[column])
+    with pytest.raises(ProfileError, match="must be sequences of numbers"):
+        MassProfile.from_table(*columns)
 
 
 def junction_ratio(chi0):
