@@ -57,7 +57,8 @@ RUN = RunStats((6, 4))
 RUN_REPR = "RunStats(counts=(6, 4))"
 # a profile of each kind, both of mass 1 and radius 2
 BALL = MassProfile.uniform(1.0, 2.0)
-TABLE = MassProfile.from_table([0.0, 1.0, 2.0], [0.0, 0.5, 1.0])
+TABLE_COLUMNS = ([0.0, 1.0, 2.0], [0.0, 0.5, 1.0])
+TABLE = MassProfile.from_table(*TABLE_COLUMNS)
 XY_REPR = ("SymmetryPlane(name='xy', e1=UnitVector3(x=1.0, y=0.0, z=0.0), "
            "e2=UnitVector3(x=0.0, y=1.0, z=0.0))")
 
@@ -421,14 +422,10 @@ def test_an_entry_given_as_text_is_refused(cls, data):
         call((*entries[:i], text, *entries[i + 1:]))
 
 
-TABLE_COLUMNS = ([0.0, 1.0, 2.0], [0.0, 0.5, 1.0])
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_a_table_entry_given_as_text_is_refused(data):
     columns = [list(c) for c in TABLE_COLUMNS]
-    MassProfile.from_table(*columns)
     column, i = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2))
     x = columns[column][i]
     columns[column][i] = data.draw(st.one_of(st.sampled_from([str(x), str(x).encode(), np.str_(x)]), TEXT,
